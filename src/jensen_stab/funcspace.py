@@ -25,9 +25,11 @@ from .errors import FormatError, InvalidElementError
 # Absolute tolerance used by default in every numeric comparison.
 DEFAULT_TOL = 1e-9
 
-# Largest bounding-box volume kept as a dense noise cache. Queries whose
-# box exceeds this (for example dyadic power orbits) fall back to per-point
-# memoization; both paths draw from the same pure hash.
+# Largest bounding-box volume kept as a dense noise cache. A query grows the
+# cache only when the grown box is dense in it: at most 4 cells per queried
+# point and at most this many cells overall. Sparse queries (dyadic power
+# orbits, whose box doubles at every level) are served from the per-point
+# memo instead; both paths draw from the same pure hash.
 _DENSE_VOLUME = 1 << 17
 
 
@@ -83,9 +85,8 @@ class SeededUniformNoise:
         self.amplitude = float(amplitude)
         self.seed = int(seed)
         self._memo: dict[tuple[int, ...], complex] = {}
-        self._grid: np.ndarray | None = None
-        self._grid_lo: np.ndarray | None = None
-        self._grid_hi: np.ndarray | None = None
+        # Dense cache (lo, hi, grid): published whole, never mutated, so readers never mix two grids.
+        self._dense: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def _draw(self, pt: tuple[int, ...]) -> complex:
         amp = self.amplitude
@@ -111,9 +112,9 @@ class SeededUniformNoise:
             self._memo[pt] = got
         return got
 
-    def _rebuild_grid(self, lo: np.ndarray, hi: np.ndarray) -> None:
-        # Rare; rebuilds re-draw the whole box, which is pure and cheap
-        # relative to the scans it accelerates.
+    def _rebuild_grid(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # Re-draws the whole box; values() calls this only for dense queries,
+        # so the draws stay within 4x the points queried.
         ranges = [range(int(a), int(b) + 1) for a, b in zip(lo, hi)]
         shape = tuple(len(r) for r in ranges)
         vals = np.fromiter(
@@ -121,9 +122,9 @@ class SeededUniformNoise:
             dtype=np.complex128,
             count=int(np.prod(shape)),
         )
-        self._grid = vals.reshape(shape)
-        self._grid_lo = lo.copy()
-        self._grid_hi = hi.copy()
+        snapshot = (lo.copy(), hi.copy(), vals.reshape(shape))
+        self._dense = snapshot
+        return snapshot
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         if self.amplitude == 0.0:
@@ -132,23 +133,17 @@ class SeededUniformNoise:
             return np.zeros(0, dtype=np.complex128)
         lo = pts.min(axis=0)
         hi = pts.max(axis=0)
-        covered = (
-            self._grid is not None
-            and (lo >= self._grid_lo).all()
-            and (hi <= self._grid_hi).all()
-        )
-        if not covered:
-            if self._grid is not None:
-                lo = np.minimum(lo, self._grid_lo)
-                hi = np.maximum(hi, self._grid_hi)
+        dense = self._dense
+        if dense is None or not ((lo >= dense[0]).all() and (hi <= dense[1]).all()):
+            if dense is not None:
+                lo = np.minimum(lo, dense[0])
+                hi = np.maximum(hi, dense[1])
             volume = float(np.prod((hi - lo + 1).astype(np.float64)))
-            if volume <= _DENSE_VOLUME:
-                self._rebuild_grid(lo, hi)
-                covered = True
-        if covered:
-            idx = tuple((pts[:, j] - self._grid_lo[j]) for j in range(pts.shape[1]))
-            return self._grid[idx]
-        return np.array([self.value(tuple(int(c) for c in row)) for row in pts], dtype=np.complex128)
+            if volume > min(_DENSE_VOLUME, 4 * pts.shape[0]):
+                return np.array([self.value(tuple(row)) for row in pts.tolist()], dtype=np.complex128)
+            dense = self._rebuild_grid(lo, hi)
+        grid_lo, _, grid = dense
+        return grid[tuple(pts[:, j] - grid_lo[j] for j in range(pts.shape[1]))]
 
     def bound(self) -> float:
         return self.amplitude

@@ -88,6 +88,9 @@ class ExperimentConfig:
                 raise FormatError(f"unknown method {m!r}; expected one of {METHODS}")
         if self.noise_type not in ("none", "parity", "seeded_uniform"):
             raise FormatError(f"unknown noise type {self.noise_type!r}")
+        powers = self.identity_powers
+        if not powers or not all(isinstance(n, int) and n >= 1 for n in powers):
+            raise FormatError(f"identity_powers must be a nonempty list of integers >= 1, got {list(powers)!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import subprocess
 import sys
 
@@ -178,12 +179,36 @@ def test_seeded_noise_is_deterministic_and_bounded():
 
 
 def test_seeded_noise_dense_and_sparse_paths_agree():
-    noise = SeededUniformNoise(0.1, 9)
-    pts = np.arange(-50, 51, dtype=np.int64).reshape(-1, 1)
-    dense = noise.values(pts)
-    fresh = SeededUniformNoise(0.1, 9)
-    pointwise = np.array([fresh.value((int(v),)) for v in pts[:, 0]])
-    assert np.array_equal(dense, pointwise)
+    z1 = bundled_carrier("int1")
+    window = window_points(z1)
+    orbits = [window]
+    for _ in range(12):
+        orbits.append(z1.square_many(orbits[-1]))
+    sparse = orbits[3:]  # from x^8 on, each level's box has over 4 cells per point
+    pts = np.concatenate([window, *sparse])
+
+    def box(noise):
+        return None if noise._dense is None else (noise._dense[0].tolist(), noise._dense[1].tolist())
+
+    def pointwise(noise):
+        return np.array([noise.value((int(v),)) for v in pts[:, 0]])
+
+    def dense_query(noise):
+        return noise.values(window)
+
+    def sparse_query(noise):
+        out = []
+        for level in sparse:
+            before = box(noise)
+            out.append(noise.values(level))
+            assert box(noise) == before
+        return np.concatenate(out)
+
+    for order in itertools.permutations((pointwise, dense_query, sparse_query)):
+        noise = SeededUniformNoise(0.1, 9)
+        got = {way: way(noise) for way in order}
+        batched = np.concatenate([got[dense_query], got[sparse_query]])
+        assert got[pointwise].tobytes() == batched.tobytes(), [way.__name__ for way in order]
     # 2-d grid path
     g = SeededUniformNoise(0.1, 9)
     pts2 = np.array([[i, j] for i in range(-5, 6) for j in range(-5, 6)], dtype=np.int64)

@@ -91,6 +91,13 @@ def test_config_rejects_bad_values():
         ExperimentConfig(component_dim=0)
 
 
+@pytest.mark.parametrize("powers", [[], [-1], [0], [1, 0, 2]])
+def test_config_rejects_identity_powers_below_one(powers):
+    # n < 1 squares nothing, so its power-2^n record would not test the dyadic identity
+    with pytest.raises(FormatError):
+        ExperimentConfig.from_dict({"carrier": "s3", "identity_powers": powers})
+
+
 def _strip_timing(report: dict) -> dict:
     out = copy.deepcopy(report)
     out.pop("timing", None)
