@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -178,20 +178,13 @@ class FiniteCarrier:
     def window_elements(self) -> np.ndarray:
         return np.arange(self.size, dtype=np.int64)
 
-    def window_pairs(self) -> Iterator[tuple[int, int]]:
-        """All |G|^2 ordered pairs, row-major in index order."""
-        n = self.size
-        return ((x, y) for x in range(n) for y in range(n))
-
     def window_pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """All |G|^2 ordered pairs as (X, Y), row-major in index order."""
         n = self.size
         idx = np.arange(n, dtype=np.int64)
         x = np.repeat(idx, n)
         y = np.tile(idx, n)
         return x, y
-
-    def folner_set(self, k: int):
-        raise CapabilityError(f"finite carrier {self.name} has no Folner sets; use the uniform average")
 
     def element_repr(self, x) -> str:
         return self.label(x)
@@ -312,10 +305,6 @@ class LatticeCarrier:
         grids = np.meshgrid(*([rng] * self.dim), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
 
-    def window_pairs(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-        pts = self.window_elements()
-        return itertools.product(pts, pts)
-
     def window_pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         pts = self.window_points()
         m = pts.shape[0]
@@ -323,15 +312,8 @@ class LatticeCarrier:
         y = np.tile(pts, (m, 1))
         return x, y
 
-    def folner_set(self, k: int) -> list[tuple[int, ...]]:
-        """The centered box [-k, k]^d, (2k+1)^d points in lexicographic order."""
-        if k < 1:
-            raise ValueError("Folner radius must be positive")
-        if k > self.folner_max:
-            raise CapabilityError(f"Folner radius {k} exceeds folner_max {self.folner_max}")
-        return [tuple(int(c) for c in row) for row in self._box_points(k)]
-
     def folner_points(self, k: int) -> np.ndarray:
+        """The centered box [-k, k]^d, (2k+1)^d points in lexicographic order."""
         if k < 1:
             raise ValueError("Folner radius must be positive")
         if k > self.folner_max:

@@ -2,20 +2,22 @@
 
 Subcommands: check-carrier, defect, inequalities, stabilize, verify,
 experiment. Carrier arguments accept either a JSON file path or a bundled
-carrier name (z2, z6, s3, q8, m3, int1, int2). Worker count for the scan
-machinery comes from the JENSEN_STAB_WORKERS environment variable.
+carrier name (z2, z6, s3, q8, m3, int1, int2). A missing or malformed
+input file, like any other package error, prints ``error: ...`` and exits
+with code 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from .carrier import BUNDLED_CARRIERS, Carrier, bundled_carrier, carrier_from_dict, validate_carrier
 from .defect import drygas_defect, inequality_suite, jensen_defect
-from .errors import JensenStabError
+from .errors import FormatError, JensenStabError
 from .funcspace import BoundedFn, function_from_dict, function_to_dict
 from .harness import ExperimentConfig, run_experiment
 from .stabilize import (
@@ -29,8 +31,13 @@ from .verify import verify_solution
 
 
 def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _write_json(path: str, data: dict) -> None:
@@ -159,10 +166,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    config_data = _load_json(args.config)
+    config = ExperimentConfig.from_dict(_load_json(args.config))
     if args.seed is not None:
-        config_data.setdefault("noise", {})["seed"] = args.seed
-    config = ExperimentConfig.from_dict(config_data)
+        config = dataclasses.replace(config, noise_seed=args.seed)
     report = run_experiment(config)
     if args.report:
         _write_json(args.report, report)

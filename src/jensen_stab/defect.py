@@ -16,12 +16,11 @@ reported alongside.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .carrier import Carrier, FiniteCarrier, LatticeCarrier
-from .errors import InvalidElementError
+from .carrier import Carrier, FiniteCarrier
 from .funcspace import (
     DEFAULT_TOL,
     BoundedFn,
@@ -105,12 +104,6 @@ def _exactness(carrier: Carrier) -> str:
     return "exhaustive" if isinstance(carrier, FiniteCarrier) else "window_lower_bound"
 
 
-def _element_repr(carrier: Carrier, handle) -> object:
-    if isinstance(carrier, FiniteCarrier):
-        return carrier.label(int(handle))
-    return [int(c) for c in np.atleast_1d(handle)]
-
-
 def _underlying_table(fn: BoundedFn) -> LatticeTableFn | None:
     probe: BoundedFn | None = fn
     while probe is not None and not isinstance(probe, LatticeTableFn):
@@ -118,8 +111,8 @@ def _underlying_table(fn: BoundedFn) -> LatticeTableFn | None:
     return probe
 
 
-def _table_mask(fn: BoundedFn, points: Sequence[np.ndarray]) -> np.ndarray | None:
-    """Mask of scan positions whose required points all stay evaluable.
+def _table_mask(fn: BoundedFn, pts: np.ndarray) -> np.ndarray | None:
+    """Mask of scan positions whose points stay evaluable, None if all do.
 
     Even/odd views only compose the base table with negation, which maps
     the centered box to itself, so the base table's coverage is the right
@@ -128,11 +121,8 @@ def _table_mask(fn: BoundedFn, points: Sequence[np.ndarray]) -> np.ndarray | Non
     table = _underlying_table(fn)
     if table is None:
         return None
-    mask = None
-    for pts in points:
-        cov = table.covers(pts)
-        mask = cov if mask is None else (mask & cov)
-    return None if mask is None or mask.all() else mask
+    mask = table.covers(pts)
+    return None if mask.all() else mask
 
 
 def _combo_scan(
@@ -141,44 +131,21 @@ def _combo_scan(
     coeffs: Sequence[complex],
     const: complex = 0j,
 ) -> tuple[float, int, int]:
-    """Sup of |sum coeff_i * fn(points_i) + const|, with first argmax.
-
-    Returns (value, index into the kept positions mapped back to the full
-    domain, number of scanned positions).
-    """
-    mask = _table_mask(fn, point_arrays)
-    if mask is not None:
-        keep = np.flatnonzero(mask)
-        point_arrays = [pts[keep] for pts in point_arrays]
-    n = point_arrays[0].shape[0]
-
-    def chunk(start: int, stop: int) -> np.ndarray:
-        acc = np.full(stop - start, const, dtype=np.complex128)
-        for pts, coeff in zip(point_arrays, coeffs):
-            acc += coeff * fn.eval_many(pts[start:stop])
-        return np.abs(acc)
-
-    value, idx = max_scan(n, chunk)
-    if mask is not None and idx >= 0:
-        idx = int(keep[idx])
-    return value, idx, n
-
-
-def _pair_points(carrier: Carrier) -> tuple[np.ndarray, np.ndarray]:
-    return carrier.window_pair_arrays()
+    """Sup of |sum coeff_i * fn(points_i) + const|: ``_one_var_scan`` with one fn."""
+    return _one_var_scan([(fn, coeff, pts) for pts, coeff in zip(point_arrays, coeffs)], const)
 
 
 def jensen_defect(f: BoundedFn) -> DefectReport:
     """delta = sup over window pairs of |f(xy) + f(x sigma(y)) - 2 f(x)|."""
     c = f.carrier
-    X, Y = _pair_points(c)
+    X, Y = c.window_pair_arrays()
     xy = c.compose_many(X, Y)
     x_sy = c.compose_many(X, c.involute_many(Y))
     value, idx, scanned = _combo_scan(f, [xy, x_sy, X], [1, 1, -2])
     total = X.shape[0]
     witness = None
     if idx >= 0:
-        witness = (_element_repr(c, X[idx]), _element_repr(c, Y[idx]))
+        witness = (c.element_repr(X[idx]), c.element_repr(Y[idx]))
     analytic = None
     if isinstance(f, OracleFn) and f.noise is not None:
         analytic = 4.0 * f.noise_bound()
@@ -196,7 +163,7 @@ def jensen_defect(f: BoundedFn) -> DefectReport:
 def drygas_defect(g: BoundedFn) -> DefectReport:
     """sup over pairs of |g(yx) + g(sigma(y)x) - 2g(x) - g(y) - g(sigma(y))|."""
     c = g.carrier
-    X, Y = _pair_points(c)
+    X, Y = c.window_pair_arrays()
     sy = c.involute_many(Y)
     yx = c.compose_many(Y, X)
     sy_x = c.compose_many(sy, X)
@@ -204,7 +171,7 @@ def drygas_defect(g: BoundedFn) -> DefectReport:
     total = X.shape[0]
     witness = None
     if idx >= 0:
-        witness = (_element_repr(c, X[idx]), _element_repr(c, Y[idx]))
+        witness = (c.element_repr(X[idx]), c.element_repr(Y[idx]))
     return DefectReport(
         equation="drygas",
         delta=value,
@@ -216,10 +183,15 @@ def drygas_defect(g: BoundedFn) -> DefectReport:
 
 
 def _one_var_scan(fn_terms: Sequence[tuple[BoundedFn, complex, np.ndarray]], const: complex = 0j) -> tuple[float, int, int]:
-    """Sup of |sum coeff_i * fn_i(points_i) + const| over a common index set."""
+    """Sup of |sum coeff_i * fn_i(points_i) + const| over a common index set.
+
+    Returns (value, first argmax mapped back to the full index set, number
+    of scanned positions); positions whose points leave a tabulated box are
+    skipped.
+    """
     mask = None
     for fn, _, pts in fn_terms:
-        m = _table_mask(fn, [pts])
+        m = _table_mask(fn, pts)
         if m is not None:
             mask = m if mask is None else (mask & m)
     keep = None
@@ -264,7 +236,7 @@ def inequality_suite(
     f_odd = OddPart(f)
 
     W = window_points(c)
-    X, Y = _pair_points(c)
+    X, Y = c.window_pair_arrays()
     sX = c.involute_many(X)
     sY = c.involute_many(Y)
     xy = c.compose_many(X, Y)
@@ -283,9 +255,9 @@ def inequality_suite(
         if idx < 0:
             witness = None
         elif pair_domain:
-            witness = (_element_repr(c, X[idx]), _element_repr(c, Y[idx]))
+            witness = (c.element_repr(X[idx]), c.element_repr(Y[idx]))
         else:
-            witness = (_element_repr(c, W[idx]),)
+            witness = (c.element_repr(W[idx]),)
         records.append(
             InequalityRecord(
                 name=name,

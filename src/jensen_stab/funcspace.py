@@ -7,7 +7,7 @@ Even/odd parts and translates are lazy views.
 
 All evaluation is pure and deterministic; seeded noise is derived from the
 element coordinates alone, never from call order, so values are
-bit-identical across runs, processes, and worker counts.
+bit-identical across runs and processes.
 """
 
 from __future__ import annotations
@@ -296,20 +296,6 @@ class OracleFn(BoundedFn):
         return 0.0 if self.noise is None else self.noise.odd_part_bound()
 
 
-class _SigmaComposed(BoundedFn):
-    """View f(sigma(x)); shared plumbing for even/odd parts."""
-
-    def __init__(self, base: BoundedFn) -> None:
-        self.base = base
-        self.carrier = base.carrier
-
-    def eval(self, x) -> complex:
-        return self.base.eval(self.carrier.involute(x))
-
-    def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        return self.base.eval_many(self.carrier.involute_many(pts))
-
-
 class EvenPart(BoundedFn):
     """f_even(x) = (f(x) + f(sigma(x))) / 2."""
 
@@ -442,11 +428,17 @@ def sup_norm_window(f: BoundedFn) -> tuple[float, object]:
 
 
 def _parse_cnum(v, what: str) -> complex:
-    if isinstance(v, (int, float)):
-        return _require_finite_complex(complex(v), what)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return _require_finite_complex(complex(float(v[0]), float(v[1])), what)
-    raise FormatError(f"{what} must be a number or an [re, im] pair, got {v!r}")
+    """A finite complex number from a JSON number or an [re, im] pair of numbers."""
+    pair = (v, 0.0) if isinstance(v, (int, float)) else v
+    z = None
+    if isinstance(pair, (list, tuple)) and len(pair) == 2:
+        try:
+            z = complex(float(pair[0]), float(pair[1]))
+        except (TypeError, ValueError, OverflowError):
+            pass
+    if z is None:
+        raise FormatError(f"{what} must be a number or an [re, im] pair of numbers, got {v!r}")
+    return _require_finite_complex(z, what)
 
 
 def _cpair(z: complex) -> list[float]:

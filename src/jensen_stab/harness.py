@@ -2,8 +2,8 @@
 
 An experiment is fully determined by its config (carrier, base solution,
 noise, methods, budgets): reports are bit-reproducible given the same
-config, including under different worker counts. Stage failures are
-recorded by stage name and the partial report is still emitted.
+config. Stage failures are recorded by stage name and the partial report
+is still emitted.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ from .funcspace import (
     BoundedFn,
     FiniteTableFn,
     OracleFn,
-    ParityNoise,
-    SeededUniformNoise,
-    function_to_dict,
+    _cpair,
+    _parse_cnum,
     noise_from_dict,
 )
 from .stabilize import (
@@ -48,16 +47,13 @@ from .verify import method_agreement, verify_solution
 SCHEMA = "jensen-stab/report/v1"
 
 
-def _parse_complex(v: Any, what: str) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    raise FormatError(f"{what} must be a number or [re, im] pair, got {v!r}")
-
-
-def _cpair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _number(section: dict, key: str, default: Any, kind: type) -> Any:
+    """section[key] (or default) converted by ``kind``; FormatError if it cannot be."""
+    v = section.get(key, default)
+    try:
+        return kind(v)
+    except (TypeError, ValueError, OverflowError):
+        raise FormatError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {v!r}") from None
 
 
 @dataclass
@@ -83,6 +79,9 @@ class ExperimentConfig:
             raise FormatError("noise amplitude must be nonnegative")
         if self.component_dim < 1:
             raise FormatError("component_dim must be >= 1")
+        k = self.folner_k
+        if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 1):
+            raise FormatError(f"folner_k must be null or an integer >= 1, got {k!r}")
         for m in self.methods:
             if m not in METHODS:
                 raise FormatError(f"unknown method {m!r}; expected one of {METHODS}")
@@ -94,22 +93,26 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        base = data.get("base", {})
-        noise = data.get("noise", {}) or {}
+        if not isinstance(data, dict):
+            raise FormatError(f"experiment config must be a JSON object, got {type(data).__name__}")
+        base = data.get("base") or {}
+        noise = data.get("noise") or {}
+        if not (isinstance(base, dict) and isinstance(noise, dict)):
+            raise FormatError("config fields 'base' and 'noise' must be JSON objects")
         linear = base.get("linear")
         return cls(
             carrier=data.get("carrier", "s3"),
-            base_constant=_parse_complex(base.get("constant", 0.0), "base constant"),
-            base_linear=None if linear is None else [_parse_complex(v, "base linear") for v in linear],
+            base_constant=_parse_cnum(base.get("constant", 0.0), "base constant"),
+            base_linear=None if linear is None else [_parse_cnum(v, "base linear") for v in linear],
             noise_type=noise.get("type", "none"),
-            noise_amplitude=float(noise.get("amplitude", 0.0)),
-            noise_seed=int(noise.get("seed", 0)),
+            noise_amplitude=_number(noise, "amplitude", 0.0, float),
+            noise_seed=_number(noise, "seed", 0, int),
             methods=list(data.get("methods", ["mean", "dyadic"])),
             folner_k=data.get("folner_k"),
-            dyadic_n=int(data.get("dyadic_n", DEFAULT_N_MAX)),
-            conv_tol=float(data.get("conv_tol", DEFAULT_CONV_TOL)),
-            tol=float(data.get("tol", DEFAULT_TOL)),
-            component_dim=int(data.get("component_dim", 1)),
+            dyadic_n=_number(data, "dyadic_n", DEFAULT_N_MAX, int),
+            conv_tol=_number(data, "conv_tol", DEFAULT_CONV_TOL, float),
+            tol=_number(data, "tol", DEFAULT_TOL, float),
+            component_dim=_number(data, "component_dim", 1, int),
             identity_powers=tuple(data.get("identity_powers", (1, 2, 3))),
         )
 
@@ -341,10 +344,3 @@ def run_experiment(config: ExperimentConfig) -> dict:
     timing["total"] = time.perf_counter() - t0
     report["timing"] = timing
     return report
-
-
-def experiment_function_files(config: ExperimentConfig) -> dict:
-    """The generated (component 0) function in file form, for provenance."""
-    c = resolve_carrier(config.carrier)
-    f = build_function(config, c, 0)
-    return function_to_dict(f)

@@ -1,30 +1,18 @@
-"""Deterministic supremum scans with optional thread parallelism.
+"""Deterministic supremum scans.
 
-The pair domain is split into fixed-size chunks that do not depend on the
-worker count, each chunk is reduced to (max, first argmax), and the chunk
-results are combined in canonical chunk order. Max-reduction of exact
-float comparisons has no rounding, so serial and parallel scans return
-bit-identical suprema and the identical first-index witness.
+The index domain is reduced in fixed-size chunks, each to (max, first
+argmax), and a later chunk replaces the running best only when its max is
+strictly greater. Ties therefore resolve to the smallest index, and a NaN
+in the first chunk's max is kept as the supremum.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
 
-WORKERS_ENV = "JENSEN_STAB_WORKERS"
 _CHUNK = 8192
-
-
-def worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def max_scan(n_items: int, chunk_fn: Callable[[int, int], np.ndarray]) -> tuple[float, int]:
@@ -32,25 +20,11 @@ def max_scan(n_items: int, chunk_fn: Callable[[int, int], np.ndarray]) -> tuple[
 
     Ties resolve to the smallest index. Empty domains return (0.0, -1).
     """
-    if n_items <= 0:
-        return 0.0, -1
-    spans = [(s, min(s + _CHUNK, n_items)) for s in range(0, n_items, _CHUNK)]
-
-    def reduce_one(span: tuple[int, int]) -> tuple[float, int]:
-        start, stop = span
-        arr = chunk_fn(start, stop)
+    best_val, best_idx = 0.0, -1
+    for start in range(0, n_items, _CHUNK):
+        arr = chunk_fn(start, min(start + _CHUNK, n_items))
         i = int(np.argmax(arr))
-        return float(arr[i]), start + i
-
-    workers = worker_count()
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(reduce_one, spans))
-    else:
-        partials = [reduce_one(span) for span in spans]
-
-    best_val, best_idx = partials[0]
-    for val, idx in partials[1:]:
-        if val > best_val:
-            best_val, best_idx = val, idx
+        val = float(arr[i])
+        if start == 0 or val > best_val:
+            best_val, best_idx = val, start + i
     return best_val, best_idx

@@ -41,7 +41,10 @@ DEFAULT_CONV_TOL = 1e-10
 
 @dataclass
 class DyadicTrace:
-    """Iterates and successive differences of one dyadic limit."""
+    """Iterates and successive differences of one pointwise limit.
+
+    Shared by the dyadic limit and the two-block reconstruction.
+    """
 
     values: list[complex]
     diffs: list[float]
@@ -277,7 +280,7 @@ def phi_mean_construction(
     cap = _require_mean_capability(c)
     fo = f if assume_odd else OddPart(f)
     f_e = f.eval(c.neutral)
-    probe = _probe_even_fluctuation(f, f_e)
+    probe = _ProbeFn(f, f_e)
 
     if cap == EXACT_UNIFORM:
         assert isinstance(c, FiniteCarrier)
@@ -329,10 +332,6 @@ class _ProbeFn(BoundedFn):
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         return self.base.eval_many(pts) - self.f_e
-
-
-def _probe_even_fluctuation(f: BoundedFn, f_e: complex) -> BoundedFn:
-    return _ProbeFn(f, f_e)
 
 
 # ----------------------------------------------------------------------------
@@ -419,30 +418,12 @@ def _fs_iterate(
     )
 
 
-@dataclass
-class FsTrace:
-    """Per-level values and steps of one pointwise reconstruction."""
-
-    values: list[complex]
-    diffs: list[float]
-    n_final: int
-    converged: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "values": [[v.real, v.imag] for v in self.values],
-            "diffs": self.diffs,
-            "n_final": self.n_final,
-            "converged": self.converged,
-        }
-
-
 def forti_sikorska_reconstruct(
     f: BoundedFn,
     x,
     n_max: int = DEFAULT_N_MAX,
     tol: float = DEFAULT_CONV_TOL,
-) -> tuple[complex, FsTrace]:
+) -> tuple[complex, DyadicTrace]:
     """Reconstruct the nearby Drygas solution at x from partial expressions.
 
     Evaluates the two-block partial expression at increasing level n and
@@ -457,7 +438,7 @@ def forti_sikorska_reconstruct(
     else:
         pts = np.array([pt], dtype=np.int64).reshape(1, c.dim)
     vals, diffs, n_final, levels = _fs_iterate(f, pts, n_max, tol, collect_values=True)
-    trace = FsTrace([complex(v[0]) for v in levels], diffs, n_final, True)
+    trace = DyadicTrace([complex(v[0]) for v in levels], diffs, n_final, True)
     return complex(vals[0]), trace
 
 

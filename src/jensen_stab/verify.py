@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .carrier import NO_MEAN, Carrier, FiniteCarrier, LatticeCarrier
-from .defect import DefectReport, InequalityRecord, drygas_defect, jensen_defect
+from .carrier import NO_MEAN
+from .defect import InequalityRecord, drygas_defect, jensen_defect
 from .funcspace import (
     DEFAULT_TOL,
     BoundedFn,
@@ -35,22 +35,14 @@ def jensen_residual(g: BoundedFn) -> float:
 
     For window-tabulated g the scan restricts to pairs whose products stay
     inside the tabulated box; the restriction is visible in the full report
-    from ``jensen_residual_report``.
+    from ``jensen_defect``.
     """
     return jensen_defect(g).delta
-
-
-def jensen_residual_report(g: BoundedFn) -> DefectReport:
-    return jensen_defect(g)
 
 
 def drygas_residual(g: BoundedFn) -> float:
     """sup |g(yx) + g(sigma(y)x) - 2g(x) - g(y) - g(sigma(y))| over pairs."""
     return drygas_defect(g).delta
-
-
-def drygas_residual_report(g: BoundedFn) -> DefectReport:
-    return drygas_defect(g)
 
 
 @dataclass
@@ -100,7 +92,7 @@ def stability_bound_check(
     devs = np.abs(f.eval_many(pts) - result.g.eval_many(pts) - result.offset)
     i = int(np.argmax(devs))
     sup = float(devs[i])
-    witness = _repr_point(c, pts[i])
+    witness = c.element_repr(pts[i])
     bound = 3.0 * delta + result.error_budget + tol
     sharper_bound = None
     sharper_holds = None
@@ -118,12 +110,6 @@ def stability_bound_check(
         sharper_bound=sharper_bound,
         sharper_holds=sharper_holds,
     )
-
-
-def _repr_point(c: Carrier, pt) -> object:
-    if isinstance(c, FiniteCarrier):
-        return c.label(int(pt))
-    return [int(v) for v in np.atleast_1d(pt)]
 
 
 @dataclass

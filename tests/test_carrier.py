@@ -187,44 +187,46 @@ def test_validate_rejects_broken_involution():
 
 def test_folner_sets():
     z1 = bundled_carrier("int1")
-    assert z1.folner_set(2) == [(-2,), (-1,), (0,), (1,), (2,)]
+    assert z1.folner_points(2).tolist() == [[-2], [-1], [0], [1], [2]]
     z2d = bundled_carrier("int2")
-    pts = z2d.folner_set(1)
-    assert len(pts) == 9
-    assert set(pts) == set(itertools.product((-1, 0, 1), repeat=2))
+    pts = z2d.folner_points(1)
+    assert pts.shape == (9, 2)
+    assert set(map(tuple, pts.tolist())) == set(itertools.product((-1, 0, 1), repeat=2))
 
 
 @pytest.mark.parametrize("k", [2, 8, 64])
 def test_folner_boundary_ratio(k):
     z1 = bundled_carrier("int1")
-    box = set(z1.folner_set(k))
+    box = {tuple(p) for p in z1.folner_points(k).tolist()}
     shifted = {(x + 1,) for (x,) in box}
     ratio = len(box.symmetric_difference(shifted)) / len(box)
     assert ratio == 2 / (2 * k + 1)
 
 
 def test_folner_capability_and_bounds():
-    with pytest.raises(CapabilityError):
-        bundled_carrier("s3").folner_set(2)
     z1 = bundled_carrier("int1")
     with pytest.raises(CapabilityError):
-        z1.folner_set(z1.folner_max + 1)
+        z1.folner_points(z1.folner_max + 1)
+    with pytest.raises(ValueError):
+        z1.folner_points(0)
 
 
 def test_window_pair_counts():
-    assert len(list(bundled_carrier("z2").window_pairs())) == 4
+    assert bundled_carrier("z2").window_pair_arrays()[0].shape == (4,)
     lat = LatticeCarrier(dim=1, window_radius=2, folner_max=4)
-    assert len(list(lat.window_pairs())) == 25
+    assert lat.window_pair_arrays()[1].shape == (25, 1)
     lat2 = LatticeCarrier(dim=2, window_radius=1, folner_max=4)
-    assert len(list(lat2.window_pairs())) == 81
+    X, Y = lat2.window_pair_arrays()
+    assert X.shape == Y.shape == (81, 2)
 
 
 def test_window_pair_order_is_row_major():
-    z2 = bundled_carrier("z2")
-    assert list(z2.window_pairs()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    X, Y = z2.window_pair_arrays()
+    X, Y = bundled_carrier("z2").window_pair_arrays()
     assert X.tolist() == [0, 0, 1, 1]
     assert Y.tolist() == [0, 1, 0, 1]
+    X, Y = LatticeCarrier(dim=1, window_radius=1, folner_max=1).window_pair_arrays()
+    assert X.ravel().tolist() == [-1, -1, -1, 0, 0, 0, 1, 1, 1]
+    assert Y.ravel().tolist() == [-1, 0, 1, -1, 0, 1, -1, 0, 1]
 
 
 def test_lattice_overflow_detection():

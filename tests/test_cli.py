@@ -154,6 +154,46 @@ def test_unknown_carrier_is_a_clean_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _assert_clean_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        None,  # no file at all
+        "{not json",
+        [],
+        {"carrier": "s3", "folner_k": "abc"},
+        {"carrier": "s3", "folner_k": 0},
+        {"carrier": "s3", "base": {"constant": [1, "a"]}},
+    ],
+)
+def test_experiment_bad_config_is_a_clean_error(tmp_path, capsys, config):
+    cfg_path = tmp_path / "cfg.json"
+    if isinstance(config, str):
+        cfg_path.write_text(config, encoding="utf-8")
+    elif config is not None:
+        _write(cfg_path, config)
+    _assert_clean_error(capsys, ["experiment", "--config", str(cfg_path)])
+
+
+def test_missing_or_malformed_input_files_are_clean_errors(s3_files, tmp_path, capsys):
+    carrier_path, fn_path = s3_files
+    missing = str(tmp_path / "missing.json")
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"kind": "table", "values": ', encoding="utf-8")
+    _assert_clean_error(capsys, ["defect", "--carrier", str(carrier_path), "--function", missing])
+    _assert_clean_error(capsys, ["defect", "--carrier", str(carrier_path), "--function", str(broken)])
+    _assert_clean_error(capsys, ["check-carrier", "--carrier", str(broken)])
+    _assert_clean_error(capsys, [
+        "verify", "--carrier", str(carrier_path), "--function", str(fn_path), "--solution", missing,
+    ])
+
+
 def test_lattice_carrier_file_and_oracle(tmp_path):
     _write(tmp_path / "lat.json", {"kind": "lattice", "dim": 1, "window": 16, "folner_max": 64})
     _write(

@@ -175,32 +175,3 @@ def test_suite_holds_for_seeded_runs():
         f = OracleFn(z1, [2.0], 5.0, SeededUniformNoise(0.1, seed))
         for r in inequality_suite(f):
             assert r.holds, (seed, r.name, r.measured_sup, r.bound)
-
-
-def test_scan_worker_determinism(monkeypatch):
-    z1 = bundled_carrier("int1")
-    f = OracleFn(z1, [2.0], 5.0, SeededUniformNoise(0.3, 5))
-    monkeypatch.setenv("JENSEN_STAB_WORKERS", "1")
-    serial = jensen_defect(f)
-    monkeypatch.setenv("JENSEN_STAB_WORKERS", "4")
-    parallel = jensen_defect(OracleFn(z1, [2.0], 5.0, SeededUniformNoise(0.3, 5)))
-    assert serial.delta == parallel.delta
-    assert serial.witness == parallel.witness
-
-    # Z^2 window 12: 390,625 pairs, so the worker threads share one noise
-    # object across many chunks while its dense cache is still growing.
-    z2 = LatticeCarrier(2, 12, 64)
-
-    def run(workers: str, seed: int):
-        monkeypatch.setenv("JENSEN_STAB_WORKERS", workers)
-        f, g = (OracleFn(z2, [1.0, -0.5j], 2.0, SeededUniformNoise(0.2, seed)) for _ in range(2))
-        return jensen_defect(f), inequality_suite(g)
-
-    for seed in (3, 4, 5):
-        serial_defect, serial_suite = run("1", seed)
-        parallel_defect, parallel_suite = run("4", seed)
-        assert serial_defect.delta == parallel_defect.delta
-        assert serial_defect.witness == parallel_defect.witness
-        assert [(r.name, r.measured_sup, r.witness) for r in serial_suite] == [
-            (r.name, r.measured_sup, r.witness) for r in parallel_suite
-        ]

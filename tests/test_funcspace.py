@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jensen_stab
 from jensen_stab import (
     FiniteTableFn,
     InvalidElementError,
@@ -155,8 +158,10 @@ def test_oracle_determinism_across_processes():
         "vals = [f.eval(x) for x in (-3, 0, 12345, 2**40)]\n"
         "print(repr([(v.real, v.imag) for v in vals]))\n"
     )
+    # The child imports the same jensen_stab as this process, however pytest found it.
+    env = {**os.environ, "PYTHONPATH": str(Path(jensen_stab.__file__).resolve().parents[1])}
     runs = [
-        subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+        subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
@@ -266,6 +271,11 @@ def test_malformed_functions_rejected():
     z1 = bundled_carrier("int1")
     with pytest.raises(FormatError):
         OracleFn(z1, [float("inf")], 0.0)
+    for bad in ([1, "a"], [1, None], "1", [float("nan"), 0.0], float("inf")):
+        with pytest.raises(FormatError):
+            function_from_dict({"kind": "table", "values": {lab: bad for lab in s3.elements}}, s3)
+        with pytest.raises(FormatError):
+            function_from_dict({"kind": "oracle", "linear": [1.0], "constant": bad}, z1)
 
 
 def test_window_points_orders():
