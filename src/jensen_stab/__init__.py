@@ -42,7 +42,6 @@ from .funcspace import (
     odd_part,
     right_translate,
     sup_norm_window,
-    tabulate_window,
 )
 from .harness import ExperimentConfig, build_function, generate_solution, perturb, run_experiment
 from .stabilize import (
@@ -124,7 +123,6 @@ __all__ = [
     "run_experiment",
     "stability_bound_check",
     "sup_norm_window",
-    "tabulate_window",
     "validate_carrier",
     "verify_solution",
 ]

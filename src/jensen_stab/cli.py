@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
 from .carrier import BUNDLED_CARRIERS, Carrier, bundled_carrier, carrier_from_dict, validate_carrier
 from .defect import drygas_defect, inequality_suite, jensen_defect
 from .errors import FormatError, JensenStabError
-from .funcspace import BoundedFn, function_from_dict, function_to_dict
+from .funcspace import BoundedFn, _parse_cnum, function_from_dict, function_to_dict
 from .harness import ExperimentConfig, run_experiment
 from .stabilize import (
     DEFAULT_CONV_TOL,
@@ -41,9 +42,12 @@ def _load_json(path: str) -> dict:
 
 
 def _write_json(path: str, data: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _resolve_carrier_arg(arg: str) -> Carrier:
@@ -141,8 +145,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     method = "external"
     if args.solution_report:
         side = _load_json(args.solution_report)
-        offset = complex(side["offset"][0], side["offset"][1])
-        budget = float(side["error_budget"])
+        if not isinstance(side, dict):
+            raise FormatError(f"{args.solution_report} must hold a JSON object")
+        offset = _parse_cnum(side.get("offset"), "solution report offset")
+        budget = side.get("error_budget")
+        if isinstance(budget, bool) or not isinstance(budget, (int, float)) or not math.isfinite(budget):
+            raise FormatError(f"solution report error_budget must be a finite number, got {budget!r}")
         method = side.get("method", method)
     delta = args.delta if args.delta is not None else jensen_defect(f).delta
     result = StabilizationResult(

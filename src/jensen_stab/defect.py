@@ -16,7 +16,7 @@ reported alongside.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -135,24 +135,22 @@ def _combo_scan(
     return _one_var_scan([(fn, coeff, pts) for pts, coeff in zip(point_arrays, coeffs)], const)
 
 
-def jensen_defect(f: BoundedFn) -> DefectReport:
-    """delta = sup over window pairs of |f(xy) + f(x sigma(y)) - 2 f(x)|."""
-    c = f.carrier
+def _pair_defect(
+    fn: BoundedFn,
+    equation: str,
+    terms: Callable[[Carrier, np.ndarray, np.ndarray], list[np.ndarray]],
+    coeffs: Sequence[complex],
+    analytic: float | None = None,
+) -> DefectReport:
+    """Sup over window pairs (x, y) of |sum coeff_i * fn(terms_i(x, y))|."""
+    c = fn.carrier
     X, Y = c.window_pair_arrays()
-    xy = c.compose_many(X, Y)
-    x_sy = c.compose_many(X, c.involute_many(Y))
-    value, idx, scanned = _combo_scan(f, [xy, x_sy, X], [1, 1, -2])
+    value, idx, scanned = _combo_scan(fn, terms(c, X, Y), coeffs)
     total = X.shape[0]
-    witness = None
-    if idx >= 0:
-        witness = (c.element_repr(X[idx]), c.element_repr(Y[idx]))
-    analytic = None
-    if isinstance(f, OracleFn) and f.noise is not None:
-        analytic = 4.0 * f.noise_bound()
     return DefectReport(
-        equation="jensen",
+        equation=equation,
         delta=value,
-        witness=witness,
+        witness=None if idx < 0 else (c.element_repr(X[idx]), c.element_repr(Y[idx])),
         domain_size=total,
         exactness=_exactness(c),
         analytic_bound=analytic,
@@ -160,26 +158,26 @@ def jensen_defect(f: BoundedFn) -> DefectReport:
     )
 
 
+def _jensen_terms(c: Carrier, X: np.ndarray, Y: np.ndarray) -> list[np.ndarray]:
+    return [c.compose_many(X, Y), c.compose_many(X, c.involute_many(Y)), X]
+
+
+def _drygas_terms(c: Carrier, X: np.ndarray, Y: np.ndarray) -> list[np.ndarray]:
+    sy = c.involute_many(Y)
+    return [c.compose_many(Y, X), c.compose_many(sy, X), X, Y, sy]
+
+
+def jensen_defect(f: BoundedFn) -> DefectReport:
+    """delta = sup over window pairs of |f(xy) + f(x sigma(y)) - 2 f(x)|."""
+    analytic = None
+    if isinstance(f, OracleFn) and f.noise is not None:
+        analytic = 4.0 * f.noise_bound()
+    return _pair_defect(f, "jensen", _jensen_terms, [1, 1, -2], analytic)
+
+
 def drygas_defect(g: BoundedFn) -> DefectReport:
     """sup over pairs of |g(yx) + g(sigma(y)x) - 2g(x) - g(y) - g(sigma(y))|."""
-    c = g.carrier
-    X, Y = c.window_pair_arrays()
-    sy = c.involute_many(Y)
-    yx = c.compose_many(Y, X)
-    sy_x = c.compose_many(sy, X)
-    value, idx, scanned = _combo_scan(g, [yx, sy_x, X, Y, sy], [1, 1, -2, -1, -1])
-    total = X.shape[0]
-    witness = None
-    if idx >= 0:
-        witness = (c.element_repr(X[idx]), c.element_repr(Y[idx]))
-    return DefectReport(
-        equation="drygas",
-        delta=value,
-        witness=witness,
-        domain_size=total,
-        exactness=_exactness(c),
-        scanned_pairs=scanned if scanned != total else None,
-    )
+    return _pair_defect(g, "drygas", _drygas_terms, [1, 1, -2, -1, -1])
 
 
 def _one_var_scan(fn_terms: Sequence[tuple[BoundedFn, complex, np.ndarray]], const: complex = 0j) -> tuple[float, int, int]:

@@ -402,18 +402,6 @@ def window_points(carrier: Carrier) -> np.ndarray:
     return carrier.window_points()
 
 
-def window_values(f: BoundedFn) -> np.ndarray:
-    return f.eval_many(window_points(f.carrier))
-
-
-def tabulate_window(f: BoundedFn) -> FiniteTableFn | LatticeTableFn:
-    """Materialize f on the carrier window as a table function."""
-    vals = window_values(f)
-    if isinstance(f.carrier, FiniteCarrier):
-        return FiniteTableFn(f.carrier, vals)
-    return LatticeTableFn(f.carrier, vals)
-
-
 def sup_norm_window(f: BoundedFn) -> tuple[float, object]:
     """Max of |f| over the window, with the first witnessing element."""
     pts = window_points(f.carrier)

@@ -224,7 +224,7 @@ def _scalar_run(config: ExperimentConfig, c: Carrier, component: int, timing: di
         "holds": True if analytic is None else bool(delta <= analytic + tol),
     }
 
-    phi = None
+    built = phi = None
     phi_budget = 0.0
     stab_reports: dict[str, dict] = {}
     verif_reports: dict[str, dict] = {}
@@ -246,7 +246,7 @@ def _scalar_run(config: ExperimentConfig, c: Carrier, component: int, timing: di
     for method in config.methods:
         res = stage(f"stabilize:{method}")(
             lambda m=method: jensen_approximant(
-                f, m, delta=delta, folner_k=config.folner_k, n_max=config.dyadic_n, conv_tol=config.conv_tol
+                f, m, delta=delta, folner_k=config.folner_k, n_max=config.dyadic_n, conv_tol=config.conv_tol, phi=built
             )
         )
         if res is None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .carrier import EXACT_UNIFORM, FOLNER, Carrier, FiniteCarrier, LatticeCarrier
+from .carrier import EXACT_UNIFORM, FOLNER, Carrier, FiniteCarrier
 from .defect import jensen_defect
 from .errors import CapabilityError, LatticeOverflowError, NonConvergenceError
 from .funcspace import (
@@ -231,34 +231,36 @@ def _dyadic_window(
 # Means and the phi construction
 
 
+def _mean_set(c: Carrier, k: int | None) -> tuple[np.ndarray, int, object, str]:
+    """The averaging set of c's invariant mean, k_used, the probe translate and the mode.
+
+    Finite groups average exactly over all of G (k is ignored, k_used is
+    |G|) and probe with the first non-neutral element; lattices average over
+    the Folner box of radius k (defaulting to folner_max) and probe with the
+    first unit vector.
+    """
+    mode = _require_mean_capability(c)
+    if mode == EXACT_UNIFORM:
+        probe = next((i for i in range(c.size) if i != c.neutral), c.neutral)
+        return window_points(c), c.size, probe, mode
+    k_used = c.folner_max if k is None else int(k)
+    probe = np.zeros(c.dim, dtype=np.int64)
+    probe[0] = 1
+    return c.folner_points(k_used), k_used, probe, mode
+
+
 def folner_mean(h: BoundedFn, k: int | None = None) -> MeanValue:
     """Average h over the carrier's mean set and probe its invariance.
 
-    Finite groups use the exact uniform average over all of G (k is
-    ignored); lattices average over the Folner box of radius k (defaulting
-    to folner_max). The invariance residual compares the mean against the
-    mean of one probe translate: the first non-neutral element on finite
-    groups, the first unit vector on lattices.
+    The mean set is all of G on finite groups and the Folner box of radius
+    k on lattices (see ``_mean_set``). The invariance residual compares the
+    mean against the mean of the probe's left translate.
     """
     c = h.carrier
-    cap = _require_mean_capability(c)
-    if cap == EXACT_UNIFORM:
-        assert isinstance(c, FiniteCarrier)
-        idx = np.arange(c.size, dtype=np.int64)
-        vals = h.eval_many(idx)
-        m0 = vals.mean()
-        probe = next(i for i in range(c.size) if i != c.neutral) if c.size > 1 else c.neutral
-        m1 = h.eval_many(c.op[probe, idx]).mean()
-        return MeanValue(complex(m0), c.size, c.size, float(abs(m1 - m0)), EXACT_UNIFORM)
-    assert isinstance(c, LatticeCarrier)
-    k_used = c.folner_max if k is None else int(k)
-    pts = c.folner_points(k_used)
-    vals = h.eval_many(pts)
-    m0 = vals.mean()
-    shift = np.zeros((1, c.dim), dtype=np.int64)
-    shift[0, 0] = 1
-    m1 = h.eval_many(pts + shift).mean()
-    return MeanValue(complex(m0), k_used, pts.shape[0], float(abs(m1 - m0)), FOLNER)
+    pts, k_used, probe, mode = _mean_set(c, k)
+    m0 = h.eval_many(pts).mean()
+    m1 = h.eval_many(c.compose_many(probe, pts)).mean()
+    return MeanValue(complex(m0), k_used, pts.shape[0], float(abs(m1 - m0)), mode)
 
 
 def phi_mean_construction(
@@ -277,45 +279,23 @@ def phi_mean_construction(
     budget is zero.
     """
     c = f.carrier
-    cap = _require_mean_capability(c)
+    pts, k_used, _, mode = _mean_set(c, k)
     fo = f if assume_odd else OddPart(f)
     f_e = f.eval(c.neutral)
-    probe = _ProbeFn(f, f_e)
-
-    if cap == EXACT_UNIFORM:
-        assert isinstance(c, FiniteCarrier)
-        n = c.size
-        idx = np.arange(n, dtype=np.int64)
-        vals = np.empty(n, dtype=np.complex128)
-        for y in range(n):
-            p1 = c.op[y, idx]
-            p2 = c.op[idx, c.involution[y]]
-            vals[y] = (fo.eval_many(p1) - fo.eval_many(p2)).mean()
-        phi = FiniteTableFn(c, vals)
-        probe_res = folner_mean(probe).invariance_residual
-        diag = PhiDiagnostics(EXACT_UNIFORM, n, n, 0.0, 0.0, 0.0, probe_res)
-        return phi, diag
-
-    assert isinstance(c, LatticeCarrier)
-    k_used = c.folner_max if k is None else int(k)
-    box = c.folner_points(k_used)
-    win = c.window_points()
+    win = window_points(c)
     vals = np.empty(win.shape[0], dtype=np.complex128)
     for i, y in enumerate(win):
-        row = y[None, :]
-        integrand = fo.eval_many(box + row) - fo.eval_many(box - row)
+        integrand = fo.eval_many(c.compose_many(y, pts)) - fo.eval_many(c.compose_many(pts, c.involute_many(y)))
         vals[i] = integrand.mean()
-    phi = LatticeTableFn(c, vals)
+    phi = _as_table(c, vals)
 
-    if assume_odd:
-        m_bound = f.noise_bound() if isinstance(f, OracleFn) else 0.0
-    else:
-        m_bound = f.odd_noise_bound() if isinstance(f, OracleFn) else 0.0
-    corner = (c.window_radius,) * c.dim
-    ratio_max = box_translate_ratio(c.dim, k_used, corner)
-    budget = 2.0 * m_bound * ratio_max
-    probe_res = folner_mean(probe, k_used).invariance_residual
-    diag = PhiDiagnostics(FOLNER, k_used, box.shape[0], budget, m_bound, ratio_max, probe_res)
+    m_bound = 0.0
+    if isinstance(f, OracleFn):
+        m_bound = f.noise_bound() if assume_odd else f.odd_noise_bound()
+    # The uniform average on a finite group is exactly invariant: no Folner budget.
+    ratio_max = box_translate_ratio(c.dim, k_used, (c.window_radius,) * c.dim) if mode == FOLNER else 0.0
+    probe_res = folner_mean(_ProbeFn(f, f_e), k_used).invariance_residual
+    diag = PhiDiagnostics(mode, k_used, pts.shape[0], 2.0 * m_bound * ratio_max, m_bound, ratio_max, probe_res)
     return phi, diag
 
 
@@ -467,6 +447,7 @@ def jensen_approximant(
     folner_k: int | None = None,
     n_max: int = DEFAULT_N_MAX,
     conv_tol: float = DEFAULT_CONV_TOL,
+    phi: tuple[FiniteTableFn | LatticeTableFn, PhiDiagnostics] | None = None,
 ) -> StabilizationResult:
     """Construct the normalized solution g (g(e) = 0) near f by one method.
 
@@ -476,6 +457,10 @@ def jensen_approximant(
     separately), and ``forti_sikorska`` (partial-expression reconstruction,
     renormalized at e). The offset f(e) is returned alongside; stability is
     always judged on |f(x) - g(x) - offset|.
+
+    ``phi`` is the ``(phi, diagnostics)`` pair that
+    ``phi_mean_construction(f, folner_k)`` returned, for a caller that has
+    already built it; ``mean`` builds it when it is not given.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -485,8 +470,8 @@ def jensen_approximant(
     offset = f.eval(c.neutral)
 
     if method == "mean":
-        phi, diag = phi_mean_construction(f, folner_k)
-        g = _as_table(c, phi.values * 0.5)
+        phi_fn, diag = phi if phi is not None else phi_mean_construction(f, folner_k)
+        g = _as_table(c, phi_fn.values * 0.5)
         return StabilizationResult(
             g=g,
             offset=offset,

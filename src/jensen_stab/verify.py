@@ -19,12 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .carrier import NO_MEAN
-from .defect import InequalityRecord, drygas_defect, jensen_defect
+from .defect import InequalityRecord, _table_mask, drygas_defect, jensen_defect
 from .funcspace import (
     DEFAULT_TOL,
     BoundedFn,
     EvenPart,
-    LatticeTableFn,
     window_points,
 )
 from .stabilize import StabilizationResult, jensen_approximant
@@ -156,7 +155,7 @@ def identity_checks(
     records.append(IdentityRecord("even_part_constant", sup, bound, sup <= bound, pts.shape[0]))
 
     prod = c.compose_many(pts, c.involute_many(pts))
-    keep = _coverage_mask(g, prod)
+    keep = _table_mask(g, prod)
     vals = g.eval_many(prod[keep] if keep is not None else prod)
     sup = float(np.abs(vals - g_e).max()) if vals.size else 0.0
     records.append(
@@ -173,7 +172,7 @@ def identity_checks(
         cur = pts
         for _ in range(n):
             cur = c.square_many(cur)
-        keep = _coverage_mask(g, cur)
+        keep = _table_mask(g, cur)
         base = pts if keep is None else pts[keep]
         top = cur if keep is None else cur[keep]
         if base.shape[0] == 0:
@@ -185,14 +184,6 @@ def identity_checks(
         records.append(IdentityRecord(f"power_2^{n}", sup, bound_n, sup <= bound_n, int(base.shape[0])))
 
     return records
-
-
-def _coverage_mask(g: BoundedFn, pts: np.ndarray) -> np.ndarray | None:
-    if isinstance(g, LatticeTableFn):
-        mask = g.covers(pts)
-        if not mask.all():
-            return mask
-    return None
 
 
 @dataclass

@@ -194,6 +194,32 @@ def test_missing_or_malformed_input_files_are_clean_errors(s3_files, tmp_path, c
     ])
 
 
+def test_unwritable_output_is_a_clean_error(s3_files, tmp_path, capsys):
+    carrier_path, fn_path = s3_files
+    cfg_path = tmp_path / "cfg.json"
+    _write(cfg_path, {"carrier": "z2"})
+    missing_dir = tmp_path / "missing_dir"
+    _assert_clean_error(capsys, ["experiment", "--config", str(cfg_path), "--report", str(missing_dir / "r.json")])
+    _assert_clean_error(capsys, [
+        "stabilize", "--method", "dyadic", "--carrier", str(carrier_path), "--function", str(fn_path),
+        "--out", str(missing_dir / "g.json"),
+    ])
+
+
+@pytest.mark.parametrize(
+    "sidecar",
+    [{"offset": [0, 0]}, {"offset": "x", "error_budget": 0}, {"offset": [0, 0], "error_budget": "inf"}, []],
+)
+def test_malformed_solution_report_is_a_clean_error(s3_files, tmp_path, capsys, sidecar):
+    carrier_path, fn_path = s3_files
+    side_path = tmp_path / "side.json"
+    _write(side_path, sidecar)
+    _assert_clean_error(capsys, [
+        "verify", "--carrier", str(carrier_path), "--function", str(fn_path),
+        "--solution", str(fn_path), "--solution-report", str(side_path),
+    ])
+
+
 def test_lattice_carrier_file_and_oracle(tmp_path):
     _write(tmp_path / "lat.json", {"kind": "lattice", "dim": 1, "window": 16, "folner_max": 64})
     _write(

@@ -14,12 +14,15 @@ from jensen_stab import (
     OracleFn,
     bundled_carrier,
     generate_solution,
+    jensen_approximant,
     jensen_defect,
     perturb,
     run_experiment,
 )
+from jensen_stab import harness, stabilize
 from jensen_stab.errors import FormatError
 from jensen_stab.funcspace import window_points
+from jensen_stab.harness import build_function
 
 
 def test_generate_solution_examples():
@@ -209,3 +212,51 @@ def test_run_experiment_on_plane_lattice():
     assert report["pass"], report.get("errors")
     assert report["defect"]["exactness"] == "window_lower_bound"
     assert report["agreement"]["holds"]
+
+
+def _count_phi_builds(monkeypatch) -> list:
+    """Patch both names the program builds phi through; list the builds that returned."""
+    calls = []
+    for owner in (stabilize, harness):
+        def counted(*args, _build=owner.phi_mean_construction, **kwargs):
+            built = _build(*args, **kwargs)
+            calls.append(args)
+            return built
+
+        monkeypatch.setattr(owner, "phi_mean_construction", counted)
+    return calls
+
+
+@pytest.mark.parametrize("carrier, builds", [("s3", 1), ("int1", 1), ("m3", 0)])
+def test_phi_is_built_once_per_experiment(monkeypatch, carrier, builds):
+    calls = _count_phi_builds(monkeypatch)
+    lattice = carrier == "int1"
+    cfg = ExperimentConfig(carrier=carrier, base_constant=2.0, base_linear=[1.5] if lattice else None,
+                           noise_type="seeded_uniform", noise_amplitude=0.1, noise_seed=3,
+                           methods=["mean", "dyadic"], folner_k=64 if lattice else None)
+    report = run_experiment(cfg)
+    assert len(calls) == builds
+    assert report["pass"], report["errors"]
+
+
+def test_failed_phi_stage_leaves_the_mean_stage_its_own_error(monkeypatch):
+    calls = _count_phi_builds(monkeypatch)
+    cfg = ExperimentConfig(carrier="int1", base_linear=[1.0], methods=["mean", "dyadic"], folner_k=1024)
+    report = run_experiment(cfg)
+    assert calls == []
+    assert [e["stage"] for e in report["errors"]] == ["phi_construction", "stabilize:mean"]
+    assert all("CapabilityError" in e["error"] for e in report["errors"])
+
+
+@pytest.mark.parametrize("carrier", ["q8", "int1"])
+def test_mean_approximant_from_a_prebuilt_phi_is_identical(carrier):
+    lattice = carrier == "int1"
+    cfg = ExperimentConfig(carrier=carrier, base_constant=1 - 1j, base_linear=[2.0] if lattice else None,
+                           noise_type="seeded_uniform", noise_amplitude=0.2, noise_seed=9,
+                           folner_k=128 if lattice else None)
+    f = build_function(cfg, bundled_carrier(carrier))
+    built = stabilize.phi_mean_construction(f, cfg.folner_k)
+    shared = jensen_approximant(f, "mean", folner_k=cfg.folner_k, phi=built)
+    fresh = jensen_approximant(f, "mean", folner_k=cfg.folner_k)
+    assert shared.to_dict() == fresh.to_dict()
+    assert np.array_equal(shared.g.values, fresh.g.values)

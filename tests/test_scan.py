@@ -43,3 +43,14 @@ def test_empty_domain_returns_no_witness():
         raise AssertionError("an empty domain has no chunks")
 
     assert max_scan(0, chunk) == (0.0, -1)
+
+
+def test_first_nan_is_the_supremum_in_any_chunk():
+    arr = np.zeros(2 * _CHUNK + 5)
+    arr[_CHUNK + 3] = arr[2 * _CHUNK + 1] = np.nan
+    arr[_CHUNK + 7] = 5.0
+    value, idx = _scan(arr)
+    assert np.isnan(value) and idx == _CHUNK + 3
+    arr[3] = np.nan
+    value, idx = _scan(arr)
+    assert np.isnan(value) and idx == 3
