@@ -295,12 +295,17 @@ class LatticeCarrier:
 
     def window_points(self) -> np.ndarray:
         """All points of [-N, N]^d in lexicographic order, shape (m, d)."""
-        return self._box_points(self.window_radius)
+        return self.box_points(self.window_radius)
 
     def window_elements(self) -> list[tuple[int, ...]]:
         return [tuple(int(c) for c in row) for row in self.window_points()]
 
-    def _box_points(self, k: int) -> np.ndarray:
+    def box_points(self, k: int) -> np.ndarray:
+        """The centered box [-k, k]^d, (2k+1)^d points in lexicographic order, for any k >= 0.
+
+        Unlike ``folner_points`` it accepts radii past ``folner_max``, such as
+        the reach k + N of a phi integrand.
+        """
         rng = np.arange(-k, k + 1, dtype=np.int64)
         grids = np.meshgrid(*([rng] * self.dim), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
@@ -313,12 +318,12 @@ class LatticeCarrier:
         return x, y
 
     def folner_points(self, k: int) -> np.ndarray:
-        """The centered box [-k, k]^d, (2k+1)^d points in lexicographic order."""
+        """The Folner box ``box_points(k)``, for 1 <= k <= folner_max."""
         if k < 1:
             raise ValueError("Folner radius must be positive")
         if k > self.folner_max:
             raise CapabilityError(f"Folner radius {k} exceeds folner_max {self.folner_max}")
-        return self._box_points(k)
+        return self.box_points(k)
 
     def element_repr(self, x) -> list[int]:
         return list(self.check_element(x))

@@ -42,10 +42,14 @@ def _load_json(path: str) -> dict:
 
 
 def _write_json(path: str, data: dict) -> None:
+    # Serialized before the file is opened, so a refused report leaves no partial file.
+    try:
+        text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise FormatError(f"cannot write {path}: the report holds a non-finite number ({exc})") from exc
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
     except OSError as exc:
         raise FormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
 

@@ -13,7 +13,6 @@ bit-identical across runs and processes.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from typing import Sequence
 
@@ -113,16 +112,20 @@ class SeededUniformNoise:
         return got
 
     def _rebuild_grid(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # Re-draws the whole box; values() calls this only for dense queries,
-        # so the draws stay within 4x the points queried.
-        ranges = [range(int(a), int(b) + 1) for a, b in zip(lo, hi)]
-        shape = tuple(len(r) for r in ranges)
-        vals = np.fromiter(
-            (self._draw(pt) for pt in itertools.product(*ranges)),
-            dtype=np.complex128,
-            count=int(np.prod(shape)),
-        )
-        snapshot = (lo.copy(), hi.copy(), vals.reshape(shape))
+        # Copies the published grid when it lies inside [lo, hi] and draws only
+        # the cells around it; values() calls this only for dense queries, so
+        # the draws stay within 4x the points queried.
+        shape = tuple(int(b) - int(a) + 1 for a, b in zip(lo, hi))
+        vals = np.empty(shape, dtype=np.complex128)
+        fresh = np.ones(shape, dtype=bool)
+        old = self._dense
+        if old is not None and (old[0] >= lo).all() and (old[1] <= hi).all():
+            block = tuple(slice(int(a - b), int(a - b) + n) for a, b, n in zip(old[0], lo, old[2].shape))
+            vals[block] = old[2]
+            fresh[block] = False
+        todo = (np.argwhere(fresh) + lo).tolist()
+        vals[fresh] = np.fromiter((self._draw(tuple(pt)) for pt in todo), dtype=np.complex128, count=len(todo))
+        snapshot = (lo.copy(), hi.copy(), vals)
         self._dense = snapshot
         return snapshot
 

@@ -283,6 +283,13 @@ def phi_mean_construction(
     fo = f if assume_odd else OddPart(f)
     f_e = f.eval(c.neutral)
     win = window_points(c)
+    # Tabulate f_odd once over every point y x and x sigma(y) can reach (all
+    # of G, or the box of radius k + N), so the loop below only gathers.
+    if mode == FOLNER:
+        r = k_used + c.window_radius
+        fo = LatticeTableFn(c, fo.eval_many(c.box_points(r)), radius=r)
+    else:
+        fo = FiniteTableFn(c, fo.eval_many(win))
     vals = np.empty(win.shape[0], dtype=np.complex128)
     for i, y in enumerate(win):
         integrand = fo.eval_many(c.compose_many(y, pts)) - fo.eval_many(c.compose_many(pts, c.involute_many(y)))

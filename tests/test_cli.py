@@ -206,6 +206,17 @@ def test_unwritable_output_is_a_clean_error(s3_files, tmp_path, capsys):
     ])
 
 
+def test_non_finite_report_is_a_clean_error(tmp_path, capsys):
+    # a . x overflows to inf on the window, and inf - inf makes the defect NaN
+    fn_path = tmp_path / "f.json"
+    _write(fn_path, {"kind": "oracle", "linear": [1e307]})
+    report_path = tmp_path / "r.json"
+    _assert_clean_error(capsys, [
+        "defect", "--carrier", "int1", "--function", str(fn_path), "--report", str(report_path),
+    ])
+    assert not report_path.exists()
+
+
 @pytest.mark.parametrize(
     "sidecar",
     [{"offset": [0, 0]}, {"offset": "x", "error_budget": 0}, {"offset": [0, 0], "error_budget": "inf"}, []],

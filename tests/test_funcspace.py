@@ -222,6 +222,35 @@ def test_seeded_noise_dense_and_sparse_paths_agree():
     assert np.array_equal(grid_vals, np.array([fresh2.value((int(a), int(b))) for a, b in pts2]))
 
 
+def test_grid_growth_draws_each_cell_once(monkeypatch):
+    draws = []
+    real_draw = SeededUniformNoise._draw
+
+    def counted(self, pt):
+        draws.append(pt)
+        return real_draw(self, pt)
+
+    monkeypatch.setattr(SeededUniformNoise, "_draw", counted)
+    z1 = bundled_carrier("int1")
+    x, y = z1.window_pair_arrays()
+    box = np.arange(-576, 577, dtype=np.int64)[:, None]
+    noise = SeededUniformNoise(0.1, 9)
+    noise.values(x + y)
+    got = noise.values(box)
+    assert len(draws) == box.shape[0] == 1153
+    assert len(set(draws)) == len(draws)
+    assert got.tobytes() == np.array([noise.value((int(v),)) for v in box[:, 0]]).tobytes()
+    # 2-d: the old block sits off-centre in the grown box
+    z2 = bundled_carrier("int2")
+    draws.clear()
+    noise2 = SeededUniformNoise(0.1, 9)
+    noise2.values(z2.box_points(3))
+    shifted = z2.box_points(7) + np.array([1, -2])
+    got2 = noise2.values(shifted)
+    assert len(draws) == len(set(draws)) == 15 * 15
+    assert got2.tobytes() == np.array([noise2.value((int(a), int(b))) for a, b in shifted]).tobytes()
+
+
 def test_lattice_table_bounds():
     z1 = bundled_carrier("int1")
     vals = np.zeros(129, dtype=np.complex128)

@@ -1,7 +1,8 @@
 """Reports stay byte-identical: seed-0 reports against the benchmark's reference digests.
 
-Reruns every ``finite_four`` item and two ``int1`` items of ``sweep100``
-(one with parity noise, one with seeded noise) and compares the sha256 of
+Reruns every ``finite_four`` item, two ``int1`` items of ``sweep100``
+(one with parity noise, one with seeded noise) and the first ``int2_four``
+item (2-d oracle evaluation and noise grids), and compares the sha256 of
 each report without its ``timing`` subtree with ``perfbench/reference.json``.
 A refactor that moves any reported number or label by one bit turns this red.
 """
@@ -21,7 +22,7 @@ if str(BENCH) not in sys.path:
 import workloads  # noqa: E402
 
 REFERENCE = json.loads((BENCH / "reference.json").read_text())
-PICKS = {"finite_four": range(15), "sweep100": (72, 80)}
+PICKS = {"finite_four": range(15), "sweep100": (72, 80), "int2_four": (0,)}
 
 
 @pytest.mark.parametrize("name", sorted(PICKS))

@@ -18,8 +18,11 @@ from jensen_stab import (
     dyadic_limit,
     folner_mean,
     forti_sikorska_reconstruct,
+    generate_solution,
     jensen_approximant,
     jensen_defect,
+    odd_part,
+    perturb,
     phi_mean_construction,
 )
 from jensen_stab.funcspace import BoundedFn, window_points
@@ -163,6 +166,39 @@ def test_phi_boundary_bound_vs_brute_force():
         # boundary-term count of the box average
         assert abs(phi.eval(y) - 2 * a * y) <= 2 * eps * (2 * abs(y)) / (2 * k + 1) + 1e-12
     assert diag.phi_error_budget == 2 * eps * box_translate_ratio(1, k, (64,))
+
+
+def _phi_per_translate(f, k):
+    """phi as one oracle loop per translate y, with no table of f_odd."""
+    c = f.carrier
+    pts = window_points(c) if c.size else c.folner_points(k)
+    fo = odd_part(f)
+    win = window_points(c)
+    vals = np.empty(win.shape[0], dtype=np.complex128)
+    for i, y in enumerate(win):
+        integrand = fo.eval_many(c.compose_many(y, pts)) - fo.eval_many(c.compose_many(pts, c.involute_many(y)))
+        vals[i] = integrand.mean()
+    return vals
+
+
+@pytest.mark.parametrize(
+    "name, k",
+    [("s3", None), ("q8", None), ("z6", None), ("int1", 512), ("int2", 16)],
+)
+def test_phi_matches_the_per_translate_oracle_loop(name, k):
+    c = bundled_carrier(name)
+    if c.size:
+        def make():
+            return perturb(generate_solution(c, 1 - 2j), "seeded_uniform", 0.3, seed=11)
+    else:
+        def make():
+            return OracleFn(c, [1.5, -0.5 + 1j][: c.dim], 2j, SeededUniformNoise(0.2, 11))
+    phi, diag = phi_mean_construction(make(), k)
+    assert np.array_equal(phi.values.ravel(), _phi_per_translate(make(), k))
+    if not c.size:
+        assert diag.k_used == k
+        for r in range(1, c.folner_max + 1):
+            assert np.array_equal(c.box_points(r), c.folner_points(r))
 
 
 def test_forti_sikorska_constant_trace():
