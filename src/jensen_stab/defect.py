@@ -15,12 +15,14 @@ reported alongside.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .carrier import Carrier, FiniteCarrier
+from .errors import FormatError
 from .funcspace import (
     DEFAULT_TOL,
     BoundedFn,
@@ -142,15 +144,25 @@ def _pair_defect(
     coeffs: Sequence[complex],
     analytic: float | None = None,
 ) -> DefectReport:
-    """Sup over window pairs (x, y) of |sum coeff_i * fn(terms_i(x, y))|."""
+    """Sup over window pairs (x, y) of |sum coeff_i * fn(terms_i(x, y))|.
+
+    Raises ``FormatError`` when the supremum is not finite (the values of fn
+    overflow float arithmetic), naming the first witnessing pair.
+    """
     c = fn.carrier
     X, Y = c.window_pair_arrays()
     value, idx, scanned = _combo_scan(fn, terms(c, X, Y), coeffs)
+    witness = None if idx < 0 else (c.element_repr(X[idx]), c.element_repr(Y[idx]))
+    if not math.isfinite(value):
+        raise FormatError(
+            f"{equation} defect is not finite ({value}) at the pair (x, y) = {witness}: "
+            "the function's values overflow float arithmetic"
+        )
     total = X.shape[0]
     return DefectReport(
         equation=equation,
         delta=value,
-        witness=None if idx < 0 else (c.element_repr(X[idx]), c.element_repr(Y[idx])),
+        witness=witness,
         domain_size=total,
         exactness=_exactness(c),
         analytic_bound=analytic,

@@ -325,58 +325,6 @@ class _ProbeFn(BoundedFn):
 # Two-block reconstruction of the nearby Drygas solution
 
 
-class _FsPowers:
-    """Memoized dyadic powers of x, sigma(x), and their pair products."""
-
-    def __init__(self, c: Carrier, pts: np.ndarray) -> None:
-        self.c = c
-        self.pow_x = [pts]
-        self.pair_left: dict[tuple[int, int], np.ndarray] = {}
-        self.pair_right: dict[tuple[int, int], np.ndarray] = {}
-
-    def x_pow(self, m: int) -> np.ndarray:
-        while len(self.pow_x) <= m:
-            self.pow_x.append(self.c.square_many(self.pow_x[-1]))
-        return self.pow_x[m]
-
-    def _pair(self, store: dict, m: int, j: int, left_first: bool) -> np.ndarray:
-        key = (m, j)
-        if key not in store:
-            if j == 0:
-                xm = self.x_pow(m)
-                sm = self.c.involute_many(xm)
-                store[key] = self.c.compose_many(xm, sm) if left_first else self.c.compose_many(sm, xm)
-            else:
-                store[key] = self.c.square_many(self._pair(store, m, j - 1, left_first))
-        return store[key]
-
-    def left(self, m: int, j: int) -> np.ndarray:
-        """(x^(2^m) sigma(x)^(2^m))^(2^j)."""
-        return self._pair(self.pair_left, m, j, True)
-
-    def right(self, m: int, j: int) -> np.ndarray:
-        """(sigma(x)^(2^m) x^(2^m))^(2^j)."""
-        return self._pair(self.pair_right, m, j, False)
-
-
-def _fs_level(f_even: BoundedFn, f_odd: BoundedFn, powers: _FsPowers, n: int) -> np.ndarray:
-    """The n-th partial expression of the two-block reconstruction."""
-    xn = powers.x_pow(n)
-    even_acc = f_even.eval_many(xn).copy()
-    inner = np.zeros_like(even_acc)
-    for k in range(1, n + 1):
-        inner += (2.0 ** (k - 1)) * (
-            f_even.eval_many(powers.left(n - k, k - 1)) + f_even.eval_many(powers.right(n - k, k - 1))
-        )
-    even_block = (even_acc + 0.5 * inner) * (0.25**n)
-    odd_acc = f_odd.eval_many(xn).copy()
-    inner2 = np.zeros_like(odd_acc)
-    for k in range(1, n + 1):
-        inner2 += f_even.eval_many(powers.left(k - 1, n - k)) - f_even.eval_many(powers.right(k - 1, n - k))
-    odd_block = (odd_acc + 0.5 * inner2) * (0.5**n)
-    return even_block + odd_block
-
-
 def _fs_iterate(
     f: BoundedFn,
     pts: np.ndarray,
@@ -384,21 +332,52 @@ def _fs_iterate(
     conv_tol: float,
     collect_values: bool = False,
 ) -> tuple[np.ndarray, list[float], int, list[np.ndarray]]:
+    """Two-block partial expressions of f at pts for n = 0, 1, ... until a step is at most conv_tol.
+
+    At level n, row j of ``left`` is (x^(2^j) sigma(x)^(2^j))^(2^(n-1-j)) and
+    row j of ``right`` its mirror (sigma(x)^(2^j) x^(2^j))^(2^(n-1-j)), j < n.
+    A level squares both stacks once, appends row n, and evaluates f_even
+    once on both together; the even and odd blocks read the same rows.
+    x^(2^n) is evaluated on its own: on lattices with sigma = -id every pair
+    row is the neutral point, which the dense noise grid serves, while the
+    dyadic orbit of x is sparse and goes to the per-point memo.
+    """
+    c = f.carrier
     f_even = EvenPart(f)
     f_odd = OddPart(f)
-    powers = _FsPowers(f.carrier, pts)
-    prev = _fs_level(f_even, f_odd, powers, 0)
-    levels = [prev] if collect_values else []
+    m = pts.shape[0]
+    weights = 2.0 ** np.arange(n_max)[:, None]
+    xn = pts
+    left = right = pts[:0]
+    levels: list[np.ndarray] = []
     diffs: list[float] = []
-    for n in range(1, n_max + 1):
-        vals = _fs_level(f_even, f_odd, powers, n)
+    for n in range(n_max + 1):
+        if n:
+            sx = c.involute_many(xn)
+            left = np.concatenate([c.square_many(left), c.compose_many(xn, sx)])
+            right = np.concatenate([c.square_many(right), c.compose_many(sx, xn)])
+            xn = c.square_many(xn)
+        pairs = f_even.eval_many(np.concatenate([left, right])).reshape(2 * n, m)
+        lp, rp = pairs[:n], pairs[n:]
+        # Both sums run over k = 1..n, each added row by row from zero:
+        # the even one over rows n-k with weight 2^(k-1), the odd one over
+        # rows k-1. (np.add.reduce may sum one column pairwise, which moves
+        # the last bits.)
+        terms = np.zeros((n + 1, 2, m), dtype=np.complex128)
+        np.multiply((lp + rp)[::-1], weights[:n], out=terms[1:, 0])
+        np.subtract(lp, rp, out=terms[1:, 1])
+        even_inner, odd_inner = np.add.accumulate(terms, axis=0)[-1]
+        even_block = (f_even.eval_many(xn) + 0.5 * even_inner) * (0.25**n)
+        odd_block = (f_odd.eval_many(xn) + 0.5 * odd_inner) * (0.5**n)
+        vals = even_block + odd_block
         if collect_values:
             levels.append(vals)
-        step = float(np.abs(vals - prev).max())
-        diffs.append(step)
+        if n:
+            step = float(np.abs(vals - prev).max())
+            diffs.append(step)
+            if step <= conv_tol:
+                return vals, diffs, n, levels
         prev = vals
-        if step <= conv_tol:
-            return vals, diffs, n, levels
     raise NonConvergenceError(
         f"reconstruction did not converge within n_max={n_max} (last step {diffs[-1]:.3e})",
         trace=diffs,
@@ -418,12 +397,7 @@ def forti_sikorska_reconstruct(
     bounded distance of a Drygas solution g the levels converge to g(x) at
     a geometric rate.
     """
-    c = f.carrier
-    pt = c.check_element(x)
-    if isinstance(c, FiniteCarrier):
-        pts = np.array([pt], dtype=np.int64)
-    else:
-        pts = np.array([pt], dtype=np.int64).reshape(1, c.dim)
+    pts = np.array([f.carrier.check_element(x)], dtype=np.int64)
     vals, diffs, n_final, levels = _fs_iterate(f, pts, n_max, tol, collect_values=True)
     trace = DyadicTrace([complex(v[0]) for v in levels], diffs, n_final, True)
     return complex(vals[0]), trace

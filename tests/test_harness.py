@@ -260,3 +260,15 @@ def test_mean_approximant_from_a_prebuilt_phi_is_identical(carrier):
     fresh = jensen_approximant(f, "mean", folner_k=cfg.folner_k)
     assert shared.to_dict() == fresh.to_dict()
     assert np.array_equal(shared.g.values, fresh.g.values)
+
+
+def test_non_finite_defect_is_a_stage_error():
+    # a . x overflows to inf on the window, and inf - inf makes the Jensen residual NaN
+    report = run_experiment(ExperimentConfig.from_dict({"carrier": "int1", "base": {"linear": [1e307]}}))
+    assert not report["pass"]
+    assert "defect" not in report
+    [err] = report["errors"]
+    assert err["stage"] == "defect"
+    assert err["error"].startswith("FormatError: jensen defect is not finite")
+    assert "[-64]" in err["error"]
+    json.dumps(report, allow_nan=False)

@@ -7,6 +7,7 @@ import pytest
 
 from jensen_stab import (
     CapabilityError,
+    FiniteCarrier,
     FiniteTableFn,
     LatticeOverflowError,
     NonConvergenceError,
@@ -16,6 +17,7 @@ from jensen_stab import (
     bundled_carrier,
     box_translate_ratio,
     dyadic_limit,
+    even_part,
     folner_mean,
     forti_sikorska_reconstruct,
     generate_solution,
@@ -24,7 +26,9 @@ from jensen_stab import (
     odd_part,
     perturb,
     phi_mean_construction,
+    validate_carrier,
 )
+from jensen_stab import stabilize
 from jensen_stab.funcspace import BoundedFn, window_points
 
 
@@ -232,6 +236,131 @@ def test_forti_sikorska_noisy_drygas_geometric():
         assert errs[-1] <= 1e-9
         # geometric decay: halving (with slack) every level on average
         assert errs[10] <= errs[0] * 0.75**10
+
+
+def _fs_per_pair(f, pts, n_max=stabilize.DEFAULT_N_MAX, tol=stabilize.DEFAULT_CONV_TOL):
+    """Two-block levels with one f_even evaluation per pair array and block, from memoized powers."""
+    c = f.carrier
+    fe, fo = even_part(f), odd_part(f)
+    pow_x = [pts]
+    pairs = {}
+
+    def x_pow(m):
+        while len(pow_x) <= m:
+            pow_x.append(c.square_many(pow_x[-1]))
+        return pow_x[m]
+
+    def pair(m, j, left_first):
+        """(x^(2^m) sigma(x)^(2^m))^(2^j), or its mirror."""
+        key = (m, j, left_first)
+        if key not in pairs:
+            if j == 0:
+                xm = x_pow(m)
+                sm = c.involute_many(xm)
+                pairs[key] = c.compose_many(xm, sm) if left_first else c.compose_many(sm, xm)
+            else:
+                pairs[key] = c.square_many(pair(m, j - 1, left_first))
+        return pairs[key]
+
+    def level(n):
+        xn = x_pow(n)
+        inner = np.zeros(pts.shape[0], dtype=np.complex128)
+        for k in range(1, n + 1):
+            inner += 2.0 ** (k - 1) * (fe.eval_many(pair(n - k, k - 1, True)) + fe.eval_many(pair(n - k, k - 1, False)))
+        even_block = (fe.eval_many(xn) + 0.5 * inner) * (0.25**n)
+        inner2 = np.zeros(pts.shape[0], dtype=np.complex128)
+        for k in range(1, n + 1):
+            inner2 += fe.eval_many(pair(k - 1, n - k, True)) - fe.eval_many(pair(k - 1, n - k, False))
+        odd_block = (fo.eval_many(xn) + 0.5 * inner2) * (0.5**n)
+        return even_block + odd_block
+
+    levels, diffs = [level(0)], []
+    for n in range(1, n_max + 1):
+        levels.append(level(n))
+        diffs.append(float(np.abs(levels[-1] - levels[-2]).max()))
+        if diffs[-1] <= tol:
+            return levels, diffs, n
+    raise AssertionError("the reference loop did not converge")
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _twisted_s3():
+    """S3 with sigma(x) = a x^-1 a for the transposition a = (0 1).
+
+    An involutive anti-automorphism other than the inverse: on every bundled
+    carrier x^(2^j) sigma(x)^(2^j) is the neutral point or one element for all
+    j, here the pair rows differ from row to row and from their mirrors.
+    """
+    s3 = bundled_carrier("s3")
+    a = s3.elements.index("102")
+    twist = [int(s3.op[s3.op[a, s3.involution[x]], a]) for x in range(s3.size)]
+    c = FiniteCarrier(s3.elements, s3.op, twist, neutral=s3.neutral, name="S3 twisted")
+    assert validate_carrier(c).ok
+    return c
+
+
+@pytest.mark.parametrize(
+    "name, noise",
+    [("z2", "seeded"), ("z6", "seeded"), ("s3", "seeded"), ("q8", "seeded"), ("m3", "seeded"),
+     ("s3_twisted", "seeded"), ("int1", "parity"), ("int1", "seeded"), ("int2", "seeded")],
+)
+def test_fs_matches_the_per_pair_reference_loop(name, noise):
+    c = _twisted_s3() if name == "s3_twisted" else bundled_carrier(name)
+    if c.size:
+        def make():
+            return perturb(generate_solution(c, 1 - 2j), "seeded_uniform", 0.3, seed=5)
+    else:
+        def make():
+            amp = ParityNoise(0.2) if noise == "parity" else SeededUniformNoise(0.2, 5)
+            return OracleFn(c, [1.5, -0.5 + 1j][: c.dim], 2j, amp)
+    pts = window_points(c)
+    vals, diffs, n_final, levels = stabilize._fs_iterate(
+        make(), pts, stabilize.DEFAULT_N_MAX, stabilize.DEFAULT_CONV_TOL, collect_values=True
+    )
+    ref_levels, ref_diffs, ref_n = _fs_per_pair(make(), pts)
+    assert (n_final, diffs) == (ref_n, ref_diffs)
+    assert _same_bits(vals, ref_levels[-1])
+    assert len(levels) == len(ref_levels)
+    assert all(_same_bits(a, b) for a, b in zip(levels, ref_levels))
+    # One point (of order 3 on s3): each row sum runs down a single column.
+    val, trace = forti_sikorska_reconstruct(make(), pts[-2])
+    ref_levels, ref_diffs, ref_n = _fs_per_pair(make(), pts[-2:-1])
+    assert (trace.n_final, trace.diffs) == (ref_n, ref_diffs)
+    assert trace.values == [complex(v[0]) for v in ref_levels]
+    assert val == trace.values[-1]
+
+
+class _CountingFn(BoundedFn):
+    """Counts the eval_many calls that reach the wrapped function."""
+
+    def __init__(self, base):
+        self.base = base
+        self.carrier = base.carrier
+        self.calls = 0
+
+    def eval(self, x) -> complex:
+        return self.base.eval(x)
+
+    def eval_many(self, pts: np.ndarray) -> np.ndarray:
+        self.calls += 1
+        return self.base.eval_many(pts)
+
+
+@pytest.mark.parametrize("name", ["s3", "int1"])
+def test_fs_makes_a_bounded_number_of_evaluations_per_level(name):
+    c = bundled_carrier(name)
+    if c.size:
+        base = perturb(generate_solution(c, 1 - 2j), "seeded_uniform", 0.3, seed=5)
+    else:
+        base = OracleFn(c, [1.5], 2j, SeededUniformNoise(0.2, 5))
+    f = _CountingFn(base)
+    res = jensen_approximant(f, "forti_sikorska", delta=0.0)
+    # A per-pair evaluation would make about 2 n^2 calls over n levels.
+    assert res.iterations_or_k >= 10
+    assert f.calls <= 6 * (res.iterations_or_k + 1)
 
 
 def test_jensen_approximant_exact_fixed_points():
