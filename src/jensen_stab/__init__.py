@@ -13,6 +13,7 @@ from .carrier import (
     FiniteCarrier,
     LatticeCarrier,
     ValidationReport,
+    box_translate_ratio,
     bundled_carrier,
     carrier_from_dict,
     validate_carrier,
@@ -48,7 +49,6 @@ from .stabilize import (
     MeanValue,
     PhiDiagnostics,
     StabilizationResult,
-    box_translate_ratio,
     dyadic_limit,
     folner_mean,
     forti_sikorska_reconstruct,

@@ -10,6 +10,11 @@ Two realizations are supported:
 
 Elements are plain handles: an ``int`` index for finite carriers, a tuple
 of ``int`` coordinates for lattices (bare ints are accepted when d = 1).
+
+Each carrier answers every question that depends on its kind: its window
+and file keys, its invariant mean's averaging set and budget, the domain
+that phi's integrand reaches and how exact its suprema are, so the scans,
+constructions, checks and CLI never ask which kind they hold.
 """
 
 from __future__ import annotations
@@ -73,6 +78,8 @@ class FiniteCarrier:
     """
 
     kind = "finite"
+    # Scans cover all of G, so every supremum is exact.
+    exactness = "exhaustive"
 
     def __init__(
         self,
@@ -105,7 +112,8 @@ class FiniteCarrier:
         self.op.setflags(write=False)
         self.involution = inv
         self.involution.setflags(write=False)
-        self.neutral = int(neutral)
+        # The window is G in index order, so e sits at its own index.
+        self.neutral = self.neutral_position = int(neutral)
         self._is_group: bool | None = None
 
     @property
@@ -178,6 +186,32 @@ class FiniteCarrier:
     def window_elements(self) -> np.ndarray:
         return np.arange(self.size, dtype=np.int64)
 
+    window_points = window_elements
+
+    def window_keys(self) -> list[str]:
+        """File keys of the window, in window order."""
+        return list(self.elements)
+
+    def mean_set(self, k: int | None = None) -> tuple[np.ndarray, int, int]:
+        """All of G, averaged exactly (k is ignored, k_used is |G|), with the
+        first non-neutral element as the probe translate."""
+        if not self.is_group:
+            raise CapabilityError(
+                f"carrier {self.name} has mean capability {self.mean_capability!r}: the uniform average is "
+                "not translation-invariant off groups, so only the dyadic and "
+                "reconstruction methods are available"
+            )
+        probe = next((i for i in range(self.size) if i != self.neutral), self.neutral)
+        return self.window_elements(), self.size, probe
+
+    def reach(self, k_used: int) -> tuple[np.ndarray, None]:
+        """All of G, which phi's integrand reaches; a finite table takes no radius."""
+        return self.window_elements(), None
+
+    def mean_translate_ratio(self, k_used: int) -> float:
+        # The uniform average on a finite group is exactly invariant: no Folner budget.
+        return 0.0
+
     def window_pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """All |G|^2 ordered pairs as (X, Y), row-major in index order."""
         n = self.size
@@ -208,6 +242,8 @@ class LatticeCarrier:
     """
 
     kind = "lattice"
+    # The window truncates an infinite supremum.
+    exactness = "window_lower_bound"
 
     def __init__(self, dim: int, window_radius: int, folner_max: int, name: str | None = None) -> None:
         if dim < 1:
@@ -221,6 +257,8 @@ class LatticeCarrier:
         self.folner_max = int(folner_max)
         self.name = name or f"Z^{dim}"
         self.neutral = (0,) * self.dim
+        # Lexicographic box order puts 0 in the middle of the window.
+        self.neutral_position = ((2 * self.window_radius + 1) ** self.dim - 1) // 2
 
     @property
     def size(self) -> None:
@@ -300,6 +338,10 @@ class LatticeCarrier:
     def window_elements(self) -> list[tuple[int, ...]]:
         return [tuple(int(c) for c in row) for row in self.window_points()]
 
+    def window_keys(self) -> list[str]:
+        """File keys "x,y,..." of the window, in window order."""
+        return [",".join(str(c) for c in row) for row in self.window_points().tolist()]
+
     def box_points(self, k: int) -> np.ndarray:
         """The centered box [-k, k]^d, (2k+1)^d points in lexicographic order, for any k >= 0.
 
@@ -325,6 +367,23 @@ class LatticeCarrier:
             raise CapabilityError(f"Folner radius {k} exceeds folner_max {self.folner_max}")
         return self.box_points(k)
 
+    def mean_set(self, k: int | None = None) -> tuple[np.ndarray, int, np.ndarray]:
+        """The Folner box of radius k (default folner_max), with the first unit
+        vector as the probe translate."""
+        k_used = self.folner_max if k is None else int(k)
+        probe = np.zeros(self.dim, dtype=np.int64)
+        probe[0] = 1
+        return self.folner_points(k_used), k_used, probe
+
+    def reach(self, k_used: int) -> tuple[np.ndarray, int]:
+        """The box of radius k_used + N that y x and x sigma(y) reach, and that radius."""
+        r = k_used + self.window_radius
+        return self.box_points(r), r
+
+    def mean_translate_ratio(self, k_used: int) -> float:
+        """Boundary fraction of the Folner box under the farthest window translate."""
+        return box_translate_ratio(self.dim, k_used, (self.window_radius,) * self.dim)
+
     def element_repr(self, x) -> list[int]:
         return list(self.check_element(x))
 
@@ -338,6 +397,15 @@ class LatticeCarrier:
 
 
 Carrier = FiniteCarrier | LatticeCarrier
+
+
+def box_translate_ratio(dim: int, k: int, shift: tuple[int, ...]) -> float:
+    """|F delta (F + shift)| / |F| for the centered box F of radius k."""
+    side = 2 * k + 1
+    prod = 1.0
+    for s in shift:
+        prod *= max(0, side - abs(int(s))) / side
+    return 2.0 * (1.0 - prod)
 
 
 def validate_carrier(c: Carrier) -> ValidationReport:

@@ -16,7 +16,7 @@ import math
 import sys
 from pathlib import Path
 
-from .carrier import BUNDLED_CARRIERS, Carrier, bundled_carrier, carrier_from_dict, validate_carrier
+from .carrier import BUNDLED_CARRIERS, NO_MEAN, Carrier, bundled_carrier, carrier_from_dict, validate_carrier
 from .defect import drygas_defect, inequality_suite, jensen_defect
 from .errors import FormatError, JensenStabError
 from .funcspace import BoundedFn, _parse_cnum, function_from_dict, function_to_dict
@@ -99,7 +99,7 @@ def _cmd_inequalities(args: argparse.Namespace) -> int:
     f = _load_function_arg(args.function, c)
     phi = None
     mean_budget = 0.0
-    if c.mean_capability != "none":
+    if c.mean_capability != NO_MEAN:
         phi, diag = phi_mean_construction(f, args.folner_k)
         mean_budget = diag.phi_error_budget
     records = inequality_suite(f, phi=phi, mean_budget=mean_budget, tol=args.tol)
@@ -121,6 +121,8 @@ def _method_from_cli(name: str) -> str:
 
 
 def _cmd_stabilize(args: argparse.Namespace) -> int:
+    if args.dyadic_n < 1:
+        raise FormatError(f"--dyadic-n must be an integer >= 1, got {args.dyadic_n}")
     c = _resolve_carrier_arg(args.carrier)
     f = _load_function_arg(args.function, c)
     result = jensen_approximant(

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .carrier import Carrier, FiniteCarrier
+from .carrier import Carrier
 from .errors import FormatError
 from .funcspace import (
     DEFAULT_TOL,
@@ -30,7 +30,6 @@ from .funcspace import (
     LatticeTableFn,
     OddPart,
     OracleFn,
-    window_points,
 )
 from .scan import max_scan
 
@@ -102,10 +101,6 @@ class _MinusConst(BoundedFn):
         return self.base.eval_many(pts) - self.z
 
 
-def _exactness(carrier: Carrier) -> str:
-    return "exhaustive" if isinstance(carrier, FiniteCarrier) else "window_lower_bound"
-
-
 def _underlying_table(fn: BoundedFn) -> LatticeTableFn | None:
     probe: BoundedFn | None = fn
     while probe is not None and not isinstance(probe, LatticeTableFn):
@@ -164,7 +159,7 @@ def _pair_defect(
         delta=value,
         witness=witness,
         domain_size=total,
-        exactness=_exactness(c),
+        exactness=c.exactness,
         analytic_bound=analytic,
         scanned_pairs=scanned if scanned != total else None,
     )
@@ -245,7 +240,7 @@ def inequality_suite(
     f_even = EvenPart(f)
     f_odd = OddPart(f)
 
-    W = window_points(c)
+    W = c.window_points()
     X, Y = c.window_pair_arrays()
     sX = c.involute_many(X)
     sY = c.involute_many(Y)

@@ -252,6 +252,17 @@ class LatticeTableFn(BoundedFn):
         return (np.abs(pts) <= self.radius).all(axis=1)
 
 
+TableFn = FiniteTableFn | LatticeTableFn
+
+
+def table_fn(c: Carrier, values, radius: int | None = None) -> TableFn:
+    """A table of c's kind: total on a finite carrier, on the box of ``radius``
+    (default the window) on a lattice."""
+    if isinstance(c, FiniteCarrier):
+        return FiniteTableFn(c, values)
+    return LatticeTableFn(c, values, radius)
+
+
 class OracleFn(BoundedFn):
     """Affine formula a . x + c on a lattice, plus optional bounded noise."""
 
@@ -352,11 +363,7 @@ class LeftTranslate(BoundedFn):
         return self.base.eval(self.carrier.compose(self.y, x))
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        c = self.carrier
-        if isinstance(c, FiniteCarrier):
-            return self.base.eval_many(c.op[self.y, pts])
-        y_row = np.asarray(self.y, dtype=np.int64)[None, :]
-        return self.base.eval_many(c.compose_many(y_row, pts))
+        return self.base.eval_many(self.carrier.compose_many(np.asarray(self.y, dtype=np.int64), pts))
 
 
 class RightTranslate(BoundedFn):
@@ -371,11 +378,7 @@ class RightTranslate(BoundedFn):
         return self.base.eval(self.carrier.compose(x, self.y))
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        c = self.carrier
-        if isinstance(c, FiniteCarrier):
-            return self.base.eval_many(c.op[pts, self.y])
-        y_row = np.asarray(self.y, dtype=np.int64)[None, :]
-        return self.base.eval_many(c.compose_many(pts, y_row))
+        return self.base.eval_many(self.carrier.compose_many(pts, np.asarray(self.y, dtype=np.int64)))
 
 
 def evaluate(f: BoundedFn, x) -> complex:
@@ -398,20 +401,12 @@ def right_translate(f: BoundedFn, y) -> BoundedFn:
     return RightTranslate(f, y)
 
 
-def window_points(carrier: Carrier) -> np.ndarray:
-    """Window elements as an array: indices (finite) or points (lattice)."""
-    if isinstance(carrier, FiniteCarrier):
-        return carrier.window_elements()
-    return carrier.window_points()
-
-
 def sup_norm_window(f: BoundedFn) -> tuple[float, object]:
     """Max of |f| over the window, with the first witnessing element."""
-    pts = window_points(f.carrier)
+    pts = f.carrier.window_points()
     mags = np.abs(f.eval_many(pts))
     i = int(np.argmax(mags))
-    witness = int(pts[i]) if isinstance(f.carrier, FiniteCarrier) else tuple(int(c) for c in pts[i])
-    return float(mags[i]), witness
+    return float(mags[i]), f.carrier.check_element(pts[i])
 
 
 # ----------------------------------------------------------------------------
@@ -436,10 +431,6 @@ def _cpair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _lattice_key(pt: Sequence[int]) -> str:
-    return ",".join(str(int(c)) for c in pt)
-
-
 def function_from_dict(data: dict, carrier: Carrier) -> BoundedFn:
     """Build a function from its canonical JSON dict form."""
     if not isinstance(data, dict) or "kind" not in data:
@@ -449,20 +440,11 @@ def function_from_dict(data: dict, carrier: Carrier) -> BoundedFn:
         values = data.get("values")
         if not isinstance(values, dict):
             raise FormatError("table function needs a 'values' mapping")
-        if isinstance(carrier, FiniteCarrier):
-            missing = [lab for lab in carrier.elements if lab not in values]
-            if missing:
-                raise FormatError(f"table is not total: missing {len(missing)} labels, e.g. {missing[0]!r}")
-            vals = [_parse_cnum(values[lab], f"value of {lab!r}") for lab in carrier.elements]
-            return FiniteTableFn(carrier, vals)
-        pts = carrier.window_points()
-        vals = np.empty(pts.shape[0], dtype=np.complex128)
-        for i, row in enumerate(pts):
-            key = _lattice_key(row)
-            if key not in values:
-                raise FormatError(f"table is not total on the window: missing point {key!r}")
-            vals[i] = _parse_cnum(values[key], f"value at {key}")
-        return LatticeTableFn(carrier, vals)
+        keys = carrier.window_keys()
+        missing = [key for key in keys if key not in values]
+        if missing:
+            raise FormatError(f"table is not total on the window: missing {len(missing)} keys, e.g. {missing[0]!r}")
+        return table_fn(carrier, [_parse_cnum(values[key], f"value at {key!r}") for key in keys])
     if kind == "oracle":
         if not isinstance(carrier, LatticeCarrier):
             raise FormatError("oracle functions require a lattice carrier")
@@ -479,14 +461,9 @@ def function_from_dict(data: dict, carrier: Carrier) -> BoundedFn:
 
 
 def function_to_dict(f: BoundedFn) -> dict:
-    if isinstance(f, FiniteTableFn):
-        values = {lab: _cpair(f.values[i]) for i, lab in enumerate(f.carrier.elements)}
-        return {"kind": "table", "values": values}
-    if isinstance(f, LatticeTableFn):
-        pts = f.carrier.window_points()
-        flat = f.eval_many(pts)
-        values = {_lattice_key(row): _cpair(flat[i]) for i, row in enumerate(pts)}
-        return {"kind": "table", "values": values}
+    if isinstance(f, (FiniteTableFn, LatticeTableFn)):
+        flat = f.eval_many(f.carrier.window_points())
+        return {"kind": "table", "values": {key: _cpair(v) for key, v in zip(f.carrier.window_keys(), flat)}}
     if isinstance(f, OracleFn):
         out: dict = {
             "kind": "oracle",

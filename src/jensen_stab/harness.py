@@ -19,7 +19,6 @@ from .carrier import (
     BUNDLED_CARRIERS,
     Carrier,
     FiniteCarrier,
-    LatticeCarrier,
     bundled_carrier,
     carrier_from_dict,
     validate_carrier,
@@ -82,6 +81,9 @@ class ExperimentConfig:
         k = self.folner_k
         if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 1):
             raise FormatError(f"folner_k must be null or an integer >= 1, got {k!r}")
+        n = self.dyadic_n
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise FormatError(f"dyadic_n must be an integer >= 1, got {n!r}")
         for m in self.methods:
             if m not in METHODS:
                 raise FormatError(f"unknown method {m!r}; expected one of {METHODS}")
@@ -109,7 +111,7 @@ class ExperimentConfig:
             noise_seed=_number(noise, "seed", 0, int),
             methods=list(data.get("methods", ["mean", "dyadic"])),
             folner_k=data.get("folner_k"),
-            dyadic_n=_number(data, "dyadic_n", DEFAULT_N_MAX, int),
+            dyadic_n=data.get("dyadic_n", DEFAULT_N_MAX),
             conv_tol=_number(data, "conv_tol", DEFAULT_CONV_TOL, float),
             tol=_number(data, "tol", DEFAULT_TOL, float),
             component_dim=_number(data, "component_dim", 1, int),
@@ -153,7 +155,6 @@ def generate_solution(c: Carrier, constant: complex = 0j, linear: list[complex] 
         if linear is not None and any(a != 0 for a in linear):
             raise FormatError("finite carriers admit only constant base solutions")
         return FiniteTableFn(c, np.full(c.size, complex(constant), dtype=np.complex128))
-    assert isinstance(c, LatticeCarrier)
     return OracleFn(c, linear, complex(constant), noise=None)
 
 

@@ -22,18 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .carrier import EXACT_UNIFORM, FOLNER, Carrier, FiniteCarrier
 from .defect import jensen_defect
-from .errors import CapabilityError, LatticeOverflowError, NonConvergenceError
-from .funcspace import (
-    BoundedFn,
-    EvenPart,
-    FiniteTableFn,
-    LatticeTableFn,
-    OddPart,
-    OracleFn,
-    window_points,
-)
+from .errors import NonConvergenceError
+from .funcspace import BoundedFn, EvenPart, OddPart, OracleFn, TableFn, table_fn
 
 DEFAULT_N_MAX = 40
 DEFAULT_CONV_TOL = 1e-10
@@ -134,24 +125,9 @@ class StabilizationResult:
 METHODS = ("mean", "dyadic", "dyadic_full", "forti_sikorska")
 
 
-def _require_mean_capability(c: Carrier) -> str:
-    cap = c.mean_capability
-    if cap not in (EXACT_UNIFORM, FOLNER):
-        raise CapabilityError(
-            f"carrier {c.name} has mean capability {cap!r}: the uniform average is "
-            "not translation-invariant off groups, so only the dyadic and "
-            "reconstruction methods are available"
-        )
-    return cap
-
-
-def box_translate_ratio(dim: int, k: int, shift: tuple[int, ...]) -> float:
-    """|F delta (F + shift)| / |F| for the centered box F of radius k."""
-    side = 2 * k + 1
-    prod = 1.0
-    for s in shift:
-        prod *= max(0, side - abs(int(s))) / side
-    return 2.0 * (1.0 - prod)
+def _not_converged(what: str, n_max: int, diffs: list[float]) -> NonConvergenceError:
+    last = f" (last step {diffs[-1]:.3e})" if diffs else ""
+    return NonConvergenceError(f"{what} did not converge within n_max={n_max}{last}", trace=diffs)
 
 
 # ----------------------------------------------------------------------------
@@ -169,105 +145,68 @@ def dyadic_limit(
     Returns the first iterate whose step is at most ``tol`` together with
     the full trace. Raises ``NonConvergenceError`` with the trace if the
     step never falls below ``tol``, and ``LatticeOverflowError`` if a
-    lattice power leaves the integer range first (for affine oracles
+    lattice power leaves the safe integer range first (for affine oracles
     convergence arrives long before overflow).
     """
-    c = f.carrier
-    f_e = f.eval(c.neutral)
-    cur = c.check_element(x)
-    values = [f.eval(cur) - f_e]
-    diffs: list[float] = []
-    for n in range(1, n_max + 1):
-        try:
-            cur = c.compose(cur, cur)
-        except LatticeOverflowError as exc:
-            raise LatticeOverflowError(
-                f"dyadic power overflowed at n={n} before convergence; reduce n_max "
-                "(affine oracles converge long before overflow)"
-            ) from exc
-        val = (f.eval(cur) - f_e) * 0.5**n
-        values.append(val)
-        step = abs(val - values[-2])
-        diffs.append(step)
-        if step <= tol:
-            return val, DyadicTrace(values, diffs, n, True)
-    raise NonConvergenceError(
-        f"dyadic limit did not converge within n_max={n_max} (last step {diffs[-1]:.3e})",
-        trace=diffs,
-    )
+    pts = np.array([f.carrier.check_element(x)], dtype=np.int64)
+    vals, diffs, n_final, levels = _dyadic_iterate(f, pts, n_max, tol, collect_values=True)
+    return complex(vals[0]), DyadicTrace([complex(v[0]) for v in levels], diffs, n_final, True)
 
 
-def _dyadic_window(
+def _dyadic_iterate(
     target: BoundedFn,
+    pts: np.ndarray,
     n_max: int,
     conv_tol: float,
-) -> tuple[np.ndarray, list[float], int]:
-    """Uniform vectorized dyadic iteration of ``target`` over the window.
+    collect_values: bool = False,
+) -> tuple[np.ndarray, list[float], int, list[np.ndarray]]:
+    """Vectorized dyadic iteration of ``target`` at pts until a step is at most conv_tol.
 
-    All window points iterate to the same depth so that one a posteriori
-    tail bound covers every point.
+    All points iterate to the same depth so that one a posteriori tail
+    bound covers every point. With ``collect_values`` every level is kept.
     """
     c = target.carrier
-    pts = window_points(c)
     t_e = target.eval(c.neutral)
     cur = pts
     prev = target.eval_many(cur) - t_e
+    levels = [prev] if collect_values else []
     diffs: list[float] = []
     for n in range(1, n_max + 1):
         cur = c.square_many(cur)
         vals = (target.eval_many(cur) - t_e) * 0.5**n
+        if collect_values:
+            levels.append(vals)
         step = float(np.abs(vals - prev).max())
         diffs.append(step)
         prev = vals
         if step <= conv_tol:
-            return vals, diffs, n
-    raise NonConvergenceError(
-        f"dyadic window iteration did not converge within n_max={n_max}",
-        trace=diffs,
-    )
+            return vals, diffs, n, levels
+    raise _not_converged("dyadic limit", n_max, diffs)
 
 
 # ----------------------------------------------------------------------------
 # Means and the phi construction
 
 
-def _mean_set(c: Carrier, k: int | None) -> tuple[np.ndarray, int, object, str]:
-    """The averaging set of c's invariant mean, k_used, the probe translate and the mode.
-
-    Finite groups average exactly over all of G (k is ignored, k_used is
-    |G|) and probe with the first non-neutral element; lattices average over
-    the Folner box of radius k (defaulting to folner_max) and probe with the
-    first unit vector.
-    """
-    mode = _require_mean_capability(c)
-    if mode == EXACT_UNIFORM:
-        probe = next((i for i in range(c.size) if i != c.neutral), c.neutral)
-        return window_points(c), c.size, probe, mode
-    k_used = c.folner_max if k is None else int(k)
-    probe = np.zeros(c.dim, dtype=np.int64)
-    probe[0] = 1
-    return c.folner_points(k_used), k_used, probe, mode
-
-
 def folner_mean(h: BoundedFn, k: int | None = None) -> MeanValue:
     """Average h over the carrier's mean set and probe its invariance.
 
     The mean set is all of G on finite groups and the Folner box of radius
-    k on lattices (see ``_mean_set``). The invariance residual compares the
-    mean against the mean of the probe's left translate.
+    k on lattices (see the carriers' ``mean_set``). The invariance residual
+    compares the mean against the mean of the probe's left translate.
     """
     c = h.carrier
-    pts, k_used, probe, mode = _mean_set(c, k)
+    pts, k_used, probe = c.mean_set(k)
     m0 = h.eval_many(pts).mean()
     m1 = h.eval_many(c.compose_many(probe, pts)).mean()
-    return MeanValue(complex(m0), k_used, pts.shape[0], float(abs(m1 - m0)), mode)
+    return MeanValue(complex(m0), k_used, pts.shape[0], float(abs(m1 - m0)), c.mean_capability)
 
 
 def phi_mean_construction(
     f: BoundedFn,
     k: int | None = None,
     assume_odd: bool = False,
-) -> tuple[FiniteTableFn | LatticeTableFn, PhiDiagnostics]:
+) -> tuple[TableFn, PhiDiagnostics]:
     """Tabulate phi(y) = mean over x of [f_odd(yx) - f_odd(x sigma(y))].
 
     With ``assume_odd`` the function f is used directly as the odd part
@@ -279,30 +218,28 @@ def phi_mean_construction(
     budget is zero.
     """
     c = f.carrier
-    pts, k_used, _, mode = _mean_set(c, k)
+    pts, k_used, _ = c.mean_set(k)
     fo = f if assume_odd else OddPart(f)
     f_e = f.eval(c.neutral)
-    win = window_points(c)
+    win = c.window_points()
     # Tabulate f_odd once over every point y x and x sigma(y) can reach (all
     # of G, or the box of radius k + N), so the loop below only gathers.
-    if mode == FOLNER:
-        r = k_used + c.window_radius
-        fo = LatticeTableFn(c, fo.eval_many(c.box_points(r)), radius=r)
-    else:
-        fo = FiniteTableFn(c, fo.eval_many(win))
+    reach, r = c.reach(k_used)
+    fo = table_fn(c, fo.eval_many(reach), r)
     vals = np.empty(win.shape[0], dtype=np.complex128)
     for i, y in enumerate(win):
         integrand = fo.eval_many(c.compose_many(y, pts)) - fo.eval_many(c.compose_many(pts, c.involute_many(y)))
         vals[i] = integrand.mean()
-    phi = _as_table(c, vals)
+    phi = table_fn(c, vals)
 
     m_bound = 0.0
     if isinstance(f, OracleFn):
         m_bound = f.noise_bound() if assume_odd else f.odd_noise_bound()
-    # The uniform average on a finite group is exactly invariant: no Folner budget.
-    ratio_max = box_translate_ratio(c.dim, k_used, (c.window_radius,) * c.dim) if mode == FOLNER else 0.0
+    ratio_max = c.mean_translate_ratio(k_used)
     probe_res = folner_mean(_ProbeFn(f, f_e), k_used).invariance_residual
-    diag = PhiDiagnostics(mode, k_used, pts.shape[0], 2.0 * m_bound * ratio_max, m_bound, ratio_max, probe_res)
+    diag = PhiDiagnostics(
+        c.mean_capability, k_used, pts.shape[0], 2.0 * m_bound * ratio_max, m_bound, ratio_max, probe_res
+    )
     return phi, diag
 
 
@@ -378,10 +315,7 @@ def _fs_iterate(
             if step <= conv_tol:
                 return vals, diffs, n, levels
         prev = vals
-    raise NonConvergenceError(
-        f"reconstruction did not converge within n_max={n_max} (last step {diffs[-1]:.3e})",
-        trace=diffs,
-    )
+    raise _not_converged("reconstruction", n_max, diffs)
 
 
 def forti_sikorska_reconstruct(
@@ -407,20 +341,6 @@ def forti_sikorska_reconstruct(
 # The assembled approximants
 
 
-def _as_table(c: Carrier, vals: np.ndarray) -> FiniteTableFn | LatticeTableFn:
-    if isinstance(c, FiniteCarrier):
-        return FiniteTableFn(c, vals)
-    return LatticeTableFn(c, vals)
-
-
-def _neutral_position(c: Carrier) -> int:
-    if isinstance(c, FiniteCarrier):
-        return c.neutral
-    # Lexicographic box ordering puts 0 in the middle.
-    side = 2 * c.window_radius + 1
-    return (side**c.dim - 1) // 2
-
-
 def jensen_approximant(
     f: BoundedFn,
     method: str,
@@ -428,7 +348,7 @@ def jensen_approximant(
     folner_k: int | None = None,
     n_max: int = DEFAULT_N_MAX,
     conv_tol: float = DEFAULT_CONV_TOL,
-    phi: tuple[FiniteTableFn | LatticeTableFn, PhiDiagnostics] | None = None,
+    phi: tuple[TableFn, PhiDiagnostics] | None = None,
 ) -> StabilizationResult:
     """Construct the normalized solution g (g(e) = 0) near f by one method.
 
@@ -452,7 +372,7 @@ def jensen_approximant(
 
     if method == "mean":
         phi_fn, diag = phi if phi is not None else phi_mean_construction(f, folner_k)
-        g = _as_table(c, phi_fn.values * 0.5)
+        g = table_fn(c, phi_fn.values * 0.5)
         return StabilizationResult(
             g=g,
             offset=offset,
@@ -467,10 +387,10 @@ def jensen_approximant(
 
     if method in ("dyadic", "dyadic_full"):
         target = f if method == "dyadic_full" else OddPart(f)
-        vals, diffs, n_final = _dyadic_window(target, n_max, conv_tol)
+        vals, diffs, n_final, _ = _dyadic_iterate(target, c.window_points(), n_max, conv_tol)
         budget = 1.5 * delta * 0.5**n_final
         return StabilizationResult(
-            g=_as_table(c, vals),
+            g=table_fn(c, vals),
             offset=offset,
             method=method,
             variant="full" if method == "dyadic_full" else "odd_part",
@@ -482,14 +402,13 @@ def jensen_approximant(
         )
 
     # forti_sikorska
-    pts = window_points(c)
-    vals, diffs, n_final, _ = _fs_iterate(f, pts, n_max, conv_tol)
-    at_e = vals[_neutral_position(c)]
+    vals, diffs, n_final, _ = _fs_iterate(f, c.window_points(), n_max, conv_tol)
+    at_e = vals[c.neutral_position]
     vals = vals - at_e
     # Tail of a geometric trace plus the renormalization shift, a posteriori.
     budget = float(4.0 * diffs[-1] + 2.0 * abs(at_e))
     return StabilizationResult(
-        g=_as_table(c, vals),
+        g=table_fn(c, vals),
         offset=offset,
         method="forti_sikorska",
         variant="drygas_reconstruction",

@@ -20,12 +20,7 @@ import numpy as np
 
 from .carrier import NO_MEAN
 from .defect import InequalityRecord, _table_mask, drygas_defect, jensen_defect
-from .funcspace import (
-    DEFAULT_TOL,
-    BoundedFn,
-    EvenPart,
-    window_points,
-)
+from .funcspace import DEFAULT_TOL, BoundedFn, EvenPart
 from .stabilize import StabilizationResult, jensen_approximant
 
 
@@ -87,7 +82,7 @@ def stability_bound_check(
     if delta is None:
         delta = result.delta_used
     c = f.carrier
-    pts = window_points(c)
+    pts = c.window_points()
     devs = np.abs(f.eval_many(pts) - result.g.eval_many(pts) - result.offset)
     i = int(np.argmax(devs))
     sup = float(devs[i])
@@ -145,7 +140,7 @@ def identity_checks(
     power-n record scales it by 2^n + 1 since g enters with weight 2^n.
     """
     c = g.carrier
-    pts = window_points(c)
+    pts = c.window_points()
     g_e = g.eval(c.neutral)
     records: list[IdentityRecord] = []
 
@@ -228,7 +223,7 @@ def method_agreement(
         result_a = jensen_approximant(f, "mean", delta=delta, folner_k=folner_k)
     if result_b is None:
         result_b = jensen_approximant(f, "dyadic", delta=delta)
-    pts = window_points(c)
+    pts = c.window_points()
     sup = float(np.abs(result_a.g.eval_many(pts) - result_b.g.eval_many(pts)).max())
     budget_sum = result_a.error_budget + result_b.error_budget
     bound = budget_sum + tol

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jensen_stab
 from jensen_stab import (
     BUNDLED_CARRIERS,
     FiniteCarrier,
@@ -271,3 +274,22 @@ def test_malformed_carrier_dicts_rejected():
         carrier_from_dict({"kind": "weird"})
     with pytest.raises(FormatError):
         FiniteCarrier(["e", "a"], [[0, 1], [1, 2]], [0, 1], 0)
+
+
+def test_modules_never_ask_which_kind_of_carrier_they_hold():
+    # Every kind decision lives on the carrier, so a new carrier edits no other module.
+    src = Path(jensen_stab.__file__).parent
+    kind_names = {"FiniteCarrier", "LatticeCarrier", "EXACT_UNIFORM", "FOLNER"}
+    for module in ("stabilize", "defect", "verify", "cli"):
+        tree = ast.parse((src / f"{module}.py").read_text())
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                used |= {a.name for a in node.names}
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+        assert not used & kind_names, module
+    cli = ast.parse((src / "cli.py").read_text())
+    assert not [n for n in ast.walk(cli) if isinstance(n, ast.Constant) and n.value == "none"]

@@ -206,6 +206,17 @@ def test_unwritable_output_is_a_clean_error(s3_files, tmp_path, capsys):
     ])
 
 
+@pytest.mark.parametrize("method", ["forti-sikorska", "dyadic", "mean"])
+def test_stabilize_rejects_zero_dyadic_levels(s3_files, tmp_path, capsys, method):
+    carrier_path, fn_path = s3_files
+    out = tmp_path / "g.json"
+    _assert_clean_error(capsys, [
+        "stabilize", "--method", method, "--carrier", str(carrier_path), "--function", str(fn_path),
+        "--out", str(out), "--dyadic-n", "0",
+    ])
+    assert not out.exists()
+
+
 def test_non_finite_report_is_a_clean_error(tmp_path, capsys):
     # a . x overflows to inf on the window, and inf - inf makes the defect NaN
     fn_path = tmp_path / "f.json"

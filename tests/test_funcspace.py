@@ -30,7 +30,6 @@ from jensen_stab import (
     sup_norm_window,
 )
 from jensen_stab.errors import FormatError
-from jensen_stab.funcspace import window_points
 
 
 def test_evaluate_examples():
@@ -185,7 +184,7 @@ def test_seeded_noise_is_deterministic_and_bounded():
 
 def test_seeded_noise_dense_and_sparse_paths_agree():
     z1 = bundled_carrier("int1")
-    window = window_points(z1)
+    window = z1.window_points()
     orbits = [window]
     for _ in range(12):
         orbits.append(z1.square_many(orbits[-1]))
@@ -309,7 +308,7 @@ def test_malformed_functions_rejected():
 
 def test_window_points_orders():
     z1 = bundled_carrier("int1")
-    pts = window_points(z1)
+    pts = z1.window_points()
     assert pts[0, 0] == -64 and pts[-1, 0] == 64
     s3 = bundled_carrier("s3")
-    assert window_points(s3).tolist() == [0, 1, 2, 3, 4, 5]
+    assert s3.window_points().tolist() == [0, 1, 2, 3, 4, 5]

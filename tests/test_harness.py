@@ -21,7 +21,6 @@ from jensen_stab import (
 )
 from jensen_stab import harness, stabilize
 from jensen_stab.errors import FormatError
-from jensen_stab.funcspace import window_points
 from jensen_stab.harness import build_function
 
 
@@ -55,7 +54,7 @@ def test_perturb_identity_when_zero():
 def test_perturb_bounds_and_defect():
     z1 = bundled_carrier("int1")
     base = generate_solution(z1, 5.0, [2.0])
-    pts = window_points(z1)
+    pts = z1.window_points()
 
     parity = perturb(base, "parity", 0.1)
     assert np.abs(parity.eval_many(pts) - base.eval_many(pts)).max() <= 0.1 + 1e-12
@@ -120,6 +119,9 @@ def test_config_rejects_identity_powers_below_one(powers):
         {"base": {"constant": [1, "a"]}},
         {"base": {"constant": [float("nan"), 0.0]}},
         {"base": {"constant": float("inf")}},
+        {"dyadic_n": 0},
+        {"dyadic_n": -3},
+        {"dyadic_n": True},
     ],
 )
 def test_config_rejects_malformed_values(data):

@@ -19,7 +19,6 @@ from jensen_stab import (
     perturb,
     right_translate,
 )
-from jensen_stab.funcspace import window_points
 
 GROUPS = ("z2", "z6", "s3", "q8")
 
@@ -49,7 +48,7 @@ def test_lattice_perturbed_defect_bounded(amp, seed):
 def test_decomposition_bit_exact_for_random_oracles(a_re, c_im, amp, seed):
     c = LatticeCarrier(dim=1, window_radius=16, folner_max=32)
     f = OracleFn(c, [complex(a_re, 1.0)], complex(2.0, c_im), SeededUniformNoise(amp, seed))
-    pts = window_points(c)
+    pts = c.window_points()
     vals = f.eval_many(pts)
     fe = even_part(f).eval_many(pts)
     fo = odd_part(f).eval_many(pts)
@@ -62,8 +61,8 @@ def test_decomposition_bit_exact_for_random_oracles(a_re, c_im, amp, seed):
 def test_odd_part_of_noise_is_bounded_by_amplitude(seed, amp):
     c = LatticeCarrier(dim=1, window_radius=32, folner_max=64)
     f = OracleFn(c, [1.0], 0.0, SeededUniformNoise(amp, seed))
-    fo = odd_part(f).eval_many(window_points(c))
-    linear = window_points(c)[:, 0].astype(np.complex128)
+    fo = odd_part(f).eval_many(c.window_points())
+    linear = c.window_points()[:, 0].astype(np.complex128)
     assert np.abs(fo - linear).max() <= amp + 1e-12
 
 
@@ -88,7 +87,7 @@ def test_lattice_dyadic_power_is_scaling(x, n):
 def test_translate_identities(y, seed):
     c = LatticeCarrier(dim=1, window_radius=16, folner_max=64)
     f = OracleFn(c, [2.0], 1.0, SeededUniformNoise(0.2, seed))
-    pts = window_points(c)
+    pts = c.window_points()
     assert np.array_equal(left_translate(y, f).eval_many(pts), f.eval_many(pts + y))
     assert np.array_equal(right_translate(f, y).eval_many(pts), f.eval_many(pts + y))
     e = c.neutral
@@ -121,7 +120,7 @@ def test_oracle_reproducibility(seed):
     c = LatticeCarrier(dim=1, window_radius=16, folner_max=32)
     f1 = OracleFn(c, [2.0], 5.0, SeededUniformNoise(0.4, seed))
     f2 = OracleFn(c, [2.0], 5.0, SeededUniformNoise(0.4, seed))
-    pts = window_points(c)
+    pts = c.window_points()
     assert np.array_equal(f1.eval_many(pts), f2.eval_many(pts))
     far = np.array([[2**35 + 7]], dtype=np.int64)
     assert f1.eval_many(far)[0] == f2.eval_many(far)[0]

@@ -5,6 +5,9 @@ Reruns every ``finite_four`` item, two ``int1`` items of ``sweep100``
 item (2-d oracle evaluation and noise grids), and compares the sha256 of
 each report without its ``timing`` subtree with ``perfbench/reference.json``.
 A refactor that moves any reported number or label by one bit turns this red.
+
+Three S3 experiments with the involution sigma(x) = a x^-1 a are pinned
+here as well: no reference item uses an involution other than the inverse.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ if str(BENCH) not in sys.path:
 
 import workloads  # noqa: E402
 
+from jensen_stab import ExperimentConfig, bundled_carrier, run_experiment  # noqa: E402
+
 REFERENCE = json.loads((BENCH / "reference.json").read_text())
 PICKS = {"finite_four": range(15), "sweep100": (72, 80), "int2_four": (0,)}
 
@@ -34,3 +39,27 @@ def test_seed0_reports_match_the_reference_digests(name):
     want = {i: ref[i]["digest"] for i in PICKS[name]}
     assert [ref[i]["item"] for i in PICKS[name]] == [wl.items[i].label for i in PICKS[name]]
     assert got == want
+
+
+TWISTED_S3_DIGESTS = {
+    0.01: "bb173e4c1e299fd1f93750c0f749974d46eaeef790a31cd09045ef428d770bc6",
+    0.1: "9b2ec37a378a188bec07cd75e6231245228ccbf39595d85f911fa5d9f48614cd",
+    1.0: "44fc27e6e9dd805b80d5816df1e708ddbcff06375265f8809ceab40765ff2edf",
+}
+
+
+@pytest.mark.parametrize("eps", sorted(TWISTED_S3_DIGESTS))
+def test_twisted_s3_experiment_passes_with_its_pinned_digest(eps):
+    # S3 as a carrier dict with sigma(x) = a x^-1 a for the transposition a = (0 1).
+    s3 = bundled_carrier("s3")
+    a = s3.elements.index("102")
+    spec = s3.to_dict()
+    spec["involution"] = [int(s3.op[s3.op[a, s3.involution[x]], a]) for x in range(s3.size)]
+    assert spec["involution"] != s3.involution.tolist()
+    report = run_experiment(ExperimentConfig(
+        carrier=spec, base_constant=3 + 2j, noise_type="seeded_uniform", noise_amplitude=eps,
+        methods=list(workloads.ALL_METHODS),
+    ))
+    assert report["pass"], report["errors"]
+    assert sorted(report["verification"]) == sorted(workloads.ALL_METHODS)
+    assert workloads.digest(report) == TWISTED_S3_DIGESTS[eps]

@@ -29,7 +29,7 @@ from jensen_stab import (
     validate_carrier,
 )
 from jensen_stab import stabilize
-from jensen_stab.funcspace import BoundedFn, window_points
+from jensen_stab.funcspace import BoundedFn
 
 
 class QuadraticFn(BoundedFn):
@@ -107,6 +107,18 @@ def test_dyadic_overflow_is_reported():
         dyadic_limit(f, 3, n_max=80, tol=0.0)
 
 
+def test_zero_levels_is_a_nonconvergence_with_an_empty_trace():
+    s3 = bundled_carrier("s3")
+    f = perturb(generate_solution(s3, 1 - 2j), "seeded_uniform", 0.3, seed=5)
+    for method in ("dyadic", "dyadic_full", "forti_sikorska"):
+        with pytest.raises(NonConvergenceError) as exc:
+            jensen_approximant(f, method, n_max=0)
+        assert exc.value.trace == []
+    for construct in (dyadic_limit, forti_sikorska_reconstruct):
+        with pytest.raises(NonConvergenceError):
+            construct(f, 1, n_max=0)
+
+
 def test_folner_mean_examples():
     s3 = bundled_carrier("s3")
     const = FiniteTableFn(s3, [4 - 1j] * 6)
@@ -146,7 +158,7 @@ def test_phi_constant_is_zero():
 def test_phi_additive_is_exact_for_every_k():
     z1 = bundled_carrier("int1")
     f = OracleFn(z1, [1.5], 0.0)
-    pts = window_points(z1)
+    pts = z1.window_points()
     for k in (16, 64, 512):
         phi, _ = phi_mean_construction(f, k)
         # integrand is constant in x: phi(y) = 2 a y exactly
@@ -175,9 +187,9 @@ def test_phi_boundary_bound_vs_brute_force():
 def _phi_per_translate(f, k):
     """phi as one oracle loop per translate y, with no table of f_odd."""
     c = f.carrier
-    pts = window_points(c) if c.size else c.folner_points(k)
+    pts = c.window_points() if c.size else c.folner_points(k)
     fo = odd_part(f)
-    win = window_points(c)
+    win = c.window_points()
     vals = np.empty(win.shape[0], dtype=np.complex128)
     for i, y in enumerate(win):
         integrand = fo.eval_many(c.compose_many(y, pts)) - fo.eval_many(c.compose_many(pts, c.involute_many(y)))
@@ -316,7 +328,7 @@ def test_fs_matches_the_per_pair_reference_loop(name, noise):
         def make():
             amp = ParityNoise(0.2) if noise == "parity" else SeededUniformNoise(0.2, 5)
             return OracleFn(c, [1.5, -0.5 + 1j][: c.dim], 2j, amp)
-    pts = window_points(c)
+    pts = c.window_points()
     vals, diffs, n_final, levels = stabilize._fs_iterate(
         make(), pts, stabilize.DEFAULT_N_MAX, stabilize.DEFAULT_CONV_TOL, collect_values=True
     )
@@ -368,13 +380,13 @@ def test_jensen_approximant_exact_fixed_points():
     f = FiniteTableFn(s3, [3 + 2j] * 6)
     for method in ("mean", "dyadic", "dyadic_full", "forti_sikorska"):
         res = jensen_approximant(f, method)
-        assert np.abs(res.g.eval_many(window_points(s3))).max() <= 1e-9
+        assert np.abs(res.g.eval_many(s3.window_points())).max() <= 1e-9
         assert res.offset == 3 + 2j
         assert res.g.eval(s3.neutral) == 0
 
     z1 = bundled_carrier("int1")
     g = OracleFn(z1, [2.0], 5.0)
-    pts = window_points(z1)
+    pts = z1.window_points()
     target = g.eval_many(pts) - 5.0
     for method in ("mean", "dyadic", "dyadic_full", "forti_sikorska"):
         res = jensen_approximant(g, method, folner_k=64)
@@ -385,7 +397,7 @@ def test_jensen_approximant_exact_fixed_points():
 def test_jensen_approximant_parity_example():
     z1 = bundled_carrier("int1")
     f = OracleFn(z1, [2.0], 5.0, ParityNoise(0.1))
-    pts = window_points(z1)
+    pts = z1.window_points()
     for method in ("mean", "dyadic"):
         res = jensen_approximant(f, method, folner_k=512)
         assert res.offset == 5.1  # f(0) = 5 + 0.1
@@ -436,7 +448,7 @@ def test_mean_solution_is_odd_within_budget():
     z1 = bundled_carrier("int1")
     f = OracleFn(z1, [2.0], 5.0, SeededUniformNoise(0.2, 29))
     res = jensen_approximant(f, "mean", folner_k=512)
-    pts = window_points(z1)
+    pts = z1.window_points()
     odd_dev = np.abs(res.g.eval_many(pts) + res.g.eval_many(-pts)).max()
     assert odd_dev <= 2 * res.error_budget + 1e-9
 

@@ -24,7 +24,6 @@ from jensen_stab import (
     verify_solution,
 )
 from jensen_stab.defect import jensen_defect as _jd
-from jensen_stab.funcspace import window_points
 
 
 def test_jensen_residual_examples():
