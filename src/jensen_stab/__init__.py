@@ -35,7 +35,6 @@ from .funcspace import (
     OracleFn,
     ParityNoise,
     SeededUniformNoise,
-    evaluate,
     even_part,
     function_from_dict,
     function_to_dict,
@@ -102,7 +101,6 @@ __all__ = [
     "drygas_defect",
     "drygas_residual",
     "dyadic_limit",
-    "evaluate",
     "even_part",
     "folner_mean",
     "forti_sikorska_reconstruct",

@@ -11,6 +11,10 @@ Two realizations are supported:
 Elements are plain handles: an ``int`` index for finite carriers, a tuple
 of ``int`` coordinates for lattices (bare ints are accepted when d = 1).
 
+A carrier implements its group law once, in bulk (``compose_many``,
+``involute_many``, ``square_many`` on point arrays); the ``Carrier`` base
+runs the scalar ``compose``, ``involute`` and ``dyadic_power`` on one row.
+
 Each carrier answers every question that depends on its kind: its window
 and file keys, its invariant mean's averaging set and budget, the domain
 that phi's integrand reaches and how exact its suprema are, so the scans,
@@ -27,9 +31,7 @@ import numpy as np
 
 from .errors import CapabilityError, FormatError, InvalidElementError, LatticeOverflowError
 
-# Fixed-width bounds for lattice coordinates. Python ints never wrap, so
-# these are enforced explicitly wherever coordinates can grow.
-INT64_MIN = -(2**63)
+# Largest lattice coordinate a handle may carry; its negation fits in int64 too.
 INT64_MAX = 2**63 - 1
 
 EXACT_UNIFORM = "exact_uniform"
@@ -69,7 +71,35 @@ class ValidationReport:
         }
 
 
-class FiniteCarrier:
+class Carrier:
+    """Base class: a semigroup with neutral element and involution.
+
+    Subclasses implement ``check_element`` and the bulk operations on point
+    arrays; the scalar operations here run those on one row, so a scalar
+    call obeys the same overflow rule and raises the same errors as a bulk one.
+    """
+
+    def row(self, x) -> np.ndarray:
+        """The one-row point array holding the element x."""
+        return np.array([self.check_element(x)], dtype=np.int64)
+
+    def compose(self, x, y):
+        return self.check_element(self.compose_many(self.row(x), self.row(y))[0])
+
+    def involute(self, x):
+        return self.check_element(self.involute_many(self.row(x))[0])
+
+    def dyadic_power(self, x, n: int):
+        """x^(2^n) by n repeated squarings; n = 0 returns x itself."""
+        if n < 0:
+            raise ValueError("dyadic power exponent must be nonnegative")
+        pts = self.row(x)
+        for _ in range(n):
+            pts = self.square_many(pts)
+        return self.check_element(pts[0])
+
+
+class FiniteCarrier(Carrier):
     """Finite monoid/group from a Cayley table with an involution table.
 
     Indices are the canonical element identity; labels exist for files and
@@ -157,23 +187,6 @@ class FiniteCarrier:
     def label(self, x: int) -> str:
         return self.elements[self.check_element(x)]
 
-    def compose(self, x, y) -> int:
-        return int(self.op[self.check_element(x), self.check_element(y)])
-
-    def involute(self, x) -> int:
-        return int(self.involution[self.check_element(x)])
-
-    def dyadic_power(self, x, n: int) -> int:
-        """x^(2^n) by n repeated squarings; n = 0 returns x itself."""
-        if n < 0:
-            raise ValueError("dyadic power exponent must be nonnegative")
-        xi = self.check_element(x)
-        for _ in range(n):
-            xi = int(self.op[xi, xi])
-        return xi
-
-    # Bulk counterparts used by the scan machinery.
-
     def compose_many(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         return self.op[xs, ys]
 
@@ -233,7 +246,7 @@ class FiniteCarrier:
         }
 
 
-class LatticeCarrier:
+class LatticeCarrier(Carrier):
     """The group Z^d under addition, sigma = negation, with a scan window.
 
     ``window_radius`` bounds the evaluation window [-N, N]^d used by every
@@ -283,34 +296,8 @@ class LatticeCarrier:
         if len(pt) != self.dim:
             raise InvalidElementError(f"point {x!r} has wrong dimension for {self.name}")
         for c in pt:
-            if not INT64_MIN <= c <= INT64_MAX:
+            if abs(c) > INT64_MAX:
                 raise LatticeOverflowError(f"coordinate {c} exceeds the fixed-width integer range")
-        return pt
-
-    def compose(self, x, y) -> tuple[int, ...]:
-        xp = self.check_element(x)
-        yp = self.check_element(y)
-        out = tuple(a + b for a, b in zip(xp, yp))
-        for c in out:
-            if not INT64_MIN <= c <= INT64_MAX:
-                raise LatticeOverflowError(f"coordinate overflow in composition: {c}")
-        return out
-
-    def involute(self, x) -> tuple[int, ...]:
-        return tuple(-c for c in self.check_element(x))
-
-    def dyadic_power(self, x, n: int) -> tuple[int, ...]:
-        """x^(2^n) = 2^n * x, by repeated doubling with overflow checks."""
-        if n < 0:
-            raise ValueError("dyadic power exponent must be nonnegative")
-        pt = self.check_element(x)
-        for _ in range(n):
-            pt = tuple(2 * c for c in pt)
-            for c in pt:
-                if not INT64_MIN <= c <= INT64_MAX:
-                    raise LatticeOverflowError(
-                        f"dyadic power overflowed the integer range at {c}; reduce n_max"
-                    )
         return pt
 
     def compose_many(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -334,9 +321,6 @@ class LatticeCarrier:
     def window_points(self) -> np.ndarray:
         """All points of [-N, N]^d in lexicographic order, shape (m, d)."""
         return self.box_points(self.window_radius)
-
-    def window_elements(self) -> list[tuple[int, ...]]:
-        return [tuple(int(c) for c in row) for row in self.window_points()]
 
     def window_keys(self) -> list[str]:
         """File keys "x,y,..." of the window, in window order."""
@@ -362,7 +346,7 @@ class LatticeCarrier:
     def folner_points(self, k: int) -> np.ndarray:
         """The Folner box ``box_points(k)``, for 1 <= k <= folner_max."""
         if k < 1:
-            raise ValueError("Folner radius must be positive")
+            raise FormatError(f"Folner radius must be an integer >= 1, got {k}")
         if k > self.folner_max:
             raise CapabilityError(f"Folner radius {k} exceeds folner_max {self.folner_max}")
         return self.box_points(k)
@@ -394,9 +378,6 @@ class LatticeCarrier:
             "window": self.window_radius,
             "folner_max": self.folner_max,
         }
-
-
-Carrier = FiniteCarrier | LatticeCarrier
 
 
 def box_translate_ratio(dim: int, k: int, shift: tuple[int, ...]) -> float:

@@ -68,6 +68,11 @@ def _load_function_arg(arg: str, carrier: Carrier) -> BoundedFn:
     return function_from_dict(_load_json(arg), carrier)
 
 
+def _require_positive(value: int | None, flag: str) -> None:
+    if value is not None and value < 1:
+        raise FormatError(f"{flag} must be an integer >= 1, got {value}")
+
+
 def _cmd_check_carrier(args: argparse.Namespace) -> int:
     c = _resolve_carrier_arg(args.carrier)
     report = validate_carrier(c)
@@ -95,6 +100,7 @@ def _cmd_defect(args: argparse.Namespace) -> int:
 
 
 def _cmd_inequalities(args: argparse.Namespace) -> int:
+    _require_positive(args.folner_k, "--folner-k")
     c = _resolve_carrier_arg(args.carrier)
     f = _load_function_arg(args.function, c)
     phi = None
@@ -121,8 +127,8 @@ def _method_from_cli(name: str) -> str:
 
 
 def _cmd_stabilize(args: argparse.Namespace) -> int:
-    if args.dyadic_n < 1:
-        raise FormatError(f"--dyadic-n must be an integer >= 1, got {args.dyadic_n}")
+    _require_positive(args.dyadic_n, "--dyadic-n")
+    _require_positive(args.folner_k, "--folner-k")
     c = _resolve_carrier_arg(args.carrier)
     f = _load_function_arg(args.function, c)
     result = jensen_approximant(

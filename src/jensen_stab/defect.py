@@ -94,9 +94,6 @@ class _MinusConst(BoundedFn):
         self.carrier = base.carrier
         self.z = complex(z)
 
-    def eval(self, x) -> complex:
-        return self.base.eval(x) - self.z
-
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         return self.base.eval_many(pts) - self.z
 

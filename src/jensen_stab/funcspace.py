@@ -176,12 +176,16 @@ def noise_from_dict(data: dict) -> Noise:
 
 
 class BoundedFn:
-    """Base class: a complex-valued function on a carrier."""
+    """Base class: a complex-valued function on a carrier.
+
+    Subclasses implement ``eval_many`` on point arrays; ``eval`` runs it on
+    one row, so a scalar value is bit-identical to the bulk one.
+    """
 
     carrier: Carrier
 
     def eval(self, x) -> complex:
-        raise NotImplementedError
+        return complex(self.eval_many(self.carrier.row(x))[0])
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -202,9 +206,6 @@ class FiniteTableFn(BoundedFn):
         self.carrier = carrier
         self.values = vals
         self.values.setflags(write=False)
-
-    def eval(self, x) -> complex:
-        return complex(self.values[self.carrier.check_element(x)])
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         return self.values[pts]
@@ -232,14 +233,6 @@ class LatticeTableFn(BoundedFn):
         self.radius = r
         self.values = vals
         self.values.setflags(write=False)
-
-    def eval(self, x) -> complex:
-        pt = self.carrier.check_element(x)
-        idx = tuple(c + self.radius for c in pt)
-        for c in idx:
-            if not 0 <= c <= 2 * self.radius:
-                raise InvalidElementError(f"point {pt} outside the tabulated box of radius {self.radius}")
-        return complex(self.values[idx])
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         shifted = pts + self.radius
@@ -287,17 +280,10 @@ class OracleFn(BoundedFn):
         self.constant = _require_finite_complex(constant, "constant term")
         self.noise = noise
 
-    def eval(self, x) -> complex:
-        pt = self.carrier.check_element(x)
-        val = self.constant
-        for a, c in zip(self.linear, pt):
-            val = val + complex(a) * c
-        if self.noise is not None:
-            val = val + self.noise.value(pt)
-        return val
-
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        vals = pts.astype(np.float64) @ self.linear + self.constant
+        # einsum sums each row alone, so one row gets the bits it has inside a
+        # bulk call; matmul sends a single row to another BLAS routine.
+        vals = np.einsum("ij,j->i", pts.astype(np.float64), self.linear) + self.constant
         if self.noise is not None:
             vals = vals + self.noise.values(pts)
         return vals
@@ -317,11 +303,6 @@ class EvenPart(BoundedFn):
         self.base = base
         self.carrier = base.carrier
 
-    def eval(self, x) -> complex:
-        v1 = self.base.eval(x)
-        v2 = self.base.eval(self.carrier.involute(x))
-        return (v1 + v2) / 2
-
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         v1 = self.base.eval_many(pts)
         v2 = self.base.eval_many(self.carrier.involute_many(pts))
@@ -340,11 +321,6 @@ class OddPart(BoundedFn):
         self.base = base
         self.carrier = base.carrier
 
-    def eval(self, x) -> complex:
-        v1 = self.base.eval(x)
-        v2 = self.base.eval(self.carrier.involute(x))
-        return v1 - (v1 + v2) / 2
-
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         v1 = self.base.eval_many(pts)
         v2 = self.base.eval_many(self.carrier.involute_many(pts))
@@ -359,9 +335,6 @@ class LeftTranslate(BoundedFn):
         self.carrier = base.carrier
         self.y = self.carrier.check_element(y)
 
-    def eval(self, x) -> complex:
-        return self.base.eval(self.carrier.compose(self.y, x))
-
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         return self.base.eval_many(self.carrier.compose_many(np.asarray(self.y, dtype=np.int64), pts))
 
@@ -374,15 +347,8 @@ class RightTranslate(BoundedFn):
         self.carrier = base.carrier
         self.y = self.carrier.check_element(y)
 
-    def eval(self, x) -> complex:
-        return self.base.eval(self.carrier.compose(x, self.y))
-
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         return self.base.eval_many(self.carrier.compose_many(pts, np.asarray(self.y, dtype=np.int64)))
-
-
-def evaluate(f: BoundedFn, x) -> complex:
-    return f.eval(x)
 
 
 def even_part(f: BoundedFn) -> BoundedFn:

@@ -50,6 +50,8 @@ def _number(section: dict, key: str, default: Any, kind: type) -> Any:
     """section[key] (or default) converted by ``kind``; FormatError if it cannot be."""
     v = section.get(key, default)
     try:
+        if isinstance(v, bool):  # int(True) and float(True) would pass
+            raise TypeError
         return kind(v)
     except (TypeError, ValueError, OverflowError):
         raise FormatError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {v!r}") from None
@@ -90,7 +92,7 @@ class ExperimentConfig:
         if self.noise_type not in ("none", "parity", "seeded_uniform"):
             raise FormatError(f"unknown noise type {self.noise_type!r}")
         powers = self.identity_powers
-        if not powers or not all(isinstance(n, int) and n >= 1 for n in powers):
+        if not powers or not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in powers):
             raise FormatError(f"identity_powers must be a nonempty list of integers >= 1, got {list(powers)!r}")
 
     @classmethod

@@ -148,7 +148,7 @@ def dyadic_limit(
     lattice power leaves the safe integer range first (for affine oracles
     convergence arrives long before overflow).
     """
-    pts = np.array([f.carrier.check_element(x)], dtype=np.int64)
+    pts = f.carrier.row(x)
     vals, diffs, n_final, levels = _dyadic_iterate(f, pts, n_max, tol, collect_values=True)
     return complex(vals[0]), DyadicTrace([complex(v[0]) for v in levels], diffs, n_final, True)
 
@@ -251,9 +251,6 @@ class _ProbeFn(BoundedFn):
         self.carrier = f.carrier
         self.f_e = complex(f_e)
 
-    def eval(self, x) -> complex:
-        return self.base.eval(x) - self.f_e
-
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         return self.base.eval_many(pts) - self.f_e
 
@@ -331,7 +328,7 @@ def forti_sikorska_reconstruct(
     bounded distance of a Drygas solution g the levels converge to g(x) at
     a geometric rate.
     """
-    pts = np.array([f.carrier.check_element(x)], dtype=np.int64)
+    pts = f.carrier.row(x)
     vals, diffs, n_final, levels = _fs_iterate(f, pts, n_max, tol, collect_values=True)
     trace = DyadicTrace([complex(v[0]) for v in levels], diffs, n_final, True)
     return complex(vals[0]), trace

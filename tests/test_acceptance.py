@@ -249,12 +249,11 @@ def test_criterion_7_folner_convergence():
     for k in (64, 256):
         q = OracleFn(z1, [a], 0.0, ParityNoise(eps))
         phi, _ = phi_mean_construction(q, k, assume_odd=True)
-        fresh = OracleFn(z1, [a], 0.0, ParityNoise(eps))
         for y in range(-16, 17):
-            # independent oracle: brute-force box sum
+            # independent oracle: brute-force box sum of a x + eps (-1)^x
             total = 0j
             for x in range(-k, k + 1):
-                total += fresh.eval(y + x) - fresh.eval(x - y)
+                total += (a * (y + x) + eps * (-1) ** (y + x)) - (a * (x - y) + eps * (-1) ** (x - y))
             brute = total / (2 * k + 1)
             lib = phi.eval(y)
             assert abs(lib - brute) <= 1e-12

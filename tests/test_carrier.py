@@ -293,3 +293,21 @@ def test_modules_never_ask_which_kind_of_carrier_they_hold():
         assert not used & kind_names, module
     cli = ast.parse((src / "cli.py").read_text())
     assert not [n for n in ast.walk(cli) if isinstance(n, ast.Constant) and n.value == "none"]
+
+
+def test_scalar_operations_are_defined_once():
+    # Scalar calls run the bulk kernels on one row, so no class keeps a second copy.
+    src = Path(jensen_stab.__file__).parent
+    owners: dict[str, set[str]] = {}
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    names = {item.name} if isinstance(item, ast.FunctionDef) else set()
+                    if isinstance(item, ast.Assign):
+                        names = {t.id for t in item.targets if isinstance(t, ast.Name)}
+                    for name in names:
+                        owners.setdefault(name, set()).add(node.name)
+    assert owners["eval"] == {"BoundedFn"}
+    for op in ("compose", "involute", "dyadic_power"):
+        assert owners[op] == {"Carrier"}, op

@@ -217,6 +217,18 @@ def test_stabilize_rejects_zero_dyadic_levels(s3_files, tmp_path, capsys, method
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["inequalities", "stabilize"])
+def test_folner_k_below_one_is_a_clean_error(tmp_path, capsys, command):
+    fn_path = tmp_path / "f.json"
+    _write(fn_path, {"kind": "oracle", "linear": [2.0]})
+    out = tmp_path / "g.json"
+    extra = ["--method", "mean", "--out", str(out)] if command == "stabilize" else []
+    _assert_clean_error(capsys, [
+        command, *extra, "--carrier", "int1", "--function", str(fn_path), "--folner-k", "0",
+    ])
+    assert not out.exists()
+
+
 def test_non_finite_report_is_a_clean_error(tmp_path, capsys):
     # a . x overflows to inf on the window, and inf - inf makes the defect NaN
     fn_path = tmp_path / "f.json"

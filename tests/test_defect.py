@@ -26,13 +26,22 @@ from jensen_stab import (
 
 
 def brute_force_jensen(f, carrier):
+    """Finite tables through the Cayley table; 1-d oracles through their formula."""
+    if carrier.size:
+        elements = range(carrier.size)
+        mul = lambda x, y: int(carrier.op[x, y])
+        sigma = lambda y: int(carrier.involution[y])
+        val = lambda x: complex(f.values[x])
+    else:
+        elements = range(-carrier.window_radius, carrier.window_radius + 1)
+        mul = lambda x, y: x + y
+        sigma = lambda y: -y
+        val = lambda x: complex(f.linear[0]) * x + f.constant + f.noise.value((x,))
     best = -1.0
     witness = None
-    for x in carrier.window_elements():
-        for y in carrier.window_elements():
-            xy = carrier.compose(x, y)
-            xsy = carrier.compose(x, carrier.involute(y))
-            r = abs(f.eval(xy) + f.eval(xsy) - 2 * f.eval(x))
+    for x in elements:
+        for y in elements:
+            r = abs(val(mul(x, y)) + val(mul(x, sigma(y))) - 2 * val(x))
             if r > best:
                 best, witness = r, (x, y)
     return best, witness

@@ -20,7 +20,6 @@ from jensen_stab import (
     ParityNoise,
     SeededUniformNoise,
     bundled_carrier,
-    evaluate,
     even_part,
     function_from_dict,
     function_to_dict,
@@ -35,15 +34,15 @@ from jensen_stab.errors import FormatError
 def test_evaluate_examples():
     s3 = bundled_carrier("s3")
     const = FiniteTableFn(s3, [5.0] * 6)
-    assert evaluate(const, 2) == 5.0
+    assert const.eval(2) == 5.0
 
     z1 = bundled_carrier("int1")
     affine = OracleFn(z1, [2.0], 5.0)
-    assert evaluate(affine, 3) == 11.0
+    assert affine.eval(3) == 11.0
 
     noisy = OracleFn(z1, [2.0], 5.0, ParityNoise(0.1))
-    assert evaluate(noisy, 4) == 2.0 * 4 + 5.0 + 0.1
-    assert evaluate(noisy, 3) == 2.0 * 3 + 5.0 - 0.1
+    assert noisy.eval(4) == 2.0 * 4 + 5.0 + 0.1
+    assert noisy.eval(3) == 2.0 * 3 + 5.0 - 0.1
 
 
 def test_oracle_evaluable_outside_window():
@@ -77,24 +76,34 @@ def test_even_odd_quadratic_table():
         assert fo[i] == x
 
 
+INT1_PROBES = [(-64,), (-3,), (0,), (7,), (64,)]
+
+
 @pytest.mark.parametrize(
-    "noise", [None, ParityNoise(0.3), SeededUniformNoise(0.25, 11)]
+    "name, noise, probes",
+    [
+        pytest.param("int1", None, INT1_PROBES, id="None"),
+        pytest.param("int1", ParityNoise(0.3), INT1_PROBES, id="noise1"),
+        pytest.param("int1", SeededUniformNoise(0.25, 11), INT1_PROBES, id="noise2"),
+        # off the window, where a0 x0 + a1 x1 rounds differently in another order
+        pytest.param("int2", None, [(2**20 + 1, -3), (-100, 37), (9, -4000), (123457, 65)], id="int2"),
+    ],
 )
-def test_decomposition_is_bit_exact(noise):
-    z1 = bundled_carrier("int1")
-    f = OracleFn(z1, [2.0 + 1.0j], 5.0 - 3.0j, noise)
-    pts = z1.window_points()
+def test_decomposition_is_bit_exact(name, noise, probes):
+    c = bundled_carrier(name)
+    f = OracleFn(c, [2.0 + 1.0j, -0.7 + 0.3j][: c.dim], 5.0 - 3.0j, noise)
+    pts = c.window_points()
     vals = f.eval_many(pts)
     fe = even_part(f).eval_many(pts)
     fo = odd_part(f).eval_many(pts)
     # left-to-right: (f - f_even) - f_odd vanishes bit-exactly
     assert np.all((vals - fe) - fo == 0)
     # scalar path agrees with the vector path bit for bit
-    for x in (-64, -3, 0, 7, 64):
-        i = x + 64
-        assert f.eval(x) == vals[i]
-        assert even_part(f).eval(x) == fe[i]
-        assert odd_part(f).eval(x) == fo[i]
+    at = np.array(probes, dtype=np.int64)
+    for x, v, e, o in zip(probes, f.eval_many(at), even_part(f).eval_many(at), odd_part(f).eval_many(at)):
+        assert f.eval(x) == v
+        assert even_part(f).eval(x) == e
+        assert odd_part(f).eval(x) == o
 
 
 def test_even_odd_symmetry():

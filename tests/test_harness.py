@@ -122,6 +122,9 @@ def test_config_rejects_identity_powers_below_one(powers):
         {"dyadic_n": 0},
         {"dyadic_n": -3},
         {"dyadic_n": True},
+        {"identity_powers": [True]},
+        {"component_dim": True},
+        {"noise": {"type": "seeded_uniform", "amplitude": 0.1, "seed": True}},
     ],
 )
 def test_config_rejects_malformed_values(data):

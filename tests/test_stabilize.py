@@ -171,12 +171,12 @@ def test_phi_boundary_bound_vs_brute_force():
     q = OracleFn(z1, [a], 0.0, SeededUniformNoise(eps, seed))
     k = 32
     phi, diag = phi_mean_construction(q, k, assume_odd=True)
-    # independent brute-force box sums
-    fresh = OracleFn(z1, [a], 0.0, SeededUniformNoise(eps, seed))
+    # independent brute-force box sums of a x + noise(x)
+    noise = SeededUniformNoise(eps, seed)
     for y in (-16, -3, 0, 5, 16):
         total = 0j
         for x in range(-k, k + 1):
-            total += fresh.eval(y + x) - fresh.eval(x - y)
+            total += (a * (y + x) + noise.value((y + x,))) - (a * (x - y) + noise.value((x - y,)))
         brute = total / (2 * k + 1)
         assert abs(phi.eval(y) - brute) <= 1e-12
         # boundary-term count of the box average
