@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -217,9 +217,14 @@ class FiniteCarrier(Carrier):
         probe = next((i for i in range(self.size) if i != self.neutral), self.neutral)
         return self.window_elements(), self.size, probe
 
-    def reach(self, k_used: int) -> tuple[np.ndarray, None]:
-        """All of G, which phi's integrand reaches; a finite table takes no radius."""
-        return self.window_elements(), None
+    def reach(self, xs: np.ndarray, k_used: int) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
+        """All of G, which phi's integrand reaches, and per window y the indices of y x and x sigma(y)."""
+        g = self.window_elements()
+        return g, ((self.op[y, xs], self.op[xs, self.involution[y]]) for y in g)
+
+    def table_domain(self, arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+        """All of G, which holds every point; an element's position is its index."""
+        return self.window_elements(), list(arrays)
 
     def mean_translate_ratio(self, k_used: int) -> float:
         # The uniform average on a finite group is exactly invariant: no Folner budget.
@@ -359,10 +364,30 @@ class LatticeCarrier(Carrier):
         probe[0] = 1
         return self.folner_points(k_used), k_used, probe
 
-    def reach(self, k_used: int) -> tuple[np.ndarray, int]:
-        """The box of radius k_used + N that y x and x sigma(y) reach, and that radius."""
+    def reach(self, xs: np.ndarray, k_used: int) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
+        """The box of radius k_used + N that y x and x sigma(y) reach for x in
+        the Folner box xs, and for each window y their flat positions in it:
+        those of xs plus and minus the offset of y."""
         r = k_used + self.window_radius
-        return self.box_points(r), r
+        if np.abs(xs).max() > k_used:
+            raise InvalidElementError(f"points outside the Folner box of radius {k_used}")
+        base = self._flat(xs, r)
+        offsets = self._flat(self.window_points(), r) - self._flat(self.row(self.neutral), r)
+        return self.box_points(r), ((base + o, base - o) for o in offsets.tolist())
+
+    def table_domain(self, arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The box of radius R = max |coordinate| over the arrays, which holds
+        every point, and each array's lexicographic flat positions in it."""
+        r = max(int(np.abs(a).max()) for a in arrays)
+        return self.box_points(r), [self._flat(a, r) for a in arrays]
+
+    @staticmethod
+    def _flat(pts: np.ndarray, r: int) -> np.ndarray:
+        """Positions of pts in the lexicographic order of the box of radius r."""
+        pos = pts[:, 0] + r
+        for j in range(1, pts.shape[1]):
+            pos = pos * (2 * r + 1) + (pts[:, j] + r)
+        return pos
 
     def mean_translate_ratio(self, k_used: int) -> float:
         """Boundary fraction of the Folner box under the farthest window translate."""

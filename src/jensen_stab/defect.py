@@ -190,6 +190,10 @@ def _one_var_scan(fn_terms: Sequence[tuple[BoundedFn, complex, np.ndarray]], con
     Returns (value, first argmax mapped back to the full index set, number
     of scanned positions); positions whose points leave a tabulated box are
     skipped.
+
+    Each distinct fn is evaluated once, on the carrier's table domain of
+    its points (all of G, or the smallest centred box), and the chunks
+    gather from that table by position.
     """
     mask = None
     for fn, _, pts in fn_terms:
@@ -201,11 +205,24 @@ def _one_var_scan(fn_terms: Sequence[tuple[BoundedFn, complex, np.ndarray]], con
         keep = np.flatnonzero(mask)
         fn_terms = [(fn, coeff, pts[keep]) for fn, coeff, pts in fn_terms]
     n = fn_terms[0][2].shape[0]
+    gathers = []
+    if n:
+        by_fn: dict[int, tuple[BoundedFn, list[np.ndarray]]] = {}
+        for fn, _, pts in fn_terms:
+            by_fn.setdefault(id(fn), (fn, []))[1].append(pts)
+        reads = {}
+        for key, (fn, arrays) in by_fn.items():
+            domain, positions = fn.carrier.table_domain(arrays)
+            reads[key] = (fn.eval_many(domain), iter(positions))
+        # coeff * table[pos] has the bits of (coeff * table)[pos].
+        for fn, coeff, _ in fn_terms:
+            table, positions = reads[id(fn)]
+            gathers.append((coeff * table, next(positions)))
 
     def chunk(start: int, stop: int) -> np.ndarray:
         acc = np.full(stop - start, const, dtype=np.complex128)
-        for fn, coeff, pts in fn_terms:
-            acc += coeff * fn.eval_many(pts[start:stop])
+        for table, pos in gathers:
+            acc += table[pos[start:stop]]
         return np.abs(acc)
 
     value, idx = max_scan(n, chunk)

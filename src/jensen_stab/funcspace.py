@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Sequence
+from functools import partial
+from itertools import repeat
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -30,6 +32,11 @@ DEFAULT_TOL = 1e-9
 # orbits, whose box doubles at every level) are served from the per-point
 # memo instead; both paths draw from the same pure hash.
 _DENSE_VOLUME = 1 << 17
+
+# Marks a memo miss: no draw is NaN.
+_MISS = complex("nan")
+_blake16 = partial(hashlib.blake2b, digest_size=16)
+_digest = hashlib.blake2b.digest
 
 
 def _require_finite_complex(z: complex, what: str) -> complex:
@@ -87,28 +94,40 @@ class SeededUniformNoise:
         # Dense cache (lo, hi, grid): published whole, never mutated, so readers never mix two grids.
         self._dense: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    def _draw(self, pt: tuple[int, ...]) -> complex:
+    def _draw_many(self, rows: Sequence[Sequence[int]]) -> np.ndarray:
+        """The draws at the given coordinate rows: blake2b of "seed|coordinates|counter"
+        gives (re, im) from two little-endian uint64 / 2^64, and rows that fall
+        outside the disc go to the next counter."""
+        out = np.zeros(len(rows), dtype=np.complex128)
         amp = self.amplitude
-        if amp == 0.0:
-            return 0j
-        coords = ",".join(str(c) for c in pt)
+        if amp == 0.0 or not rows:
+            return out
+        parts = out.view(np.float64).reshape(-1, 2)
+        # Every head "seed|coordinates|" from one string, with no Python frame per point.
+        seed = f"{self.seed}|"
+        coords = map(",".join, map(map, repeat(str), rows))
+        heads = (seed + ("|\n" + seed).join(coords) + "|").encode().split(b"\n")
+        todo = np.arange(len(rows))
         ctr = 0
-        while True:
-            msg = f"{self.seed}|{coords}|{ctr}".encode()
-            digest = hashlib.blake2b(msg, digest_size=16).digest()
-            u = int.from_bytes(digest[:8], "little") / 2.0**64
-            v = int.from_bytes(digest[8:], "little") / 2.0**64
-            re = (2.0 * u - 1.0) * amp
-            im = (2.0 * v - 1.0) * amp
-            if re * re + im * im <= amp * amp:
-                return complex(re, im)
+        while heads:
+            digests = b"".join(map(_digest, map(_blake16, map(bytes.__add__, heads, repeat(str(ctr).encode())))))
+            words = np.frombuffer(digests, dtype="<u8").reshape(-1, 2)
+            # hi * 2^32 + lo adds two exact doubles once, so it rounds the uint64
+            # to nearest even as float(int) does; 2 (w / 2^64) is w * 2^-63 exactly.
+            draw = (((words >> 32) * 2.0**32 + (words & 0xFFFFFFFF)) * 2.0**-63 - 1.0) * amp
+            square = draw * draw
+            ok = square[:, 0] + square[:, 1] <= amp * amp
+            parts[todo[ok]] = draw[ok]
+            rejected = np.flatnonzero(~ok)
+            todo = todo[rejected]
+            heads = [heads[i] for i in rejected.tolist()]
             ctr += 1
+        return out
 
     def value(self, pt: tuple[int, ...]) -> complex:
         got = self._memo.get(pt)
         if got is None:
-            got = self._draw(pt)
-            self._memo[pt] = got
+            got = self._memo[pt] = complex(self._draw_many([pt])[0])
         return got
 
     def _rebuild_grid(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -123,19 +142,39 @@ class SeededUniformNoise:
             block = tuple(slice(int(a - b), int(a - b) + n) for a, b, n in zip(old[0], lo, old[2].shape))
             vals[block] = old[2]
             fresh[block] = False
-        todo = (np.argwhere(fresh) + lo).tolist()
-        vals[fresh] = np.fromiter((self._draw(tuple(pt)) for pt in todo), dtype=np.complex128, count=len(todo))
+        vals[fresh] = self._draw_many((np.argwhere(fresh) + lo).tolist())
         snapshot = (lo.copy(), hi.copy(), vals)
         self._dense = snapshot
         return snapshot
+
+    def _sparse(self, pts: np.ndarray) -> np.ndarray:
+        """Points inside the published grid read it; the others read the memo,
+        and its misses are drawn once each, in one call."""
+        out = np.empty(pts.shape[0], dtype=np.complex128)
+        inside = np.zeros(pts.shape[0], dtype=bool)
+        if self._dense is not None:
+            lo, hi, grid = self._dense
+            inside = ((pts >= lo) & (pts <= hi)).all(axis=1)
+            out[inside] = grid[tuple((pts[inside] - lo).T)]
+        memo = self._memo
+        keys = list(map(tuple, pts[~inside].tolist()))
+        got = np.fromiter(map(memo.get, keys, repeat(_MISS)), np.complex128, len(keys))
+        miss = np.flatnonzero(np.isnan(got)).tolist()
+        if miss:
+            new = list(dict.fromkeys(map(keys.__getitem__, miss)))
+            memo.update(zip(new, self._draw_many(new).tolist()))
+            got[miss] = np.fromiter(map(memo.__getitem__, map(keys.__getitem__, miss)), np.complex128, len(miss))
+        out[~inside] = got
+        return out
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         if self.amplitude == 0.0:
             return np.zeros(pts.shape[0], dtype=np.complex128)
         if not pts.size:
             return np.zeros(0, dtype=np.complex128)
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
+        # One reduction per column: min(axis=0) on an (N, d) array is far slower.
+        lo = np.array([col.min() for col in pts.T])
+        hi = np.array([col.max() for col in pts.T])
         dense = self._dense
         if dense is None or not ((lo >= dense[0]).all() and (hi <= dense[1]).all()):
             if dense is not None:
@@ -143,7 +182,7 @@ class SeededUniformNoise:
                 hi = np.maximum(hi, dense[1])
             volume = float(np.prod((hi - lo + 1).astype(np.float64)))
             if volume > min(_DENSE_VOLUME, 4 * pts.shape[0]):
-                return np.array([self.value(tuple(row)) for row in pts.tolist()], dtype=np.complex128)
+                return self._sparse(pts)
             dense = self._rebuild_grid(lo, hi)
         grid_lo, _, grid = dense
         return grid[tuple(pts[:, j] - grid_lo[j] for j in range(pts.shape[1]))]
@@ -161,18 +200,26 @@ class SeededUniformNoise:
 Noise = ParityNoise | SeededUniformNoise
 
 
-def noise_from_dict(data: dict) -> Noise:
+def _number(section: dict, key: str, default: Any, kind: type) -> Any:
+    """section[key] (or default) converted by ``kind``; FormatError if it cannot be."""
+    v = section.get(key, default)
     try:
-        kind = data["type"]
-        amplitude = float(data["amplitude"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed noise descriptor: {data!r}") from exc
-    seed = int(data.get("seed", 0))
-    if kind == "parity":
-        return ParityNoise(amplitude, seed)
-    if kind == "seeded_uniform":
-        return SeededUniformNoise(amplitude, seed)
-    raise FormatError(f"unknown noise type {kind!r}")
+        # int(True), float(True) and int(2.7) would pass.
+        if isinstance(v, bool) or (kind is int and isinstance(v, float) and not v.is_integer()):
+            raise TypeError
+        return kind(v)
+    except (TypeError, ValueError, OverflowError):
+        raise FormatError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {v!r}") from None
+
+
+def noise_from_dict(data: dict) -> Noise:
+    if not isinstance(data, dict) or "type" not in data:
+        raise FormatError(f"malformed noise descriptor: {data!r}")
+    kind = data["type"]
+    if kind not in ("parity", "seeded_uniform"):
+        raise FormatError(f"unknown noise type {kind!r}")
+    noise = ParityNoise if kind == "parity" else SeededUniformNoise
+    return noise(_number(data, "amplitude", None, float), _number(data, "seed", 0, int))
 
 
 class BoundedFn:
@@ -248,12 +295,11 @@ class LatticeTableFn(BoundedFn):
 TableFn = FiniteTableFn | LatticeTableFn
 
 
-def table_fn(c: Carrier, values, radius: int | None = None) -> TableFn:
-    """A table of c's kind: total on a finite carrier, on the box of ``radius``
-    (default the window) on a lattice."""
+def table_fn(c: Carrier, values) -> TableFn:
+    """A table of c's kind over its window: total on a finite carrier, on the window box on a lattice."""
     if isinstance(c, FiniteCarrier):
         return FiniteTableFn(c, values)
-    return LatticeTableFn(c, values, radius)
+    return LatticeTableFn(c, values)
 
 
 class OracleFn(BoundedFn):

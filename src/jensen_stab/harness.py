@@ -31,6 +31,7 @@ from .funcspace import (
     FiniteTableFn,
     OracleFn,
     _cpair,
+    _number,
     _parse_cnum,
     noise_from_dict,
 )
@@ -44,17 +45,6 @@ from .stabilize import (
 from .verify import method_agreement, verify_solution
 
 SCHEMA = "jensen-stab/report/v1"
-
-
-def _number(section: dict, key: str, default: Any, kind: type) -> Any:
-    """section[key] (or default) converted by ``kind``; FormatError if it cannot be."""
-    v = section.get(key, default)
-    try:
-        if isinstance(v, bool):  # int(True) and float(True) would pass
-            raise TypeError
-        return kind(v)
-    except (TypeError, ValueError, OverflowError):
-        raise FormatError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {v!r}") from None
 
 
 @dataclass
@@ -175,10 +165,7 @@ def perturb(f: BoundedFn, noise_type: str, amplitude: float, seed: int = 0) -> B
             raise FormatError("oracle already carries noise; perturb the noise-free base")
         return OracleFn(f.carrier, f.linear, f.constant, noise)
     if isinstance(f, FiniteTableFn):
-        vals = f.values + np.array(
-            [noise.value((i,)) for i in range(f.carrier.size)], dtype=np.complex128
-        )
-        return FiniteTableFn(f.carrier, vals)
+        return FiniteTableFn(f.carrier, f.values + noise.values(np.arange(f.carrier.size)[:, None]))
     raise FormatError(f"cannot perturb function of type {type(f).__name__}")
 
 

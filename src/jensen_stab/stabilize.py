@@ -18,12 +18,13 @@ stands in for it, the substitution error is carried explicitly in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .defect import jensen_defect
-from .errors import NonConvergenceError
+from .errors import JensenStabError, NonConvergenceError
 from .funcspace import BoundedFn, EvenPart, OddPart, OracleFn, TableFn, table_fn
 
 DEFAULT_N_MAX = 40
@@ -164,23 +165,47 @@ def _dyadic_iterate(
 
     All points iterate to the same depth so that one a posteriori tail
     bound covers every point. With ``collect_values`` every level is kept.
+    Levels run in blocks, each evaluated once and checked level by level; a
+    block that raises is replayed one level at a time, so results and errors
+    are those of single levels.
     """
     c = target.carrier
     t_e = target.eval(c.neutral)
+    m = pts.shape[0]
     cur = pts
     prev = target.eval_many(cur) - t_e
     levels = [prev] if collect_values else []
     diffs: list[float] = []
-    for n in range(1, n_max + 1):
-        cur = c.square_many(cur)
-        vals = (target.eval_many(cur) - t_e) * 0.5**n
-        if collect_values:
-            levels.append(vals)
-        step = float(np.abs(vals - prev).max())
-        diffs.append(step)
-        prev = vals
-        if step <= conv_tol:
-            return vals, diffs, n, levels
+    blocks = conv_tol > 0
+    n = 0
+    while n < n_max:
+        size = 1
+        if blocks and len(diffs) > 1 and 0 < diffs[-1] / diffs[-2] < 1:
+            # Up to the level where the ratio of the last two steps predicts a step at most
+            # conv_tol, and at most 64 levels (a lattice meets the 2^61 guard before that).
+            ahead = (math.log(conv_tol) - math.log(diffs[-1])) / math.log(diffs[-1] / diffs[-2])
+            size = min(n_max - n, 64, math.ceil(ahead))
+        powers = [cur]
+        try:
+            for _ in range(size):
+                powers.append(c.square_many(powers[-1]))
+            block = target.eval_many(np.concatenate(powers[1:]))
+        except JensenStabError:
+            if size == 1:
+                raise
+            blocks = False
+            continue
+        cur = powers[-1]
+        for j in range(size):
+            n += 1
+            vals = (block[j * m : (j + 1) * m] - t_e) * 0.5**n
+            if collect_values:
+                levels.append(vals)
+            step = float(np.abs(vals - prev).max())
+            diffs.append(step)
+            prev = vals
+            if step <= conv_tol:
+                return vals, diffs, n, levels
     raise _not_converged("dyadic limit", n_max, diffs)
 
 
@@ -221,16 +246,11 @@ def phi_mean_construction(
     pts, k_used, _ = c.mean_set(k)
     fo = f if assume_odd else OddPart(f)
     f_e = f.eval(c.neutral)
-    win = c.window_points()
     # Tabulate f_odd once over every point y x and x sigma(y) can reach (all
     # of G, or the box of radius k + N), so the loop below only gathers.
-    reach, r = c.reach(k_used)
-    fo = table_fn(c, fo.eval_many(reach), r)
-    vals = np.empty(win.shape[0], dtype=np.complex128)
-    for i, y in enumerate(win):
-        integrand = fo.eval_many(c.compose_many(y, pts)) - fo.eval_many(c.compose_many(pts, c.involute_many(y)))
-        vals[i] = integrand.mean()
-    phi = table_fn(c, vals)
+    reach, positions = c.reach(pts, k_used)
+    table = fo.eval_many(reach)
+    phi = table_fn(c, [(table[yx] - table[xsy]).mean() for yx, xsy in positions])
 
     m_bound = 0.0
     if isinstance(f, OracleFn):

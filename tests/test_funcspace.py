@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import os
 import subprocess
@@ -230,15 +231,42 @@ def test_seeded_noise_dense_and_sparse_paths_agree():
     assert np.array_equal(grid_vals, np.array([fresh2.value((int(a), int(b))) for a, b in pts2]))
 
 
+def _blake2b_draw(seed: int, amp: float, pt: tuple[int, ...]) -> tuple[complex, int]:
+    """One point's draw by the formula, with the counter that accepted it."""
+    coords = ",".join(str(c) for c in pt)
+    ctr = 0
+    while True:
+        digest = hashlib.blake2b(f"{seed}|{coords}|{ctr}".encode(), digest_size=16).digest()
+        re = (2.0 * (int.from_bytes(digest[:8], "little") / 2.0**64) - 1.0) * amp
+        im = (2.0 * (int.from_bytes(digest[8:], "little") / 2.0**64) - 1.0) * amp
+        if re * re + im * im <= amp * amp:
+            return complex(re, im), ctr
+        ctr += 1
+
+
+def test_bulk_draws_match_the_blake2b_formula_bit_for_bit():
+    rng = np.random.default_rng(4)
+    line = [(int(v),) for v in rng.integers(-(10**15), 10**15, 1400)] + [(v,) for v in range(-60, 61)]
+    plane = [tuple(row) for row in rng.integers(-9999, 9999, (600, 2)).tolist()] + [(0, 0), (-1, 7)]
+    for amp, seed in ((0.1, 7), (2.5, 1234)):
+        for pts in (line, plane):
+            want = [_blake2b_draw(seed, amp, pt) for pt in pts]
+            got = SeededUniformNoise(amp, seed)._draw_many(pts)
+            assert got.tobytes() == np.array([z for z, _ in want], dtype=np.complex128).tobytes()
+            # Some first draws fall outside the disc, some points need a third counter.
+            assert max(ctr for _, ctr in want) >= 2
+    assert SeededUniformNoise(0.0, 7)._draw_many(line).tobytes() == bytes(16 * len(line))
+
+
 def test_grid_growth_draws_each_cell_once(monkeypatch):
     draws = []
-    real_draw = SeededUniformNoise._draw
+    real_draw = SeededUniformNoise._draw_many
 
-    def counted(self, pt):
-        draws.append(pt)
-        return real_draw(self, pt)
+    def counted(self, rows):
+        draws.extend(map(tuple, rows))
+        return real_draw(self, rows)
 
-    monkeypatch.setattr(SeededUniformNoise, "_draw", counted)
+    monkeypatch.setattr(SeededUniformNoise, "_draw_many", counted)
     z1 = bundled_carrier("int1")
     x, y = z1.window_pair_arrays()
     box = np.arange(-576, 577, dtype=np.int64)[:, None]
@@ -313,6 +341,16 @@ def test_malformed_functions_rejected():
             function_from_dict({"kind": "table", "values": {lab: bad for lab in s3.elements}}, s3)
         with pytest.raises(FormatError):
             function_from_dict({"kind": "oracle", "linear": [1.0], "constant": bad}, z1)
+    for noise in (
+        {"type": "seeded_uniform", "amplitude": True, "seed": 2.7},
+        {"type": "seeded_uniform", "amplitude": True, "seed": 2},
+        {"type": "seeded_uniform", "amplitude": 0.1, "seed": 2.7},
+        {"type": "seeded_uniform", "amplitude": 0.1, "seed": True},
+        {"type": "parity", "amplitude": None},
+        {"type": "parity", "seed": 0},
+    ):
+        with pytest.raises(FormatError):
+            function_from_dict({"kind": "oracle", "linear": [1.0], "noise": noise}, z1)
 
 
 def test_window_points_orders():

@@ -9,7 +9,9 @@ from jensen_stab import (
     CapabilityError,
     FiniteCarrier,
     FiniteTableFn,
+    InvalidElementError,
     LatticeOverflowError,
+    LatticeTableFn,
     NonConvergenceError,
     OracleFn,
     ParityNoise,
@@ -343,6 +345,111 @@ def test_fs_matches_the_per_pair_reference_loop(name, noise):
     assert (trace.n_final, trace.diffs) == (ref_n, ref_diffs)
     assert trace.values == [complex(v[0]) for v in ref_levels]
     assert val == trace.values[-1]
+
+
+def _dyadic_per_level(target, pts, n_max=stabilize.DEFAULT_N_MAX, tol=stabilize.DEFAULT_CONV_TOL):
+    """The dyadic iteration one level at a time: square, evaluate, compare."""
+    c = target.carrier
+    t_e = target.eval(c.neutral)
+    cur = pts
+    levels, diffs = [target.eval_many(cur) - t_e], []
+    for n in range(1, n_max + 1):
+        cur = c.square_many(cur)
+        levels.append((target.eval_many(cur) - t_e) * 0.5**n)
+        diffs.append(float(np.abs(levels[-1] - levels[-2]).max()))
+        if diffs[-1] <= tol:
+            return levels, diffs, n
+    raise NonConvergenceError("the reference loop did not converge", trace=diffs)
+
+
+def _assert_dyadic_matches(target, pts, n_max=stabilize.DEFAULT_N_MAX, tol=stabilize.DEFAULT_CONV_TOL):
+    vals, diffs, n_final, levels = stabilize._dyadic_iterate(target, pts, n_max, tol, collect_values=True)
+    ref_levels, ref_diffs, ref_n = _dyadic_per_level(target, pts, n_max, tol)
+    assert (n_final, diffs) == (ref_n, ref_diffs)
+    assert _same_bits(vals, ref_levels[-1])
+    assert len(levels) == len(ref_levels)
+    assert all(_same_bits(a, b) for a, b in zip(levels, ref_levels))
+
+
+@pytest.mark.parametrize(
+    "name, noise",
+    [("z2", "seeded"), ("s3_twisted", "seeded"), ("int1", "parity"), ("int1", "seeded"), ("int2", "seeded")],
+)
+def test_dyadic_blocks_match_the_level_by_level_loop(name, noise):
+    c = _twisted_s3() if name == "s3_twisted" else bundled_carrier(name)
+    if c.size:
+        f = perturb(generate_solution(c, 1 - 2j), "seeded_uniform", 0.3, seed=5)
+    else:
+        amp = ParityNoise(0.2) if noise == "parity" else SeededUniformNoise(0.2, 5)
+        f = OracleFn(c, [1.5, -0.5 + 1j][: c.dim], 2j, amp)
+    pts = c.window_points()
+    for target in (f, odd_part(f)):
+        _assert_dyadic_matches(target, pts)
+        _assert_dyadic_matches(target, pts[-2:-1])
+    counted = _CountingFn(f)
+    n_final = stabilize._dyadic_iterate(counted, pts, stabilize.DEFAULT_N_MAX, stabilize.DEFAULT_CONV_TOL)[2]
+    if n_final > 4:  # levels ran in blocks
+        assert counted.calls < n_final
+
+
+class _RootFn(BoundedFn):
+    """2 x + sqrt(|x|) on Z^1: every dyadic step is 2^-1/2 times the one before."""
+
+    def __init__(self, carrier, calls):
+        self.carrier = carrier
+        self.calls = calls
+
+    def eval_many(self, pts: np.ndarray) -> np.ndarray:
+        self.calls.append(pts.copy())
+        x = pts[:, 0].astype(np.float64)
+        return (2.0 * x + np.sqrt(np.abs(x))).astype(np.complex128)
+
+
+def test_a_block_that_meets_the_overflow_guard_is_replayed_level_by_level():
+    z1 = bundled_carrier("int1")
+    pts = np.array([[3]], dtype=np.int64)
+    ref_calls, calls = [], []
+    # Squaring 3 * 2^60 trips the 2^61 guard: the reference loop evaluates
+    # f(e) and levels 0 to 60, then raises; the predicted block runs past it.
+    with pytest.raises(LatticeOverflowError):
+        _dyadic_per_level(_RootFn(z1, ref_calls), pts, n_max=80, tol=1e-300)
+    with pytest.raises(LatticeOverflowError):
+        stabilize._dyadic_iterate(_RootFn(z1, calls), pts, 80, 1e-300)
+    assert len(calls) == len(ref_calls) == 62
+    assert all(_same_bits(a, b) for a, b in zip(calls, ref_calls))
+    # Converging at the last level below the guard gives the same levels.
+    with pytest.raises(NonConvergenceError) as exc:
+        _dyadic_per_level(_RootFn(z1, []), pts, n_max=60, tol=0.0)
+    _assert_dyadic_matches(_RootFn(z1, []), pts, n_max=80, tol=exc.value.trace[-1])
+
+
+def test_a_block_that_leaves_a_table_is_replayed_until_it_converges():
+    z1 = bundled_carrier("int1")
+    # Levels at x = 1 read g(2^n) / 2^n = 3, 2.5, 2.05, 2.04: the steps 0.5 and
+    # 0.45 predict a long block, which leaves the box of radius 64 at 2^7.
+    vals = 2.0 * np.arange(-64, 65, dtype=np.complex128)
+    for x, level in ((1, 3.0), (2, 2.5), (4, 2.05), (8, 2.04)):
+        vals[64 + x] = x * level
+    g = LatticeTableFn(z1, vals)
+    pts = np.array([[1]], dtype=np.int64)
+    with pytest.raises(InvalidElementError):
+        g.eval_many(z1.square_many(np.array([[64]], dtype=np.int64)))
+    _assert_dyadic_matches(g, pts, tol=0.02)
+    assert stabilize._dyadic_iterate(g, pts, stabilize.DEFAULT_N_MAX, 0.02)[2] == 3
+
+
+def test_dyadic_with_zero_tolerance_runs_single_levels():
+    z1 = bundled_carrier("int1")
+    f = OracleFn(z1, [2.0], 5.0, SeededUniformNoise(0.5, 3))
+    pts = z1.window_points()
+    with pytest.raises(NonConvergenceError) as ref:
+        _dyadic_per_level(f, pts, n_max=12, tol=0.0)
+    counted = _CountingFn(f)
+    with pytest.raises(NonConvergenceError) as got:
+        stabilize._dyadic_iterate(counted, pts, 12, 0.0)
+    assert got.value.trace == ref.value.trace
+    assert counted.calls == 13
+    _assert_dyadic_matches(OracleFn(z1, [2.0], 5.0), pts, tol=0.0)
 
 
 class _CountingFn(BoundedFn):
