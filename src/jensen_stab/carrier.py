@@ -15,6 +15,12 @@ A carrier implements its group law once, in bulk (``compose_many``,
 ``involute_many``, ``square_many`` on point arrays); the ``Carrier`` base
 runs the scalar ``compose``, ``involute`` and ``dyadic_power`` on one row.
 
+The window geometry (window points, pair arrays and the composed terms
+the scans read, ``window_terms``) is built once per carrier object and
+handed out read-only; a lattice also keeps the table positions and box
+masks of those terms. Only arrays the carrier built and holds are looked
+up, by identity, so an array from anywhere else is always computed afresh.
+
 Each carrier answers every question that depends on its kind: its window
 and file keys, its invariant mean's averaging set and budget, the domain
 that phi's integrand reaches and how exact its suprema are, so the scans,
@@ -25,7 +31,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from types import MappingProxyType
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,6 +78,25 @@ class ValidationReport:
         }
 
 
+class WindowTerms(NamedTuple):
+    """The window W, its pairs (x, y) in row-major order and the composed
+    terms the defect scans and checks read, all read-only. sigma(x) alone is
+    read by no scan, so it is not kept."""
+
+    w: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    sy: np.ndarray
+    xy: np.ndarray
+    x_sy: np.ndarray
+    yx: np.ndarray
+    sy_x: np.ndarray
+    y_sx: np.ndarray
+    sx_sy: np.ndarray
+    sq: np.ndarray
+    w_sw: np.ndarray
+
+
 class Carrier:
     """Base class: a semigroup with neutral element and involution.
 
@@ -78,6 +104,55 @@ class Carrier:
     arrays; the scalar operations here run those on one row, so a scalar
     call obeys the same overflow rule and raises the same errors as a bulk one.
     """
+
+    # Values built once per carrier, published whole and never mutated.
+    _built: MappingProxyType = MappingProxyType({})
+
+    def _once(self, key: Any, build: Callable[[], Any]) -> Any:
+        """The value cached under key, built on first use; its arrays are made read-only."""
+        got = self._built.get(key)
+        if got is None:
+            got = build()
+            for a in got if isinstance(got, tuple) else (got,):
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+            self._built = MappingProxyType({**self._built, key: got})
+        return got
+
+    def window_terms(self) -> WindowTerms:
+        """The window geometry the scans read, built on the first call."""
+
+        def build() -> WindowTerms:
+            w = self.window_points()
+            x, y = self.window_pair_arrays()
+            sx, sy = self.involute_many(x), self.involute_many(y)
+            xy, x_sy = self.compose_many(x, y), self.compose_many(x, sy)
+            # On an abelian carrier y x is x y and sigma(y) x is x sigma(y): one array each.
+            return WindowTerms(
+                w=w,
+                x=x,
+                y=y,
+                sy=sy,
+                xy=xy,
+                x_sy=x_sy,
+                yx=xy if self.is_abelian else self.compose_many(y, x),
+                sy_x=x_sy if self.is_abelian else self.compose_many(sy, x),
+                y_sx=self.compose_many(y, sx),
+                sx_sy=self.compose_many(sx, sy),
+                sq=self.square_many(w),
+                w_sw=self.compose_many(w, self.involute_many(w)),
+            )
+
+        return self._once("terms", build)
+
+    def _term_name(self, a: np.ndarray) -> str | None:
+        """The name of a if it is one of the window terms this carrier holds."""
+        terms = self._built.get("terms")
+        if terms is not None:
+            for name, t in zip(terms._fields, terms):
+                if t is a:
+                    return name
+        return None
 
     def row(self, x) -> np.ndarray:
         """The one-row point array holding the element x."""
@@ -162,6 +237,10 @@ class FiniteCarrier(Carrier):
         return self._is_group
 
     @property
+    def is_abelian(self) -> bool:
+        return bool((self.op == self.op.T).all())
+
+    @property
     def mean_capability(self) -> str:
         # The uniform average is translation-invariant iff translations are
         # bijections, i.e. iff the carrier is a group.
@@ -197,7 +276,7 @@ class FiniteCarrier(Carrier):
         return self.op[xs, xs]
 
     def window_elements(self) -> np.ndarray:
-        return np.arange(self.size, dtype=np.int64)
+        return self._once("window", lambda: np.arange(self.size, dtype=np.int64))
 
     window_points = window_elements
 
@@ -232,11 +311,8 @@ class FiniteCarrier(Carrier):
 
     def window_pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """All |G|^2 ordered pairs as (X, Y), row-major in index order."""
-        n = self.size
-        idx = np.arange(n, dtype=np.int64)
-        x = np.repeat(idx, n)
-        y = np.tile(idx, n)
-        return x, y
+        idx = self.window_elements()
+        return self._once("pairs", lambda: (np.repeat(idx, self.size), np.tile(idx, self.size)))
 
     def element_repr(self, x) -> str:
         return self.label(x)
@@ -282,6 +358,8 @@ class LatticeCarrier(Carrier):
     def size(self) -> None:
         return None
 
+    is_abelian = True
+
     @property
     def is_group(self) -> bool:
         return True
@@ -325,7 +403,7 @@ class LatticeCarrier(Carrier):
 
     def window_points(self) -> np.ndarray:
         """All points of [-N, N]^d in lexicographic order, shape (m, d)."""
-        return self.box_points(self.window_radius)
+        return self._once("window", lambda: self.box_points(self.window_radius))
 
     def window_keys(self) -> list[str]:
         """File keys "x,y,..." of the window, in window order."""
@@ -344,9 +422,7 @@ class LatticeCarrier(Carrier):
     def window_pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         pts = self.window_points()
         m = pts.shape[0]
-        x = np.repeat(pts, m, axis=0)
-        y = np.tile(pts, (m, 1))
-        return x, y
+        return self._once("pairs", lambda: (np.repeat(pts, m, axis=0), np.tile(pts, (m, 1))))
 
     def folner_points(self, k: int) -> np.ndarray:
         """The Folner box ``box_points(k)``, for 1 <= k <= folner_max."""
@@ -377,9 +453,26 @@ class LatticeCarrier(Carrier):
 
     def table_domain(self, arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
         """The box of radius R = max |coordinate| over the arrays, which holds
-        every point, and each array's lexicographic flat positions in it."""
-        r = max(int(np.abs(a).max()) for a in arrays)
-        return self.box_points(r), [self._flat(a, r) for a in arrays]
+        every point, and each array's lexicographic flat positions in it.
+
+        For the window terms this carrier holds, the radius, the box and the
+        positions are computed once.
+        """
+        names = [self._term_name(a) for a in arrays]
+        r = max(self._held(name, "radius", lambda a=a: int(np.abs(a).max())) for a, name in zip(arrays, names))
+        # A box is kept only at a radius the held terms alone reach.
+        box = self.box_points(r) if None in names else self._once(("box", r), lambda: self.box_points(r))
+        positions = [self._held(name, ("flat", r), lambda a=a: self._flat(a, r)) for a, name in zip(arrays, names)]
+        return box, positions
+
+    def in_box(self, pts: np.ndarray, r: int) -> np.ndarray:
+        """Boolean mask of the points with every |coordinate| <= r (computed
+        once for a window term this carrier holds)."""
+        return self._held(self._term_name(pts), ("in_box", r), lambda: (np.abs(pts) <= r).all(axis=1))
+
+    def _held(self, name: Any, what: Any, build: Callable[[], Any]) -> Any:
+        """build(), cached under (what, name) unless name is None."""
+        return build() if name is None else self._once((what, name), build)
 
     @staticmethod
     def _flat(pts: np.ndarray, r: int) -> np.ndarray:

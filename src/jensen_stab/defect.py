@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .carrier import Carrier
+from .carrier import WindowTerms
 from .errors import FormatError
 from .funcspace import (
     DEFAULT_TOL,
@@ -32,6 +32,11 @@ from .funcspace import (
     OracleFn,
 )
 from .scan import max_scan
+
+# Values that overflow make a scan's products and sums inf or NaN, and so
+# its supremum, which the callers report or reject; numpy's warnings about
+# them would only reach stderr ahead of that.
+_QUIET = {"over": "ignore", "invalid": "ignore"}
 
 
 @dataclass
@@ -132,7 +137,7 @@ def _combo_scan(
 def _pair_defect(
     fn: BoundedFn,
     equation: str,
-    terms: Callable[[Carrier, np.ndarray, np.ndarray], list[np.ndarray]],
+    terms: Callable[[WindowTerms], list[np.ndarray]],
     coeffs: Sequence[complex],
     analytic: float | None = None,
 ) -> DefectReport:
@@ -142,8 +147,9 @@ def _pair_defect(
     overflow float arithmetic), naming the first witnessing pair.
     """
     c = fn.carrier
-    X, Y = c.window_pair_arrays()
-    value, idx, scanned = _combo_scan(fn, terms(c, X, Y), coeffs)
+    t = c.window_terms()
+    X, Y = t.x, t.y
+    value, idx, scanned = _combo_scan(fn, terms(t), coeffs)
     witness = None if idx < 0 else (c.element_repr(X[idx]), c.element_repr(Y[idx]))
     if not math.isfinite(value):
         raise FormatError(
@@ -162,13 +168,12 @@ def _pair_defect(
     )
 
 
-def _jensen_terms(c: Carrier, X: np.ndarray, Y: np.ndarray) -> list[np.ndarray]:
-    return [c.compose_many(X, Y), c.compose_many(X, c.involute_many(Y)), X]
+def _jensen_terms(t: WindowTerms) -> list[np.ndarray]:
+    return [t.xy, t.x_sy, t.x]
 
 
-def _drygas_terms(c: Carrier, X: np.ndarray, Y: np.ndarray) -> list[np.ndarray]:
-    sy = c.involute_many(Y)
-    return [c.compose_many(Y, X), c.compose_many(sy, X), X, Y, sy]
+def _drygas_terms(t: WindowTerms) -> list[np.ndarray]:
+    return [t.yx, t.sy_x, t.x, t.y, t.sy]
 
 
 def jensen_defect(f: BoundedFn) -> DefectReport:
@@ -215,9 +220,10 @@ def _one_var_scan(fn_terms: Sequence[tuple[BoundedFn, complex, np.ndarray]], con
             domain, positions = fn.carrier.table_domain(arrays)
             reads[key] = (fn.eval_many(domain), iter(positions))
         # coeff * table[pos] has the bits of (coeff * table)[pos].
-        for fn, coeff, _ in fn_terms:
-            table, positions = reads[id(fn)]
-            gathers.append((coeff * table, next(positions)))
+        with np.errstate(**_QUIET):
+            for fn, coeff, _ in fn_terms:
+                table, positions = reads[id(fn)]
+                gathers.append((coeff * table, next(positions)))
 
     def chunk(start: int, stop: int) -> np.ndarray:
         acc = np.full(stop - start, const, dtype=np.complex128)
@@ -225,7 +231,8 @@ def _one_var_scan(fn_terms: Sequence[tuple[BoundedFn, complex, np.ndarray]], con
             acc += table[pos[start:stop]]
         return np.abs(acc)
 
-    value, idx = max_scan(n, chunk)
+    with np.errstate(**_QUIET):
+        value, idx = max_scan(n, chunk)
     if keep is not None and idx >= 0:
         idx = int(keep[idx])
     return value, idx, n
@@ -254,18 +261,8 @@ def inequality_suite(
     f_even = EvenPart(f)
     f_odd = OddPart(f)
 
-    W = c.window_points()
-    X, Y = c.window_pair_arrays()
-    sX = c.involute_many(X)
-    sY = c.involute_many(Y)
-    xy = c.compose_many(X, Y)
-    yx = c.compose_many(Y, X)
-    x_sy = c.compose_many(X, sY)
-    y_sx = c.compose_many(Y, sX)
-    sy_x = c.compose_many(sY, X)
-    sx_sy = c.compose_many(sX, sY)
-    sq = c.square_many(W)
-    w_sw = c.compose_many(W, c.involute_many(W))
+    t = c.window_terms()
+    W, X, Y, sY = t.w, t.x, t.y, t.sy
 
     records: list[InequalityRecord] = []
 
@@ -296,11 +293,11 @@ def inequality_suite(
     add("eq_2_9", 0.5, value, idx, False)
 
     # eq 2.10: |h(x^2) + h(x sigma(x)) - 2 h(x)| <= delta.
-    value, idx, _ = _one_var_scan([(h, 1, sq), (h, 1, w_sw), (h, -2, W)])
+    value, idx, _ = _one_var_scan([(h, 1, t.sq), (h, 1, t.w_sw), (h, -2, W)])
     add("eq_2_10", 1.0, value, idx, False)
 
     # eq 2.11: |h(x^2) - 2 h(x)| <= 3 delta / 2.
-    value, idx, _ = _one_var_scan([(h, 1, sq), (h, -2, W)])
+    value, idx, _ = _one_var_scan([(h, 1, t.sq), (h, -2, W)])
     add("eq_2_11", 1.5, value, idx, False)
 
     # eq 2.12: |f_even(y) - f(e)| <= delta/2.
@@ -308,20 +305,20 @@ def inequality_suite(
     add("eq_2_12", 0.5, value, idx, False)
 
     # eq 2.13: |f(xy) + f(yx) - 2f(x) - 2f(y) + 2f(e)| <= 3 delta.
-    value, idx, _ = _combo_scan(f, [xy, yx, X, Y], [1, 1, -2, -2], const=2 * f_e)
+    value, idx, _ = _combo_scan(f, [t.xy, t.yx, X, Y], [1, 1, -2, -2], const=2 * f_e)
     add("eq_2_13", 3.0, value, idx, True)
 
     # eq 2.14: |f(yx) + f(sigma(y) x) - 2 f(x)| <= 9 delta.
-    value, idx, _ = _combo_scan(f, [yx, sy_x, X], [1, 1, -2])
+    value, idx, _ = _combo_scan(f, [t.yx, t.sy_x, X], [1, 1, -2])
     add("eq_2_14", 9.0, value, idx, True)
 
     # eq 2.15: |f(yx) - f(sigma(x) sigma(y)) + f(y sigma(x)) - f(x sigma(y))
     #           - 2 (f(y) - f(sigma(y)))| <= 10 delta.
-    value, idx, _ = _combo_scan(f, [yx, sx_sy, y_sx, x_sy, Y, sY], [1, -1, 1, -1, -2, 2])
+    value, idx, _ = _combo_scan(f, [t.yx, t.sx_sy, t.y_sx, t.x_sy, Y, sY], [1, -1, 1, -1, -2, 2])
     add("eq_2_15", 10.0, value, idx, True)
 
     # eq 2.16: |f_odd(yx) + f_odd(y sigma(x)) - 2 f_odd(y)| <= 5 delta.
-    value, idx, _ = _combo_scan(f_odd, [yx, y_sx, Y], [1, 1, -2])
+    value, idx, _ = _combo_scan(f_odd, [t.yx, t.y_sx, Y], [1, 1, -2])
     add("eq_2_16", 5.0, value, idx, True)
 
     # eq 2.21: |phi(y)/2 - f_odd(y)| <= (5/2) delta, plus the budget of the

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
 from typing import Any, Sequence
@@ -29,12 +30,14 @@ DEFAULT_TOL = 1e-9
 # Largest bounding-box volume kept as a dense noise cache. A query grows the
 # cache only when the grown box is dense in it: at most 4 cells per queried
 # point and at most this many cells overall. Sparse queries (dyadic power
-# orbits, whose box doubles at every level) are served from the per-point
-# memo instead; both paths draw from the same pure hash.
+# orbits, whose box doubles at every level) are served from the sorted
+# per-point store instead; both paths draw from the same pure hash.
 _DENSE_VOLUME = 1 << 17
 
-# Marks a memo miss: no draw is NaN.
-_MISS = complex("nan")
+# Rows left after a rejection round below which drawing them one by one in
+# Python costs less than the fixed numpy cost of another round.
+_ROUND_MIN = 16
+
 _blake16 = partial(hashlib.blake2b, digest_size=16)
 _digest = hashlib.blake2b.digest
 
@@ -75,6 +78,27 @@ class ParityNoise:
         return {"type": "parity", "amplitude": self.amplitude, "seed": self.seed}
 
 
+def _point_keys(pts: np.ndarray) -> np.ndarray:
+    """One exact, sortable key per point: the coordinate itself in 1-d, the
+    bytes of the int64 row otherwise."""
+    pts = np.ascontiguousarray(pts, dtype=np.int64)
+    if pts.shape[1] == 1:
+        return pts[:, 0]
+    return pts.view(np.dtype((np.void, 8 * pts.shape[1])))[:, 0]
+
+
+@dataclass(frozen=True, eq=False)
+class _SortedDraws:
+    """Sparse draws: ``values[i]`` is the draw at the point whose key is
+    ``keys[i]``, keys ascending. Its length is the number of points drawn."""
+
+    keys: np.ndarray
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return self.keys.shape[0]
+
+
 class SeededUniformNoise:
     """Hash-seeded complex noise, uniform on the disc |z| <= amplitude.
 
@@ -90,8 +114,9 @@ class SeededUniformNoise:
             raise FormatError("noise amplitude must be a finite nonnegative number")
         self.amplitude = float(amplitude)
         self.seed = int(seed)
-        self._memo: dict[tuple[int, ...], complex] = {}
-        # Dense cache (lo, hi, grid): published whole, never mutated, so readers never mix two grids.
+        # Both caches are published whole, never mutated, so readers never mix two versions.
+        self._memo = _SortedDraws(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.complex128))
+        # Dense cache (lo, hi, grid).
         self._dense: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def _draw_many(self, rows: Sequence[Sequence[int]]) -> np.ndarray:
@@ -109,7 +134,7 @@ class SeededUniformNoise:
         heads = (seed + ("|\n" + seed).join(coords) + "|").encode().split(b"\n")
         todo = np.arange(len(rows))
         ctr = 0
-        while heads:
+        while len(heads) >= _ROUND_MIN:
             digests = b"".join(map(_digest, map(_blake16, map(bytes.__add__, heads, repeat(str(ctr).encode())))))
             words = np.frombuffer(digests, dtype="<u8").reshape(-1, 2)
             # hi * 2^32 + lo adds two exact doubles once, so it rounds the uint64
@@ -122,13 +147,21 @@ class SeededUniformNoise:
             todo = todo[rejected]
             heads = [heads[i] for i in rejected.tolist()]
             ctr += 1
+        # The same formula on the few rows left, one row at a time.
+        for i, head in zip(todo.tolist(), heads):
+            c = ctr
+            while True:
+                digest = _digest(_blake16(head + str(c).encode()))
+                re = (float(int.from_bytes(digest[:8], "little")) * 2.0**-63 - 1.0) * amp
+                im = (float(int.from_bytes(digest[8:], "little")) * 2.0**-63 - 1.0) * amp
+                if re * re + im * im <= amp * amp:
+                    out[i] = complex(re, im)
+                    break
+                c += 1
         return out
 
     def value(self, pt: tuple[int, ...]) -> complex:
-        got = self._memo.get(pt)
-        if got is None:
-            got = self._memo[pt] = complex(self._draw_many([pt])[0])
-        return got
+        return complex(self._sparse(np.array([pt], dtype=np.int64))[0])
 
     def _rebuild_grid(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # Copies the published grid when it lies inside [lo, hi] and draws only
@@ -148,24 +181,39 @@ class SeededUniformNoise:
         return snapshot
 
     def _sparse(self, pts: np.ndarray) -> np.ndarray:
-        """Points inside the published grid read it; the others read the memo,
-        and its misses are drawn once each, in one call."""
+        """Points inside the published grid read it; the others are looked up
+        in the sorted store, and its misses are drawn once each, in one call,
+        and merged in."""
+        if self._dense is None:
+            return self._stored(pts)
+        lo, hi, grid = self._dense
+        inside = ((pts >= lo) & (pts <= hi)).all(axis=1)
+        if not inside.any():
+            return self._stored(pts)
         out = np.empty(pts.shape[0], dtype=np.complex128)
-        inside = np.zeros(pts.shape[0], dtype=bool)
-        if self._dense is not None:
-            lo, hi, grid = self._dense
-            inside = ((pts >= lo) & (pts <= hi)).all(axis=1)
-            out[inside] = grid[tuple((pts[inside] - lo).T)]
-        memo = self._memo
-        keys = list(map(tuple, pts[~inside].tolist()))
-        got = np.fromiter(map(memo.get, keys, repeat(_MISS)), np.complex128, len(keys))
-        miss = np.flatnonzero(np.isnan(got)).tolist()
-        if miss:
-            new = list(dict.fromkeys(map(keys.__getitem__, miss)))
-            memo.update(zip(new, self._draw_many(new).tolist()))
-            got[miss] = np.fromiter(map(memo.__getitem__, map(keys.__getitem__, miss)), np.complex128, len(miss))
-        out[~inside] = got
+        out[inside] = grid[tuple((pts[inside] - lo).T)]
+        out[~inside] = self._stored(pts[~inside])
         return out
+
+    def _stored(self, pts: np.ndarray) -> np.ndarray:
+        """The draws at pts from the sorted store, after drawing its misses."""
+        keys = _point_keys(pts)
+        store = self._memo
+        if len(store):
+            at = np.searchsorted(store.keys, keys)
+            miss = store.keys[np.minimum(at, len(store) - 1)] != keys
+        else:
+            at = np.zeros(len(keys), dtype=np.intp)
+            miss = np.ones(len(keys), dtype=bool)
+        if miss.any():
+            new, first = np.unique(keys[miss], return_index=True)
+            drawn = self._draw_many(pts[miss][first].tolist())
+            if len(store):
+                slots = np.searchsorted(store.keys, new)
+                new, drawn = np.insert(store.keys, slots, new), np.insert(store.values, slots, drawn)
+            store = self._memo = _SortedDraws(new, drawn)
+            at = np.searchsorted(store.keys, keys)
+        return store.values[at]
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         if self.amplitude == 0.0:
@@ -289,7 +337,7 @@ class LatticeTableFn(BoundedFn):
 
     def covers(self, pts: np.ndarray) -> np.ndarray:
         """Boolean mask of points that lie inside the tabulated box."""
-        return (np.abs(pts) <= self.radius).all(axis=1)
+        return self.carrier.in_box(pts, self.radius)
 
 
 TableFn = FiniteTableFn | LatticeTableFn

@@ -140,7 +140,8 @@ def identity_checks(
     power-n record scales it by 2^n + 1 since g enters with weight 2^n.
     """
     c = g.carrier
-    pts = c.window_points()
+    t = c.window_terms()
+    pts = t.w
     g_e = g.eval(c.neutral)
     records: list[IdentityRecord] = []
 
@@ -149,7 +150,7 @@ def identity_checks(
     bound = budget + tol
     records.append(IdentityRecord("even_part_constant", sup, bound, sup <= bound, pts.shape[0]))
 
-    prod = c.compose_many(pts, c.involute_many(pts))
+    prod = t.w_sw
     keep = _table_mask(g, prod)
     vals = g.eval_many(prod[keep] if keep is not None else prod)
     sup = float(np.abs(vals - g_e).max()) if vals.size else 0.0
@@ -164,8 +165,8 @@ def identity_checks(
     )
 
     for n in n_list:
-        cur = pts
-        for _ in range(n):
+        cur = pts if n == 0 else t.sq
+        for _ in range(n - 1):
             cur = c.square_many(cur)
         keep = _table_mask(g, cur)
         base = pts if keep is None else pts[keep]

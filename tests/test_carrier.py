@@ -39,6 +39,7 @@ def test_expected_group_flags():
     assert bundled_carrier("m3").mean_capability == "none"
     assert bundled_carrier("s3").mean_capability == "exact_uniform"
     assert bundled_carrier("int1").mean_capability == "folner"
+    assert [bundled_carrier(n).is_abelian for n in BUNDLED_CARRIERS] == [True, True, False, False, True, True, True]
 
 
 def test_compose_z2_from_table():

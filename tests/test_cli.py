@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import jensen_stab
 from jensen_stab import bundled_carrier, function_to_dict, generate_solution, perturb
 from jensen_stab.cli import main
 
@@ -238,6 +243,22 @@ def test_non_finite_report_is_a_clean_error(tmp_path, capsys):
         "defect", "--carrier", "int1", "--function", str(fn_path), "--report", str(report_path),
     ])
     assert not report_path.exists()
+
+
+def test_non_finite_defect_writes_only_the_error_line_to_stderr(tmp_path):
+    # In a child process, so no warning capture of the test runner can hide
+    # what numpy writes to stderr.
+    fn_path = tmp_path / "f.json"
+    _write(fn_path, {"kind": "oracle", "linear": [1e307]})
+    env = {**os.environ, "PYTHONPATH": str(Path(jensen_stab.__file__).resolve().parents[1])}
+    argv = ["defect", "--carrier", "int1", "--function", str(fn_path)]
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "jensen_stab.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: "), proc.stderr
+    assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -258,6 +258,41 @@ def test_bulk_draws_match_the_blake2b_formula_bit_for_bit():
     assert SeededUniformNoise(0.0, 7)._draw_many(line).tobytes() == bytes(16 * len(line))
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sparse_store_matches_per_point_draws_in_any_call_order(dim):
+    rng = np.random.default_rng(dim)
+    edge = 2**61
+    grid = bundled_carrier("int2").box_points(4)[:, :dim]  # dense: under 4 cells a point
+    far = np.concatenate([
+        rng.integers(-edge, edge, (40, dim)),
+        np.array([[edge] * dim, [-edge] * dim, [edge - 1, -edge + 3][:dim], [-7, 5][:dim]]),
+    ])
+    near = rng.integers(-2000, -5, (30, dim))
+    queries = [
+        grid,
+        far,
+        np.concatenate([far[:7], near, grid[::3], far[:7], near[:2]]),  # repeats within a call, some in the grid
+        near[::-1],
+    ]
+
+    def per_point(rows):
+        return np.array([SeededUniformNoise(0.1, 3)._draw_many([row])[0] for row in rows.tolist()])
+
+    want = [per_point(q).tobytes() for q in queries]
+    for order in itertools.permutations(range(len(queries))):
+        noise = SeededUniformNoise(0.1, 3)
+        stored = set()
+        for i in order:
+            dense = noise._dense
+            got = noise.values(queries[i])
+            assert got.tobytes() == want[i], order
+            if noise._dense is dense:  # the call went to the sparse path (or read the grid alone)
+                lo, hi = (np.full(dim, 1), np.full(dim, 0)) if dense is None else dense[:2]
+                stored |= {tuple(p) for p in queries[i].tolist() if not (lo <= p).all() or not (p <= hi).all()}
+        assert len(noise._memo) == len(stored), order
+        assert noise.value(tuple(far[3])) == complex(per_point(far[3:4])[0])
+
+
 def test_grid_growth_draws_each_cell_once(monkeypatch):
     draws = []
     real_draw = SeededUniformNoise._draw_many
