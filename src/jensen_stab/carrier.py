@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -105,8 +104,9 @@ class Carrier:
     call obeys the same overflow rule and raises the same errors as a bulk one.
     """
 
-    # Values built once per carrier, published whole and never mutated.
-    _built: MappingProxyType = MappingProxyType({})
+    # Values built once per carrier. Each build publishes a new dict in one
+    # assignment; no published dict is ever mutated.
+    _built: dict = {}
 
     def _once(self, key: Any, build: Callable[[], Any]) -> Any:
         """The value cached under key, built on first use; its arrays are made read-only."""
@@ -116,7 +116,7 @@ class Carrier:
             for a in got if isinstance(got, tuple) else (got,):
                 if isinstance(a, np.ndarray):
                     a.flags.writeable = False
-            self._built = MappingProxyType({**self._built, key: got})
+            self._built = {**self._built, key: got}
         return got
 
     def window_terms(self) -> WindowTerms:

@@ -42,6 +42,18 @@ _blake16 = partial(hashlib.blake2b, digest_size=16)
 _digest = hashlib.blake2b.digest
 
 
+def _scaled(u, amp: float):
+    """(2 u / 2^64 - 1) * amp for a uint64 u already held as a double: one
+    coordinate of a draw. 2 (u / 2^64) is u * 2^-63 exactly. Works on floats
+    and arrays alike, so both draw paths share it."""
+    return (u * 2.0**-63 - 1.0) * amp
+
+
+def _in_disc(re, im, amp: float):
+    """Whether the draw (re, im) lies in the disc of radius amp."""
+    return re * re + im * im <= amp * amp
+
+
 def _require_finite_complex(z: complex, what: str) -> complex:
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -138,10 +150,9 @@ class SeededUniformNoise:
             digests = b"".join(map(_digest, map(_blake16, map(bytes.__add__, heads, repeat(str(ctr).encode())))))
             words = np.frombuffer(digests, dtype="<u8").reshape(-1, 2)
             # hi * 2^32 + lo adds two exact doubles once, so it rounds the uint64
-            # to nearest even as float(int) does; 2 (w / 2^64) is w * 2^-63 exactly.
-            draw = (((words >> 32) * 2.0**32 + (words & 0xFFFFFFFF)) * 2.0**-63 - 1.0) * amp
-            square = draw * draw
-            ok = square[:, 0] + square[:, 1] <= amp * amp
+            # to nearest even as float(int) does.
+            draw = _scaled((words >> 32) * 2.0**32 + (words & 0xFFFFFFFF), amp)
+            ok = _in_disc(draw[:, 0], draw[:, 1], amp)
             parts[todo[ok]] = draw[ok]
             rejected = np.flatnonzero(~ok)
             todo = todo[rejected]
@@ -152,16 +163,18 @@ class SeededUniformNoise:
             c = ctr
             while True:
                 digest = _digest(_blake16(head + str(c).encode()))
-                re = (float(int.from_bytes(digest[:8], "little")) * 2.0**-63 - 1.0) * amp
-                im = (float(int.from_bytes(digest[8:], "little")) * 2.0**-63 - 1.0) * amp
-                if re * re + im * im <= amp * amp:
+                re = _scaled(float(int.from_bytes(digest[:8], "little")), amp)
+                im = _scaled(float(int.from_bytes(digest[8:], "little")), amp)
+                if _in_disc(re, im, amp):
                     out[i] = complex(re, im)
                     break
                 c += 1
         return out
 
     def value(self, pt: tuple[int, ...]) -> complex:
-        return complex(self._sparse(np.array([pt], dtype=np.int64))[0])
+        # The store alone, never the dense grid: a test can then check the
+        # grid against value().
+        return complex(self._stored(np.array([pt], dtype=np.int64))[0])
 
     def _rebuild_grid(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # Copies the published grid when it lies inside [lo, hi] and draws only

@@ -165,8 +165,8 @@ def identity_checks(
     )
 
     for n in n_list:
-        cur = pts if n == 0 else t.sq
-        for _ in range(n - 1):
+        cur = pts
+        for _ in range(n):
             cur = c.square_many(cur)
         keep = _table_mask(g, cur)
         base = pts if keep is None else pts[keep]

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -60,6 +62,14 @@ def test_window_terms_are_built_once_and_read_only(name):
         with pytest.raises(ValueError):
             a[0] = a[0]
 
+
+
+@pytest.mark.parametrize("name", CARRIERS)
+def test_carrier_with_built_geometry_copies_and_pickles(name):
+    c = bundled_carrier(name)
+    c.table_domain([c.window_terms().xy])
+    for twin in (copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert np.array_equal(twin.window_terms().sq, c.window_terms().sq)
 
 def _functions(c, seed):
     """f, a window table g and a wider table on c, and phi where c has a mean."""
