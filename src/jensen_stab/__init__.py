@@ -41,7 +41,6 @@ from .funcspace import (
     left_translate,
     odd_part,
     right_translate,
-    sup_norm_window,
 )
 from .harness import ExperimentConfig, build_function, generate_solution, perturb, run_experiment
 from .stabilize import (
@@ -120,7 +119,6 @@ __all__ = [
     "right_translate",
     "run_experiment",
     "stability_bound_check",
-    "sup_norm_window",
     "validate_carrier",
     "verify_solution",
 ]

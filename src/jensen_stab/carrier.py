@@ -36,6 +36,7 @@ from typing import Any, Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import CapabilityError, FormatError, InvalidElementError, LatticeOverflowError
+from .records import Record
 
 # Largest lattice coordinate a handle may carry; its negation fits in int64 too.
 INT64_MAX = 2**63 - 1
@@ -46,19 +47,16 @@ NO_MEAN = "none"
 
 
 @dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(Record):
     """First failing axiom of a carrier, with a concrete witness."""
 
     axiom: str
     witness: tuple
     detail: str
 
-    def to_dict(self) -> dict:
-        return {"axiom": self.axiom, "witness": list(self.witness), "detail": self.detail}
-
 
 @dataclass
-class ValidationReport:
+class ValidationReport(Record):
     """Outcome of ``validate_carrier``: pass/fail plus witnesses."""
 
     ok: bool
@@ -66,15 +64,6 @@ class ValidationReport:
     size: int | None
     is_group: bool | None
     violations: list[AxiomViolation] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "kind": self.kind,
-            "size": self.size,
-            "is_group": self.is_group,
-            "violations": [v.to_dict() for v in self.violations],
-        }
 
 
 class WindowTerms(NamedTuple):
@@ -441,15 +430,19 @@ class LatticeCarrier(Carrier):
         return self.folner_points(k_used), k_used, probe
 
     def reach(self, xs: np.ndarray, k_used: int) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
-        """The box of radius k_used + N that y x and x sigma(y) reach for x in
-        the Folner box xs, and for each window y their flat positions in it:
-        those of xs plus and minus the offset of y."""
-        r = k_used + self.window_radius
+        """The box of radius k_used + max |coordinate| of W and sigma(W) that
+        y x and x sigma(y) reach for x in the Folner box xs, and for each
+        window y their flat positions in it: those of xs shifted by the
+        offsets of y and of sigma(y)."""
         if np.abs(xs).max() > k_used:
             raise InvalidElementError(f"points outside the Folner box of radius {k_used}")
+        w = self.window_points()
+        sw = self.involute_many(w)
+        r = k_used + int(max(np.abs(w).max(), np.abs(sw).max()))
         base = self._flat(xs, r)
-        offsets = self._flat(self.window_points(), r) - self._flat(self.row(self.neutral), r)
-        return self.box_points(r), ((base + o, base - o) for o in offsets.tolist())
+        zero = self._flat(self.row(self.neutral), r)
+        offsets = zip((self._flat(w, r) - zero).tolist(), (self._flat(sw, r) - zero).tolist())
+        return self.box_points(r), ((base + o, base + so) for o, so in offsets)
 
     def table_domain(self, arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
         """The box of radius R = max |coordinate| over the arrays, which holds

@@ -19,8 +19,9 @@ from pathlib import Path
 from .carrier import BUNDLED_CARRIERS, NO_MEAN, Carrier, bundled_carrier, carrier_from_dict, validate_carrier
 from .defect import drygas_defect, inequality_suite, jensen_defect
 from .errors import FormatError, JensenStabError
-from .funcspace import BoundedFn, _parse_cnum, function_from_dict, function_to_dict
+from .funcspace import BoundedFn, function_from_dict, function_to_dict
 from .harness import ExperimentConfig, run_experiment
+from .records import _parse_cnum
 from .stabilize import (
     DEFAULT_CONV_TOL,
     DEFAULT_N_MAX,

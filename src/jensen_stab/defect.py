@@ -31,6 +31,7 @@ from .funcspace import (
     OddPart,
     OracleFn,
 )
+from .records import Record
 from .scan import max_scan
 
 # Values that overflow make a scan's products and sums inf or NaN, and so
@@ -40,7 +41,7 @@ _QUIET = {"over": "ignore", "invalid": "ignore"}
 
 
 @dataclass
-class DefectReport:
+class DefectReport(Record):
     """Supremum of an equation residual with its witnessing pair."""
 
     equation: str
@@ -51,20 +52,9 @@ class DefectReport:
     analytic_bound: float | None = None
     scanned_pairs: int | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "equation": self.equation,
-            "delta": self.delta,
-            "witness": None if self.witness is None else list(self.witness),
-            "domain_size": self.domain_size,
-            "exactness": self.exactness,
-            "analytic_bound": self.analytic_bound,
-            "scanned_pairs": self.scanned_pairs,
-        }
-
 
 @dataclass
-class InequalityRecord:
+class InequalityRecord(Record):
     """One measured intermediate inequality against its proved constant."""
 
     name: str
@@ -76,19 +66,6 @@ class InequalityRecord:
     holds: bool
     status: str
     witness: tuple | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "measured_sup": self.measured_sup,
-            "bound_coeff": self.bound_coeff,
-            "delta": self.delta,
-            "extra_budget": self.extra_budget,
-            "bound": self.bound,
-            "holds": self.holds,
-            "status": self.status,
-            "witness": None if self.witness is None else list(self.witness),
-        }
 
 
 class _MinusConst(BoundedFn):

@@ -23,6 +23,7 @@ import numpy as np
 
 from .carrier import Carrier, FiniteCarrier, LatticeCarrier
 from .errors import FormatError, InvalidElementError
+from .records import _cpair, _parse_cnum, _require_finite_complex
 
 # Absolute tolerance used by default in every numeric comparison.
 DEFAULT_TOL = 1e-9
@@ -52,13 +53,6 @@ def _scaled(u, amp: float):
 def _in_disc(re, im, amp: float):
     """Whether the draw (re, im) lies in the disc of radius amp."""
     return re * re + im * im <= amp * amp
-
-
-def _require_finite_complex(z: complex, what: str) -> complex:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise FormatError(f"{what} must be finite, got {z!r}")
-    return z
 
 
 class ParityNoise:
@@ -474,34 +468,8 @@ def right_translate(f: BoundedFn, y) -> BoundedFn:
     return RightTranslate(f, y)
 
 
-def sup_norm_window(f: BoundedFn) -> tuple[float, object]:
-    """Max of |f| over the window, with the first witnessing element."""
-    pts = f.carrier.window_points()
-    mags = np.abs(f.eval_many(pts))
-    i = int(np.argmax(mags))
-    return float(mags[i]), f.carrier.check_element(pts[i])
-
-
 # ----------------------------------------------------------------------------
 # File interchange
-
-
-def _parse_cnum(v, what: str) -> complex:
-    """A finite complex number from a JSON number or an [re, im] pair of numbers."""
-    pair = (v, 0.0) if isinstance(v, (int, float)) else v
-    z = None
-    if isinstance(pair, (list, tuple)) and len(pair) == 2:
-        try:
-            z = complex(float(pair[0]), float(pair[1]))
-        except (TypeError, ValueError, OverflowError):
-            pass
-    if z is None:
-        raise FormatError(f"{what} must be a number or an [re, im] pair of numbers, got {v!r}")
-    return _require_finite_complex(z, what)
-
-
-def _cpair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
 
 
 def function_from_dict(data: dict, carrier: Carrier) -> BoundedFn:

@@ -30,11 +30,10 @@ from .funcspace import (
     BoundedFn,
     FiniteTableFn,
     OracleFn,
-    _cpair,
     _number,
-    _parse_cnum,
     noise_from_dict,
 )
+from .records import _cpair, _parse_cnum
 from .stabilize import (
     DEFAULT_CONV_TOL,
     DEFAULT_N_MAX,

@@ -1,0 +1,82 @@
+"""Report records, and the one JSON form of a complex number: [re, im].
+
+A report record is a dataclass that subclasses ``Record``. Its ``to_dict``
+writes every field under its own name: complex numbers as [re, im], tuples
+and lists element by element, nested records as dicts, and any other value
+as it is. A field declared with ``field(metadata={"key": "other"})`` is
+written under ``other``; one declared with ``field(metadata={"key": None})``
+is left out.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import fields
+from functools import cache
+from typing import Callable
+
+from .errors import FormatError
+
+# Values written as they are, checked by exact type before any call.
+_PLAIN = frozenset({float, int, str, bool, type(None), dict})
+
+
+def _cpair(z: complex) -> list[float]:
+    return [float(z.real), float(z.imag)]
+
+
+def _require_finite_complex(z: complex, what: str) -> complex:
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise FormatError(f"{what} must be finite, got {z!r}")
+    return z
+
+
+def _parse_cnum(v, what: str) -> complex:
+    """A finite complex number from a JSON number or an [re, im] pair of numbers."""
+    pair = (v, 0.0) if isinstance(v, (int, float)) else v
+    z = None
+    if isinstance(pair, (list, tuple)) and len(pair) == 2:
+        try:
+            z = complex(float(pair[0]), float(pair[1]))
+        except (TypeError, ValueError, OverflowError):
+            pass
+    if z is None:
+        raise FormatError(f"{what} must be a number or an [re, im] pair of numbers, got {v!r}")
+    return _require_finite_complex(z, what)
+
+
+def _value(v):
+    """A field value in report form: records as dicts, tuples and lists
+    element by element (copied whole when every element is plain), complex
+    numbers as [re, im]."""
+    if isinstance(v, Record):
+        return v.to_dict()
+    if isinstance(v, (list, tuple)):
+        if _PLAIN.issuperset(map(type, v)):
+            return list(v)
+        return [x if x.__class__ in _PLAIN else _value(x) for x in v]
+    if isinstance(v, complex):
+        return _cpair(v)
+    return v
+
+
+@cache
+def _writer(cls: type) -> Callable[[Record], dict]:
+    """cls's to_dict, built once: one dict display of its written fields, as a
+    hand-written to_dict would be, in which a plain value is stored without a
+    call. It costs half as much as a loop over the fields."""
+    keys = [(f.name, f.metadata.get("key", f.name)) for f in fields(cls)]
+    items = ", ".join(
+        f"{key!r}: v if (v := self.{name}).__class__ in _PLAIN else _value(v)" for name, key in keys if key is not None
+    )
+    scope = {"_PLAIN": _PLAIN, "_value": _value}
+    exec(f"def to_dict(self):\n    return {{{items}}}\n", scope)
+    return scope["to_dict"]
+
+
+class Record:
+    """Base of the report dataclasses: one ``to_dict`` for all of them."""
+
+    def to_dict(self) -> dict:
+        return _writer(self.__class__)(self)

@@ -26,13 +26,14 @@ import numpy as np
 from .defect import jensen_defect
 from .errors import JensenStabError, NonConvergenceError
 from .funcspace import BoundedFn, EvenPart, OddPart, OracleFn, TableFn, table_fn
+from .records import Record
 
 DEFAULT_N_MAX = 40
 DEFAULT_CONV_TOL = 1e-10
 
 
 @dataclass
-class DyadicTrace:
+class DyadicTrace(Record):
     """Iterates and successive differences of one pointwise limit.
 
     Shared by the dyadic limit and the two-block reconstruction.
@@ -43,17 +44,9 @@ class DyadicTrace:
     n_final: int
     converged: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "values": [[v.real, v.imag] for v in self.values],
-            "diffs": self.diffs,
-            "n_final": self.n_final,
-            "converged": self.converged,
-        }
-
 
 @dataclass
-class MeanValue:
+class MeanValue(Record):
     """An averaged value with its measured translation-invariance residual."""
 
     value: complex
@@ -62,18 +55,9 @@ class MeanValue:
     invariance_residual: float
     mode: str
 
-    def to_dict(self) -> dict:
-        return {
-            "value": [self.value.real, self.value.imag],
-            "k_used": self.k_used,
-            "set_size": self.set_size,
-            "invariance_residual": self.invariance_residual,
-            "mode": self.mode,
-        }
-
 
 @dataclass
-class PhiDiagnostics:
+class PhiDiagnostics(Record):
     """Error accounting for one averaged phi construction."""
 
     mode: str
@@ -84,23 +68,12 @@ class PhiDiagnostics:
     boundary_ratio_max: float
     probe_invariance_residual: float
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "k_used": self.k_used,
-            "set_size": self.set_size,
-            "phi_error_budget": self.phi_error_budget,
-            "odd_noise_bound": self.odd_noise_bound,
-            "boundary_ratio_max": self.boundary_ratio_max,
-            "probe_invariance_residual": self.probe_invariance_residual,
-        }
-
 
 @dataclass
-class StabilizationResult:
+class StabilizationResult(Record):
     """A constructed solution g with g(e) = 0, plus its error accounting."""
 
-    g: BoundedFn
+    g: BoundedFn = field(metadata={"key": None})
     offset: complex
     method: str
     variant: str
@@ -109,18 +82,6 @@ class StabilizationResult:
     error_budget: float
     delta_used: float
     diagnostics: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "variant": self.variant,
-            "offset": [self.offset.real, self.offset.imag],
-            "iterations_or_k": self.iterations_or_k,
-            "convergence_trace": self.convergence_trace,
-            "error_budget": self.error_budget,
-            "delta_used": self.delta_used,
-            "diagnostics": self.diagnostics,
-        }
 
 
 METHODS = ("mean", "dyadic", "dyadic_full", "forti_sikorska")
@@ -248,9 +209,12 @@ def phi_mean_construction(
     f_e = f.eval(c.neutral)
     # Tabulate f_odd once over every point y x and x sigma(y) can reach (all
     # of G, or the box of radius k + N), so the loop below only gathers.
+    # Values that overflow make phi non-finite, which table_fn rejects with a
+    # FormatError; numpy's warnings would only reach stderr ahead of it.
     reach, positions = c.reach(pts, k_used)
-    table = fo.eval_many(reach)
-    phi = table_fn(c, [(table[yx] - table[xsy]).mean() for yx, xsy in positions])
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = fo.eval_many(reach)
+        phi = table_fn(c, [(table[yx] - table[xsy]).mean() for yx, xsy in positions])
 
     m_bound = 0.0
     if isinstance(f, OracleFn):

@@ -21,6 +21,7 @@ import numpy as np
 from .carrier import NO_MEAN
 from .defect import InequalityRecord, _table_mask, drygas_defect, jensen_defect
 from .funcspace import DEFAULT_TOL, BoundedFn, EvenPart
+from .records import Record
 from .stabilize import StabilizationResult, jensen_approximant
 
 
@@ -40,7 +41,7 @@ def drygas_residual(g: BoundedFn) -> float:
 
 
 @dataclass
-class StabilityCheck:
+class StabilityCheck(Record):
     """The stability bound sup |f - g - f(e)| <= 3 delta, itemized."""
 
     stability_sup: float
@@ -52,19 +53,6 @@ class StabilityCheck:
     holds: bool
     sharper_bound: float | None = None
     sharper_holds: bool | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "stability_sup": self.stability_sup,
-            "witness": self.witness,
-            "delta": self.delta,
-            "error_budget": self.error_budget,
-            "tolerance": self.tolerance,
-            "bound": self.bound,
-            "holds": self.holds,
-            "sharper_bound": self.sharper_bound,
-            "sharper_holds": self.sharper_holds,
-        }
 
 
 def stability_bound_check(
@@ -107,7 +95,7 @@ def stability_bound_check(
 
 
 @dataclass
-class IdentityRecord:
+class IdentityRecord(Record):
     """One structural identity of exact Jensen solutions, measured on g."""
 
     name: str
@@ -115,15 +103,6 @@ class IdentityRecord:
     bound: float
     holds: bool
     points_checked: int
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "measured_sup": self.measured_sup,
-            "bound": self.bound,
-            "holds": self.holds,
-            "points_checked": self.points_checked,
-        }
 
 
 def identity_checks(
@@ -183,7 +162,7 @@ def identity_checks(
 
 
 @dataclass
-class AgreementReport:
+class AgreementReport(Record):
     """Cross-method agreement, the measurable face of uniqueness."""
 
     status: str
@@ -192,16 +171,6 @@ class AgreementReport:
     tolerance: float | None = None
     bound: float | None = None
     holds: bool | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "agreement_sup": self.agreement_sup,
-            "budget_sum": self.budget_sum,
-            "tolerance": self.tolerance,
-            "bound": self.bound,
-            "holds": self.holds,
-        }
 
 
 def method_agreement(
@@ -239,7 +208,7 @@ def method_agreement(
 
 
 @dataclass
-class VerificationReport:
+class VerificationReport(Record):
     """Aggregate verdict for one constructed solution."""
 
     method: str
@@ -253,23 +222,7 @@ class VerificationReport:
     drygas_residual_of_phi: float | None = None
     drygas_residual_bound: float | None = None
     drygas_residual_holds: bool | None = None
-    passed: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "delta": self.delta,
-            "stability": self.stability.to_dict(),
-            "jensen_residual_of_g": self.jensen_residual_of_g,
-            "jensen_residual_bound": self.jensen_residual_bound,
-            "jensen_residual_holds": self.jensen_residual_holds,
-            "identity_records": [r.to_dict() for r in self.identity_records],
-            "inequality_records": [r.to_dict() for r in self.inequality_records],
-            "drygas_residual_of_phi": self.drygas_residual_of_phi,
-            "drygas_residual_bound": self.drygas_residual_bound,
-            "drygas_residual_holds": self.drygas_residual_holds,
-            "pass": self.passed,
-        }
+    passed: bool = field(default=False, metadata={"key": "pass"})
 
 
 def verify_solution(

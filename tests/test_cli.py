@@ -245,13 +245,14 @@ def test_non_finite_report_is_a_clean_error(tmp_path, capsys):
     assert not report_path.exists()
 
 
-def test_non_finite_defect_writes_only_the_error_line_to_stderr(tmp_path):
+@pytest.mark.parametrize("command", ["defect", "inequalities"])
+def test_non_finite_defect_writes_only_the_error_line_to_stderr(tmp_path, command):
     # In a child process, so no warning capture of the test runner can hide
     # what numpy writes to stderr.
     fn_path = tmp_path / "f.json"
     _write(fn_path, {"kind": "oracle", "linear": [1e307]})
     env = {**os.environ, "PYTHONPATH": str(Path(jensen_stab.__file__).resolve().parents[1])}
-    argv = ["defect", "--carrier", "int1", "--function", str(fn_path)]
+    argv = [command, "--carrier", "int1", "--function", str(fn_path)]
     proc = subprocess.run(
         [sys.executable, "-W", "default", "-m", "jensen_stab.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,

@@ -27,7 +27,6 @@ from jensen_stab import (
     left_translate,
     odd_part,
     right_translate,
-    sup_norm_window,
 )
 from jensen_stab.errors import FormatError
 
@@ -146,17 +145,6 @@ def test_translates_on_s3_worked_example():
     # right translate composes the other way round
     composed_r = "".join(str(q[p[i]]) for i in range(3))
     assert right_translate(f, y).eval(x) == f.eval(s3.index_of(composed_r))
-
-
-def test_sup_norm_examples():
-    s3 = bundled_carrier("s3")
-    assert sup_norm_window(FiniteTableFn(s3, [5.0] * 6))[0] == 5.0
-    assert sup_norm_window(FiniteTableFn(s3, [0.0] * 6))[0] == 0.0
-    z1 = bundled_carrier("int1")
-    pure_noise = OracleFn(z1, None, 0.0, ParityNoise(0.1))
-    value, witness = sup_norm_window(pure_noise)
-    assert value == 0.1
-    assert abs(pure_noise.eval(witness)) == 0.1
 
 
 def test_oracle_determinism_across_processes():

@@ -1,10 +1,11 @@
 """Reports stay byte-identical: seed-0 reports against the benchmark's reference digests.
 
-Reruns every ``finite_four`` item, every ``int1`` item of ``sweep100``
-(parity and seeded noise; dyadic orbits through the sparse noise store),
-every ``int2_four`` item (2-d oracle evaluation, noise grids and sparse
-2-d orbits) and every ``scan_z2w12`` item (pair scans of 390,625 pairs on
-Z^2, one carrier for all three), and compares the sha256 of each report
+Reruns every ``finite_four`` item, every ``sweep100`` item (finite
+carriers with their witnesses and phi diagnostics; on ``int1``, parity and
+seeded noise and dyadic orbits through the sparse noise store), every
+``int2_four`` item (2-d oracle evaluation, noise grids and sparse 2-d
+orbits) and every ``scan_z2w12`` item (pair scans of 390,625 pairs on Z^2,
+one carrier for all three), and compares the sha256 of each report
 without its ``timing`` subtree with ``perfbench/reference.json``.
 A refactor that moves any reported number or label by one bit turns this red.
 
@@ -29,7 +30,7 @@ import workloads  # noqa: E402
 from jensen_stab import ExperimentConfig, bundled_carrier, run_experiment  # noqa: E402
 
 REFERENCE = json.loads((BENCH / "reference.json").read_text())
-PICKS = {"finite_four": range(15), "sweep100": range(72, 100), "int2_four": range(3), "scan_z2w12": range(3)}
+PICKS = {"finite_four": range(15), "sweep100": range(100), "int2_four": range(3), "scan_z2w12": range(3)}
 
 
 @pytest.mark.parametrize("name", sorted(PICKS))

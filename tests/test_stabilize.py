@@ -10,6 +10,7 @@ from jensen_stab import (
     FiniteCarrier,
     FiniteTableFn,
     InvalidElementError,
+    LatticeCarrier,
     LatticeOverflowError,
     LatticeTableFn,
     NonConvergenceError,
@@ -165,6 +166,21 @@ def test_phi_additive_is_exact_for_every_k():
         phi, _ = phi_mean_construction(f, k)
         # integrand is constant in x: phi(y) = 2 a y exactly
         assert np.abs(phi.eval_many(pts) - 3.0 * pts[:, 0]).max() == 0.0
+
+
+class _IdentityInvolutionLattice(LatticeCarrier):
+    """Z with sigma = id, a valid involution of an abelian group."""
+
+    def involute_many(self, xs: np.ndarray) -> np.ndarray:
+        return xs
+
+
+def test_phi_reads_the_carriers_involution():
+    # With sigma = id the points y x and x sigma(y) coincide, so phi of an odd
+    # oracle is 0 at every y; with sigma = -id it would be 2 a y.
+    c = _IdentityInvolutionLattice(1, 8, 64)
+    phi, _ = phi_mean_construction(OracleFn(c, [1.5], 0.0), assume_odd=True)
+    assert np.abs(phi.values).max() == 0.0
 
 
 def test_phi_boundary_bound_vs_brute_force():
