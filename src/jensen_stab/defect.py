@@ -80,25 +80,34 @@ class _MinusConst(BoundedFn):
         return self.base.eval_many(pts) - self.z
 
 
-def _underlying_table(fn: BoundedFn) -> LatticeTableFn | None:
-    probe: BoundedFn | None = fn
-    while probe is not None and not isinstance(probe, LatticeTableFn):
-        probe = getattr(probe, "base", None)
-    return probe
-
-
 def _table_mask(fn: BoundedFn, pts: np.ndarray) -> np.ndarray | None:
     """Mask of scan positions whose points stay evaluable, None if all do.
 
-    Even/odd views only compose the base table with negation, which maps
-    the centered box to itself, so the base table's coverage is the right
-    criterion for them as well.
+    A view reads its base at the points, and an even or odd view reads it at
+    their involutes as well; every point read must lie in the base table's
+    box. An involution other than negation can map points of the box out of it.
     """
-    table = _underlying_table(fn)
-    if table is None:
-        return None
-    mask = table.covers(pts)
+    reads = [pts]
+    while not isinstance(fn, LatticeTableFn):
+        if isinstance(fn, (EvenPart, OddPart)):
+            reads += [fn.carrier.involute_many(a) for a in reads]
+        fn = getattr(fn, "base", None)
+        if fn is None:
+            return None
+    mask = fn.covers(reads[0])
+    for a in reads[1:]:
+        mask = mask & fn.covers(a)
     return None if mask.all() else mask
+
+
+def _table_values(fn: BoundedFn, domain: np.ndarray) -> np.ndarray:
+    """fn on the domain; NaN where it would read outside its table, which no kept position gathers."""
+    mask = _table_mask(fn, domain)
+    if mask is None:
+        return fn.eval_many(domain)
+    vals = np.full(domain.shape[0], np.nan, dtype=np.complex128)
+    vals[mask] = fn.eval_many(domain[mask])
+    return vals
 
 
 def _combo_scan(
@@ -195,7 +204,7 @@ def _one_var_scan(fn_terms: Sequence[tuple[BoundedFn, complex, np.ndarray]], con
         reads = {}
         for key, (fn, arrays) in by_fn.items():
             domain, positions = fn.carrier.table_domain(arrays)
-            reads[key] = (fn.eval_many(domain), iter(positions))
+            reads[key] = (_table_values(fn, domain), iter(positions))
         # coeff * table[pos] has the bits of (coeff * table)[pos].
         with np.errstate(**_QUIET):
             for fn, coeff, _ in fn_terms:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -92,6 +93,67 @@ def _not_converged(what: str, n_max: int, diffs: list[float]) -> NonConvergenceE
     return NonConvergenceError(f"{what} did not converge within n_max={n_max}{last}", trace=diffs)
 
 
+# A block holds at most this many levels (a lattice meets the 2^61 guard
+# before that) and, unless one level alone is larger, at most this many
+# stacked points.
+_BLOCK_LEVELS = 64
+_BLOCK_POINTS = 1 << 13
+
+
+def _iterate_levels(
+    what: str,
+    first: np.ndarray,
+    run: Callable[[int, int], np.ndarray],
+    level_points: Callable[[int], int],
+    n_max: int,
+    conv_tol: float,
+    collect_values: bool,
+) -> tuple[np.ndarray, list[float], int, list[np.ndarray]]:
+    """Level 0 is ``first``; ``run(n, size)`` returns levels n + 1 ... n + size as rows.
+
+    Stops at the first level whose step from the one before is at most
+    conv_tol. Levels run in blocks: up to the level where the ratio of the
+    last two steps predicts a step at most conv_tol, within _BLOCK_LEVELS
+    levels and, unless the block is one level, _BLOCK_POINTS stacked points
+    (``level_points(k)`` for level k). A block that raises is replayed one
+    level at a time, and so is every later level, so results and errors are
+    those of single levels. With conv_tol = 0 every level runs alone.
+    """
+    prev = first
+    levels = [first] if collect_values else []
+    diffs: list[float] = []
+    blocks = conv_tol > 0
+    n = 0
+    while n < n_max:
+        size = 1
+        if blocks and len(diffs) > 1 and 0 < diffs[-1] / diffs[-2] < 1:
+            ahead = (math.log(conv_tol) - math.log(diffs[-1])) / math.log(diffs[-1] / diffs[-2])
+            size = min(n_max - n, _BLOCK_LEVELS, math.ceil(ahead))
+            total = level_points(n + 1)
+            for k in range(n + 2, n + size + 1):
+                total += level_points(k)
+                if total > _BLOCK_POINTS:
+                    size = k - n - 1
+                    break
+        try:
+            block = run(n, size)
+        except JensenStabError:
+            if size == 1:
+                raise
+            blocks = False
+            continue
+        steps = np.maximum.reduce(np.abs(block - np.concatenate([prev[None], block[:-1]])), axis=1).tolist()
+        for vals, step in zip(block, steps):
+            n += 1
+            if collect_values:
+                levels.append(vals)
+            diffs.append(step)
+            if step <= conv_tol:
+                return vals, diffs, n, levels
+        prev = block[-1]
+    raise _not_converged(what, n_max, diffs)
+
+
 # ----------------------------------------------------------------------------
 # Dyadic limit
 
@@ -126,48 +188,25 @@ def _dyadic_iterate(
 
     All points iterate to the same depth so that one a posteriori tail
     bound covers every point. With ``collect_values`` every level is kept.
-    Levels run in blocks, each evaluated once and checked level by level; a
-    block that raises is replayed one level at a time, so results and errors
-    are those of single levels.
+    Levels run in blocks (see ``_iterate_levels``), each squared level by
+    level and evaluated once.
     """
     c = target.carrier
     t_e = target.eval(c.neutral)
     m = pts.shape[0]
     cur = pts
-    prev = target.eval_many(cur) - t_e
-    levels = [prev] if collect_values else []
-    diffs: list[float] = []
-    blocks = conv_tol > 0
-    n = 0
-    while n < n_max:
-        size = 1
-        if blocks and len(diffs) > 1 and 0 < diffs[-1] / diffs[-2] < 1:
-            # Up to the level where the ratio of the last two steps predicts a step at most
-            # conv_tol, and at most 64 levels (a lattice meets the 2^61 guard before that).
-            ahead = (math.log(conv_tol) - math.log(diffs[-1])) / math.log(diffs[-1] / diffs[-2])
-            size = min(n_max - n, 64, math.ceil(ahead))
+
+    def run(n: int, size: int) -> np.ndarray:
+        nonlocal cur
         powers = [cur]
-        try:
-            for _ in range(size):
-                powers.append(c.square_many(powers[-1]))
-            block = target.eval_many(np.concatenate(powers[1:]))
-        except JensenStabError:
-            if size == 1:
-                raise
-            blocks = False
-            continue
+        for _ in range(size):
+            powers.append(c.square_many(powers[-1]))
+        block = target.eval_many(np.concatenate(powers[1:])).reshape(size, m)
         cur = powers[-1]
-        for j in range(size):
-            n += 1
-            vals = (block[j * m : (j + 1) * m] - t_e) * 0.5**n
-            if collect_values:
-                levels.append(vals)
-            step = float(np.abs(vals - prev).max())
-            diffs.append(step)
-            prev = vals
-            if step <= conv_tol:
-                return vals, diffs, n, levels
-    raise _not_converged("dyadic limit", n_max, diffs)
+        return (block - t_e) * np.ldexp(1.0, -np.arange(n + 1, n + size + 1))[:, None]
+
+    first = target.eval_many(pts) - t_e
+    return _iterate_levels("dyadic limit", first, run, lambda k: m, n_max, conv_tol, collect_values)
 
 
 # ----------------------------------------------------------------------------
@@ -252,51 +291,85 @@ def _fs_iterate(
 ) -> tuple[np.ndarray, list[float], int, list[np.ndarray]]:
     """Two-block partial expressions of f at pts for n = 0, 1, ... until a step is at most conv_tol.
 
-    At level n, row j of ``left`` is (x^(2^j) sigma(x)^(2^j))^(2^(n-1-j)) and
-    row j of ``right`` its mirror (sigma(x)^(2^j) x^(2^j))^(2^(n-1-j)), j < n.
-    A level squares both stacks once, appends row n, and evaluates f_even
-    once on both together; the even and odd blocks read the same rows.
-    x^(2^n) is evaluated on its own: on lattices with sigma = -id every pair
-    row is the neutral point, which the dense noise grid serves, while the
-    dyadic orbit of x is sparse and goes to the per-point memo.
+    Level n reads f at x^(2^n) and at 2n pair rows, for j < n the row
+    (x^(2^j) sigma(x)^(2^j))^(2^(n-1-j)) and then its mirror
+    (sigma(x)^(2^j) x^(2^j))^(2^(n-1-j)). A level's pair rows are those of
+    the level before squared, then the two rows j = n - 1. Levels run in
+    blocks (see ``_iterate_levels``): a block squares x^(2^n) and the pair
+    rows once per level, builds the new rows of all its levels with one
+    involution and one composition, and evaluates them in ``_fs_levels``.
     """
     c = f.carrier
-    f_even = EvenPart(f)
-    f_odd = OddPart(f)
     m = pts.shape[0]
-    weights = 2.0 ** np.arange(n_max)[:, None]
-    xn = pts
-    left = right = pts[:0]
-    levels: list[np.ndarray] = []
-    diffs: list[float] = []
-    for n in range(n_max + 1):
-        if n:
-            sx = c.involute_many(xn)
-            left = np.concatenate([c.square_many(left), c.compose_many(xn, sx)])
-            right = np.concatenate([c.square_many(right), c.compose_many(sx, xn)])
-            xn = c.square_many(xn)
-        pairs = f_even.eval_many(np.concatenate([left, right])).reshape(2 * n, m)
-        lp, rp = pairs[:n], pairs[n:]
-        # Both sums run over k = 1..n, each added row by row from zero:
-        # the even one over rows n-k with weight 2^(k-1), the odd one over
-        # rows k-1. (np.add.reduce may sum one column pairwise, which moves
-        # the last bits.)
-        terms = np.zeros((n + 1, 2, m), dtype=np.complex128)
-        np.multiply((lp + rp)[::-1], weights[:n], out=terms[1:, 0])
-        np.subtract(lp, rp, out=terms[1:, 1])
-        even_inner, odd_inner = np.add.accumulate(terms, axis=0)[-1]
-        even_block = (f_even.eval_many(xn) + 0.5 * even_inner) * (0.25**n)
-        odd_block = (f_odd.eval_many(xn) + 0.5 * odd_inner) * (0.5**n)
-        vals = even_block + odd_block
-        if collect_values:
-            levels.append(vals)
-        if n:
-            step = float(np.abs(vals - prev).max())
-            diffs.append(step)
-            if step <= conv_tol:
-                return vals, diffs, n, levels
-        prev = vals
-    raise _not_converged("reconstruction", n_max, diffs)
+    x, rows = pts, pts[:0]
+
+    def run(n: int, size: int) -> np.ndarray:
+        nonlocal x, rows
+        xs = [x]
+        for _ in range(size):
+            xs.append(c.square_many(xs[-1]))
+        # x^(2^k) sigma(x)^(2^k) for k = n ... n + size - 1, then the mirrors.
+        xk = np.concatenate(xs[:-1])
+        sk = c.involute_many(xk)
+        new = c.compose_many(np.concatenate([xk, sk]), np.concatenate([sk, xk]))
+        stacks = [rows]
+        for a in range(0, size * m, m):
+            b = a + size * m
+            stacks.append(np.concatenate([c.square_many(stacks[-1]), new[a : a + m], new[b : b + m]]))
+        vals = _fs_levels(f, stacks[1:], xs[1:], n + 1)
+        x, rows = xs[-1], stacks[-1]
+        return vals
+
+    # Levels past the one that converges are computed too, and values that
+    # overflow make the result non-finite, which table_fn rejects; numpy's
+    # warnings would only reach stderr ahead of that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = _fs_levels(f, [rows], [x], 0)[0]
+        return _iterate_levels(
+            "reconstruction", first, run, lambda k: 2 * (2 * k + 1) * m, n_max, conv_tol, collect_values
+        )
+
+
+def _fs_levels(f: BoundedFn, pair_rows: list[np.ndarray], xs: list[np.ndarray], k0: int) -> np.ndarray:
+    """Levels k0, k0 + 1, ... of the two-block expression, one row each.
+
+    ``pair_rows[i]`` and ``xs[i]`` are the points of level k0 + i. The even
+    and odd parts of f are formed as ``EvenPart`` and ``OddPart`` form them.
+    Level k sums k terms t = 0 ... k-1: the even sum 2^t times the left plus
+    right rows k-1-t, the odd sum the left minus right rows t. Each sum is
+    added one term at a time from +0, as np.add.accumulate does along a term
+    axis front-padded with zeros to the block's last level (np.add.reduce
+    may sum pairwise, which moves the last bits).
+    """
+    c = f.carrier
+    m = xs[0].shape[0]
+    size = len(xs)
+    top = k0 + size - 1
+    ks = np.arange(k0, top + 1)[:, None]
+    # f is evaluated once at all pair rows, once at their involutes, and once
+    # at all x^(2^k) rows with theirs. On lattices with sigma = -id every
+    # pair row is the neutral point, which the dense noise grid serves, while
+    # the orbit of x is sparse and goes to the sorted store.
+    pairs = np.zeros((0, m), dtype=np.complex128)
+    if top:
+        rows = np.concatenate(pair_rows)
+        pairs = ((f.eval_many(rows) + f.eval_many(c.involute_many(rows))) / 2).reshape(-1, m)
+    left, right = pairs[0::2], pairs[1::2]
+    x = np.concatenate(xs)
+    x1, x2 = np.split(f.eval_many(np.concatenate([x, c.involute_many(x)])), 2)
+    even_x = ((x1 + x2) / 2).reshape(size, m)
+    odd_x = x1.reshape(size, m) - even_x
+    # Row j < k of level k goes to column top - j of its even sum and to
+    # column top - k + 1 + j of its odd one, so column 0 is always zero.
+    t = np.arange(top + 1)
+    terms = np.zeros((2, size, top + 1, m), dtype=np.complex128)
+    has = t < ks
+    terms[0, :, ::-1][has] = (left + right) * np.ldexp(1.0, ks - 1 - t)[has][:, None]
+    terms[1][t > top - ks] = left - right
+    even_sum, odd_sum = np.add.accumulate(terms, axis=2)[:, :, -1]
+    even_block = (even_x + 0.5 * even_sum) * np.ldexp(1.0, -2 * ks)
+    odd_block = (odd_x + 0.5 * odd_sum) * np.ldexp(1.0, -ks)
+    return even_block + odd_block
 
 
 def forti_sikorska_reconstruct(

@@ -19,8 +19,10 @@ from jensen_stab import (
     SeededUniformNoise,
     bundled_carrier,
     drygas_defect,
+    even_part,
     inequality_suite,
     jensen_defect,
+    odd_part,
     phi_mean_construction,
 )
 
@@ -117,6 +119,37 @@ def test_drygas_restricts_table_pairs():
     assert report.scanned_pairs is not None
     assert report.scanned_pairs < report.domain_size
     assert report.delta <= 1e-12
+
+
+class _ShearLattice(LatticeCarrier):
+    """Z^2 with sigma(a, b) = (a, a - b): an involutive automorphism of an
+    abelian group that maps the centred box of radius r into radius 2r."""
+
+    def involute_many(self, xs: np.ndarray) -> np.ndarray:
+        return np.stack([xs[:, 0], xs[:, 0] - xs[:, 1]], axis=1)
+
+
+@pytest.mark.parametrize("part", [even_part, odd_part])
+def test_views_of_a_table_skip_pairs_whose_involutes_leave_the_box(part):
+    c = _ShearLattice(2, 3, 6)
+    rng = np.random.default_rng(11)
+    g = LatticeTableFn(c, rng.normal(size=49) + 1j * rng.normal(size=49))
+    view = part(g)
+    report = jensen_defect(view)
+    # Brute force over the window pairs whose three points and their
+    # involutes all lie in the table's box of radius 3.
+    best, scanned = -1.0, 0
+    for x in c.window_points().tolist():
+        for y in c.window_points().tolist():
+            pts = np.array([[x[0] + y[0], x[1] + y[1]], [x[0] + y[0], x[1] + y[0] - y[1]], x])
+            if np.abs(np.concatenate([pts, c.involute_many(pts)])).max() > 3:
+                continue
+            v = view.eval_many(pts)
+            best = max(best, abs(v[0] + v[1] - 2 * v[2]))
+            scanned += 1
+    assert 0 < scanned < report.domain_size
+    assert report.scanned_pairs == scanned
+    assert abs(report.delta - best) <= 1e-12
 
 
 def test_window_monotonicity():

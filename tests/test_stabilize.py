@@ -310,7 +310,7 @@ def _fs_per_pair(f, pts, n_max=stabilize.DEFAULT_N_MAX, tol=stabilize.DEFAULT_CO
         diffs.append(float(np.abs(levels[-1] - levels[-2]).max()))
         if diffs[-1] <= tol:
             return levels, diffs, n
-    raise AssertionError("the reference loop did not converge")
+    raise NonConvergenceError("the reference loop did not converge", trace=diffs)
 
 
 def _same_bits(a, b):
@@ -484,18 +484,134 @@ class _CountingFn(BoundedFn):
         return self.base.eval_many(pts)
 
 
-@pytest.mark.parametrize("name", ["s3", "int1"])
+def _assert_fs_matches(f, pts, n_max=stabilize.DEFAULT_N_MAX, tol=stabilize.DEFAULT_CONV_TOL):
+    vals, diffs, n_final, levels = stabilize._fs_iterate(f, pts, n_max, tol, collect_values=True)
+    ref_levels, ref_diffs, ref_n = _fs_per_pair(f, pts, n_max, tol)
+    assert (n_final, diffs) == (ref_n, ref_diffs)
+    assert _same_bits(vals, ref_levels[-1])
+    assert len(levels) == len(ref_levels)
+    assert all(_same_bits(a, b) for a, b in zip(levels, ref_levels))
+
+
+@pytest.mark.parametrize("name", ["s3", "int1", "int1w8"])
 def test_fs_makes_a_bounded_number_of_evaluations_per_level(name):
-    c = bundled_carrier(name)
+    c = LatticeCarrier(1, 8, 64) if name == "int1w8" else bundled_carrier(name)
     if c.size:
         base = perturb(generate_solution(c, 1 - 2j), "seeded_uniform", 0.3, seed=5)
     else:
         base = OracleFn(c, [1.5], 2j, SeededUniformNoise(0.2, 5))
     f = _CountingFn(base)
     res = jensen_approximant(f, "forti_sikorska", delta=0.0)
-    # A per-pair evaluation would make about 2 n^2 calls over n levels.
-    assert res.iterations_or_k >= 10
-    assert f.calls <= 6 * (res.iterations_or_k + 1)
+    # A per-pair evaluation would make about 2 n^2 calls over n levels; a
+    # block makes three (pair rows, their involutes, x^(2^k) rows with theirs)
+    # and level 0 one. On int1 (129 window points) the point cap keeps the
+    # late blocks to one level; with 17 points they hold many.
+    n = res.iterations_or_k
+    assert n >= 10
+    assert f.calls <= 3 * n + 1
+    if name != "int1":
+        assert f.calls < n
+
+
+def test_fs_blocks_stay_within_the_point_cap(monkeypatch):
+    c = _twisted_s3()
+    f = perturb(generate_solution(c, 1 - 2j), "seeded_uniform", 0.3, seed=5)
+    m = c.size
+    cap = 400  # level k stacks 2 (2k + 1) m = 12 (2k + 1) points: one level alone exceeds it from k = 17
+    blocks = []
+    fs_levels = stabilize._fs_levels
+    counted = _PointCountingFn(f)
+
+    def spy(fn, pair_rows, xs, k0):
+        before = counted.points
+        out = fs_levels(fn, pair_rows, xs, k0)
+        blocks.append((k0, len(xs), counted.points - before))
+        return out
+
+    monkeypatch.setattr(stabilize, "_fs_levels", spy)
+    monkeypatch.setattr(stabilize, "_BLOCK_POINTS", cap)
+    _assert_fs_matches(counted, c.window_points())
+    assert [k0 for k0, _, _ in blocks] == list(np.cumsum([0, 1] + [size for _, size, _ in blocks[1:-1]]))
+    for k0, size, points in blocks:
+        assert points == sum(2 * (2 * k + 1) * m for k in range(k0, k0 + size))
+        assert points <= cap or size == 1
+    assert any(size > 1 for _, size, _ in blocks)
+    assert any(points > cap for _, _, points in blocks)
+
+
+class _PointCountingFn(_CountingFn):
+    """Also counts the points that reach the wrapped function."""
+
+    points = 0
+
+    def eval_many(self, pts: np.ndarray) -> np.ndarray:
+        self.points += pts.shape[0]
+        return super().eval_many(pts)
+
+
+class _OddRootFn(_RootFn):
+    """2 x + sign(x) sqrt(|x|) on Z^1: odd, and every reconstruction step is 2^-1/2 times the one before."""
+
+    def eval_many(self, pts: np.ndarray) -> np.ndarray:
+        self.calls.append(pts.copy())
+        x = pts[:, 0].astype(np.float64)
+        return (2.0 * x + np.sign(x) * np.sqrt(np.abs(x))).astype(np.complex128)
+
+
+def test_an_fs_block_that_meets_the_overflow_guard_is_replayed_level_by_level():
+    z1 = bundled_carrier("int1")
+    pts = np.array([[3]], dtype=np.int64)
+    ref_calls, calls = [], []
+    # Squaring 3 * 2^60 trips the 2^61 guard: the reference loop evaluates
+    # levels 0 to 60, then raises; the block predicted after level 2 runs
+    # past it, evaluates nothing, and levels 3 to 61 are replayed one by one.
+    with pytest.raises(LatticeOverflowError) as ref:
+        _fs_per_pair(_OddRootFn(z1, ref_calls), pts, n_max=80, tol=1e-300)
+    with pytest.raises(LatticeOverflowError) as got:
+        stabilize._fs_iterate(_OddRootFn(z1, calls), pts, 80, 1e-300)
+    assert str(got.value) == str(ref.value)
+    evaluated = np.unique(np.concatenate(calls))
+    assert np.array_equal(evaluated, np.unique(np.concatenate(ref_calls)))
+    assert evaluated.max() == 3 * 2**60
+    assert len(calls) == 1 + 3 * 60
+    # Converging at the last level below the guard gives the same levels.
+    with pytest.raises(NonConvergenceError) as exc:
+        _fs_per_pair(_OddRootFn(z1, []), pts, n_max=60, tol=0.0)
+    _assert_fs_matches(_OddRootFn(z1, []), pts, n_max=80, tol=exc.value.trace[-1])
+
+
+def test_an_fs_block_that_leaves_a_table_is_replayed_until_it_converges():
+    z1 = bundled_carrier("int1")
+    # An odd table: f_even = 0, and the levels at x = 1 read g(2^n) / 2^n =
+    # 3, 2.5, 2.05, 2.04. The steps 0.5 and 0.45 predict a long block, which
+    # leaves the box of radius 64 at 2^7.
+    vals = 2.0 * np.arange(-64, 65, dtype=np.complex128)
+    for x, level in ((1, 3.0), (2, 2.5), (4, 2.05), (8, 2.04)):
+        vals[64 + x], vals[64 - x] = x * level, -x * level
+    g = LatticeTableFn(z1, vals)
+    pts = np.array([[1]], dtype=np.int64)
+    with pytest.raises(InvalidElementError):
+        g.eval_many(z1.square_many(np.array([[64]], dtype=np.int64)))
+    _assert_fs_matches(g, pts, tol=0.02)
+    assert stabilize._fs_iterate(g, pts, stabilize.DEFAULT_N_MAX, 0.02)[2] == 3
+
+
+@pytest.mark.parametrize("name", ["int1", "s3_twisted"])
+def test_fs_with_zero_tolerance_runs_single_levels(name):
+    if name == "int1":
+        c = bundled_carrier(name)
+        f = OracleFn(c, [2.0], 5.0, SeededUniformNoise(0.5, 3))
+    else:
+        c = _twisted_s3()
+        f = perturb(generate_solution(c, 1 - 2j), "seeded_uniform", 0.3, seed=5)
+    pts = c.window_points()
+    with pytest.raises(NonConvergenceError) as ref:
+        _fs_per_pair(f, pts, n_max=12, tol=0.0)
+    counted = _CountingFn(f)
+    with pytest.raises(NonConvergenceError) as got:
+        stabilize._fs_iterate(counted, pts, 12, 0.0)
+    assert got.value.trace == ref.value.trace
+    assert counted.calls == 1 + 3 * 12
 
 
 def test_jensen_approximant_exact_fixed_points():
