@@ -35,6 +35,7 @@ from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from . import scan
 from .errors import CapabilityError, FormatError, InvalidElementError, LatticeOverflowError
 from .records import Record
 
@@ -286,9 +287,13 @@ class FiniteCarrier(Carrier):
         return self.window_elements(), self.size, probe
 
     def reach(self, xs: np.ndarray, k_used: int) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
-        """All of G, which phi's integrand reaches, and per window y the indices of y x and x sigma(y)."""
+        """All of G, which phi's integrand reaches, and the indices of y x and
+        x sigma(y) in blocks of window rows y (see ``_row_blocks``)."""
         g = self.window_elements()
-        return g, ((self.op[y, xs], self.op[xs, self.involution[y]]) for y in g)
+        return g, (
+            (self.op[ys[:, None], xs], self.op[xs, self.involution[ys][:, None]])
+            for ys in _row_blocks(g, xs.shape[0])
+        )
 
     def table_domain(self, arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
         """All of G, which holds every point; an element's position is its index."""
@@ -431,9 +436,10 @@ class LatticeCarrier(Carrier):
 
     def reach(self, xs: np.ndarray, k_used: int) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
         """The box of radius k_used + max |coordinate| of W and sigma(W) that
-        y x and x sigma(y) reach for x in the Folner box xs, and for each
-        window y their flat positions in it: those of xs shifted by the
-        offsets of y and of sigma(y)."""
+        y x and x sigma(y) reach for x in the Folner box xs, and their flat
+        positions in it in blocks of window rows y (see ``_row_blocks``): row
+        y holds the positions of xs shifted by the offset of y, and of
+        sigma(y)."""
         if np.abs(xs).max() > k_used:
             raise InvalidElementError(f"points outside the Folner box of radius {k_used}")
         w = self.window_points()
@@ -441,8 +447,8 @@ class LatticeCarrier(Carrier):
         r = k_used + int(max(np.abs(w).max(), np.abs(sw).max()))
         base = self._flat(xs, r)
         zero = self._flat(self.row(self.neutral), r)
-        offsets = zip((self._flat(w, r) - zero).tolist(), (self._flat(sw, r) - zero).tolist())
-        return self.box_points(r), ((base + o, base + so) for o, so in offsets)
+        offsets = (_row_blocks(self._flat(a, r) - zero, base.shape[0]) for a in (w, sw))
+        return self.box_points(r), ((base + o[:, None], base + so[:, None]) for o, so in zip(*offsets))
 
     def table_domain(self, arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
         """The box of radius R = max |coordinate| over the arrays, which holds
@@ -489,6 +495,14 @@ class LatticeCarrier(Carrier):
             "window": self.window_radius,
             "folner_max": self.folner_max,
         }
+
+
+def _row_blocks(rows: np.ndarray, width: int) -> Iterator[np.ndarray]:
+    """Consecutive slices of rows for phi's integrand blocks: each slice holds
+    as many rows as fit in ``scan._CHUNK`` elements at width elements a row,
+    and at least one."""
+    step = max(1, scan._CHUNK // width)
+    return (rows[i : i + step] for i in range(0, rows.shape[0], step))
 
 
 def box_translate_ratio(dim: int, k: int, shift: tuple[int, ...]) -> float:

@@ -184,18 +184,18 @@ def _one_var_scan(fn_terms: Sequence[tuple[BoundedFn, complex, np.ndarray]], con
 
     Each distinct fn is evaluated once, on the carrier's table domain of
     its points (all of G, or the smallest centred box), and the chunks
-    gather from that table by position.
+    gather from that table by position. The domain and positions are those
+    of the full terms, which the carrier holds for its window terms; a
+    mask keeps the positions of the scanned index set, none of which
+    gathers the NaN that ``_table_values`` puts outside a table.
     """
     mask = None
     for fn, _, pts in fn_terms:
         m = _table_mask(fn, pts)
         if m is not None:
             mask = m if mask is None else (mask & m)
-    keep = None
-    if mask is not None:
-        keep = np.flatnonzero(mask)
-        fn_terms = [(fn, coeff, pts[keep]) for fn, coeff, pts in fn_terms]
-    n = fn_terms[0][2].shape[0]
+    keep = None if mask is None else np.flatnonzero(mask)
+    n = fn_terms[0][2].shape[0] if keep is None else keep.shape[0]
     gathers = []
     if n:
         by_fn: dict[int, tuple[BoundedFn, list[np.ndarray]]] = {}
@@ -209,7 +209,8 @@ def _one_var_scan(fn_terms: Sequence[tuple[BoundedFn, complex, np.ndarray]], con
         with np.errstate(**_QUIET):
             for fn, coeff, _ in fn_terms:
                 table, positions = reads[id(fn)]
-                gathers.append((coeff * table, next(positions)))
+                pos = next(positions)
+                gathers.append((coeff * table, pos if keep is None else pos[keep]))
 
     def chunk(start: int, stop: int) -> np.ndarray:
         acc = np.full(stop - start, const, dtype=np.complex128)

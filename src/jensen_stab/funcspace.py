@@ -16,7 +16,6 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
 from typing import Any, Sequence
 
 import numpy as np
@@ -125,23 +124,29 @@ class SeededUniformNoise:
         # Dense cache (lo, hi, grid).
         self._dense: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    def _draw_many(self, rows: Sequence[Sequence[int]]) -> np.ndarray:
-        """The draws at the given coordinate rows: blake2b of "seed|coordinates|counter"
-        gives (re, im) from two little-endian uint64 / 2^64, and rows that fall
-        outside the disc go to the next counter."""
-        out = np.zeros(len(rows), dtype=np.complex128)
+    def _draw_many(self, pts: np.ndarray) -> np.ndarray:
+        """The draws at the rows of the int64 point array pts, shape (N, d):
+        blake2b of "seed|coordinates|counter" gives (re, im) from two
+        little-endian uint64 / 2^64, and rows that fall outside the disc go to
+        the next counter.
+
+        The first round's messages, counter 0 included, come from one string
+        built column by column, with no Python frame per point. A later round
+        swaps only the counter suffix of the rows still rejected, and the last
+        few (under ``_ROUND_MIN``) are drawn one row at a time."""
+        out = np.zeros(pts.shape[0], dtype=np.complex128)
         amp = self.amplitude
-        if amp == 0.0 or not rows:
+        if amp == 0.0 or not pts.shape[0]:
             return out
         parts = out.view(np.float64).reshape(-1, 2)
-        # Every head "seed|coordinates|" from one string, with no Python frame per point.
         seed = f"{self.seed}|"
-        coords = map(",".join, map(map, repeat(str), rows))
-        heads = (seed + ("|\n" + seed).join(coords) + "|").encode().split(b"\n")
-        todo = np.arange(len(rows))
+        cols = [map(str, col) for col in pts.T.tolist()]
+        coords = cols[0] if len(cols) == 1 else map(",".join, zip(*cols))
+        msgs = (seed + ("|0\n" + seed).join(coords) + "|0").encode().split(b"\n")
+        todo = np.arange(pts.shape[0])
         ctr = 0
-        while len(heads) >= _ROUND_MIN:
-            digests = b"".join(map(_digest, map(_blake16, map(bytes.__add__, heads, repeat(str(ctr).encode())))))
+        while len(msgs) >= _ROUND_MIN:
+            digests = b"".join(map(_digest, map(_blake16, msgs)))
             words = np.frombuffer(digests, dtype="<u8").reshape(-1, 2)
             # hi * 2^32 + lo adds two exact doubles once, so it rounds the uint64
             # to nearest even as float(int) does.
@@ -150,11 +155,13 @@ class SeededUniformNoise:
             parts[todo[ok]] = draw[ok]
             rejected = np.flatnonzero(~ok)
             todo = todo[rejected]
-            heads = [heads[i] for i in rejected.tolist()]
+            cut = len(str(ctr))
             ctr += 1
+            suffix = str(ctr).encode()
+            msgs = [msgs[i][:-cut] + suffix for i in rejected.tolist()]
         # The same formula on the few rows left, one row at a time.
-        for i, head in zip(todo.tolist(), heads):
-            c = ctr
+        for i, msg in zip(todo.tolist(), msgs):
+            head, c = msg[: -len(str(ctr))], ctr
             while True:
                 digest = _digest(_blake16(head + str(c).encode()))
                 re = _scaled(float(int.from_bytes(digest[:8], "little")), amp)
@@ -182,7 +189,7 @@ class SeededUniformNoise:
             block = tuple(slice(int(a - b), int(a - b) + n) for a, b, n in zip(old[0], lo, old[2].shape))
             vals[block] = old[2]
             fresh[block] = False
-        vals[fresh] = self._draw_many((np.argwhere(fresh) + lo).tolist())
+        vals[fresh] = self._draw_many(np.argwhere(fresh) + lo)
         snapshot = (lo.copy(), hi.copy(), vals)
         self._dense = snapshot
         return snapshot
@@ -194,12 +201,19 @@ class SeededUniformNoise:
         if self._dense is None:
             return self._stored(pts)
         lo, hi, grid = self._dense
-        inside = ((pts >= lo) & (pts <= hi)).all(axis=1)
+        # Per-column bounds, and each point's flat position in the grid with
+        # its coordinates clipped into the grid, so one gather serves every point.
+        inside = np.ones(pts.shape[0], dtype=bool)
+        flat = 0
+        for col, a, b, side in zip(pts.T, lo, hi, grid.shape):
+            inside &= (col >= a) & (col <= b)
+            flat = flat * side + (np.clip(col, a, b) - a)
         if not inside.any():
             return self._stored(pts)
-        out = np.empty(pts.shape[0], dtype=np.complex128)
-        out[inside] = grid[tuple((pts[inside] - lo).T)]
-        out[~inside] = self._stored(pts[~inside])
+        out = grid.ravel()[flat]
+        outside = ~inside
+        if outside.any():
+            out[outside] = self._stored(pts[outside])
         return out
 
     def _stored(self, pts: np.ndarray) -> np.ndarray:
@@ -214,7 +228,7 @@ class SeededUniformNoise:
             miss = np.ones(len(keys), dtype=bool)
         if miss.any():
             new, first = np.unique(keys[miss], return_index=True)
-            drawn = self._draw_many(pts[miss][first].tolist())
+            drawn = self._draw_many(pts[miss][first])
             if len(store):
                 slots = np.searchsorted(store.keys, new)
                 new, drawn = np.insert(store.keys, slots, new), np.insert(store.values, slots, drawn)

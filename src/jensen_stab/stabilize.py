@@ -247,13 +247,14 @@ def phi_mean_construction(
     fo = f if assume_odd else OddPart(f)
     f_e = f.eval(c.neutral)
     # Tabulate f_odd once over every point y x and x sigma(y) can reach (all
-    # of G, or the box of radius k + N), so the loop below only gathers.
+    # of G, or the box of radius k + N), so each block of window rows y below
+    # only gathers; the mean of a row has the bits of a 1-d mean.
     # Values that overflow make phi non-finite, which table_fn rejects with a
     # FormatError; numpy's warnings would only reach stderr ahead of it.
-    reach, positions = c.reach(pts, k_used)
+    reach, blocks = c.reach(pts, k_used)
     with np.errstate(over="ignore", invalid="ignore"):
         table = fo.eval_many(reach)
-        phi = table_fn(c, [(table[yx] - table[xsy]).mean() for yx, xsy in positions])
+        phi = table_fn(c, np.concatenate([(table[yx] - table[xsy]).mean(axis=1) for yx, xsy in blocks]))
 
     m_bound = 0.0
     if isinstance(f, OracleFn):

@@ -124,10 +124,12 @@ def identity_checks(
     g_e = g.eval(c.neutral)
     records: list[IdentityRecord] = []
 
-    ge_vals = EvenPart(g).eval_many(pts)
-    sup = float(np.abs(ge_vals - g_e).max())
+    g_even = EvenPart(g)
+    keep = _table_mask(g_even, pts)
+    ge_vals = g_even.eval_many(pts if keep is None else pts[keep])
+    sup = float(np.abs(ge_vals - g_e).max()) if ge_vals.size else 0.0
     bound = budget + tol
-    records.append(IdentityRecord("even_part_constant", sup, bound, sup <= bound, pts.shape[0]))
+    records.append(IdentityRecord("even_part_constant", sup, bound, sup <= bound, int(ge_vals.size)))
 
     prod = t.w_sw
     keep = _table_mask(g, prod)

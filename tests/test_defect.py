@@ -20,8 +20,10 @@ from jensen_stab import (
     bundled_carrier,
     drygas_defect,
     even_part,
+    identity_checks,
     inequality_suite,
     jensen_defect,
+    jensen_residual,
     odd_part,
     phi_mean_construction,
 )
@@ -150,6 +152,51 @@ def test_views_of_a_table_skip_pairs_whose_involutes_leave_the_box(part):
     assert 0 < scanned < report.domain_size
     assert report.scanned_pairs == scanned
     assert abs(report.delta - best) <= 1e-12
+
+
+def test_identity_checks_skip_window_points_whose_involutes_leave_the_box():
+    c = _ShearLattice(2, 3, 6)
+    rng = np.random.default_rng(12)
+    g = LatticeTableFn(c, rng.normal(size=49) + 1j * rng.normal(size=49))
+    records = {r.name: r for r in identity_checks(g, n_list=(1,))}
+    # Brute force: g_even(x) for the window points x whose involute stays in
+    # the box, and g(x sigma(x)) for those whose product does.
+    g_e = g.eval((0, 0))
+    even, prods = [], []
+    for x in c.window_points().tolist():
+        sx = c.involute(x)
+        if max(map(abs, sx)) <= 3:
+            even.append(abs((g.eval(x) + g.eval(sx)) / 2 - g_e))
+        prod = c.compose(x, sx)
+        if max(map(abs, prod)) <= 3:
+            prods.append(abs(g.eval(prod) - g_e))
+    assert 0 < len(even) < 49
+    assert records["even_part_constant"].points_checked == len(even)
+    assert abs(records["even_part_constant"].measured_sup - max(even)) <= 1e-12
+    assert records["sigma_product"].points_checked == len(prods)
+    assert abs(records["sigma_product"].measured_sup - max(prods)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["int1", "shear"])
+def test_repeated_table_scans_reuse_the_held_positions(monkeypatch, name):
+    c = bundled_carrier("int1") if name == "int1" else _ShearLattice(2, 3, 6)
+    size = c.window_points().shape[0]
+    g = LatticeTableFn(c, np.arange(size) * (1 - 0.5j))
+    first = jensen_defect(g)
+    assert first.scanned_pairs < first.domain_size  # the mask applies
+    first_even = jensen_defect(even_part(g))
+    calls = []
+    flat = LatticeCarrier._flat
+
+    def counted(pts, r):
+        calls.append(pts.shape)
+        return flat(pts, r)
+
+    monkeypatch.setattr(LatticeCarrier, "_flat", staticmethod(counted))
+    for _ in range(3):
+        assert jensen_residual(g) == first.delta
+        assert jensen_defect(even_part(g)) == first_even
+    assert calls == []
 
 
 def test_window_monotonicity():

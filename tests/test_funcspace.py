@@ -29,6 +29,7 @@ from jensen_stab import (
     right_translate,
 )
 from jensen_stab.errors import FormatError
+from jensen_stab.funcspace import _ROUND_MIN
 
 
 def test_evaluate_examples():
@@ -234,16 +235,31 @@ def _blake2b_draw(seed: int, amp: float, pt: tuple[int, ...]) -> tuple[complex, 
 
 def test_bulk_draws_match_the_blake2b_formula_bit_for_bit():
     rng = np.random.default_rng(4)
-    line = [(int(v),) for v in rng.integers(-(10**15), 10**15, 1400)] + [(v,) for v in range(-60, 61)]
-    plane = [tuple(row) for row in rng.integers(-9999, 9999, (600, 2)).tolist()] + [(0, 0), (-1, 7)]
+    edge = 2**61
+    line = np.concatenate([
+        rng.integers(-(10**15), 10**15, (1400, 1)),
+        np.arange(-60, 61)[:, None],
+        np.array([[edge], [-edge], [edge - 1]]),
+    ])
+    plane = np.concatenate([
+        rng.integers(-9999, 9999, (600, 2)),
+        np.array([[0, 0], [-1, 7], [edge, -edge], [-edge, 3], [5, edge - 1]]),
+    ])
+    assert line.dtype == plane.dtype == np.int64
     for amp, seed in ((0.1, 7), (2.5, 1234)):
         for pts in (line, plane):
-            want = [_blake2b_draw(seed, amp, pt) for pt in pts]
+            want = [_blake2b_draw(seed, amp, tuple(pt)) for pt in pts.tolist()]
             got = SeededUniformNoise(amp, seed)._draw_many(pts)
             assert got.tobytes() == np.array([z for z, _ in want], dtype=np.complex128).tobytes()
             # Some first draws fall outside the disc, some points need a third counter.
             assert max(ctr for _, ctr in want) >= 2
+            # Under _ROUND_MIN rows every row is drawn one at a time; a row that
+            # needs a third counter is among them.
+            few = [i for i, (_, ctr) in enumerate(want) if ctr >= 2][:1] + list(range(_ROUND_MIN - 2))
+            got_few = SeededUniformNoise(amp, seed)._draw_many(pts[few])
+            assert got_few.tobytes() == np.array([want[i][0] for i in few], dtype=np.complex128).tobytes()
     assert SeededUniformNoise(0.0, 7)._draw_many(line).tobytes() == bytes(16 * len(line))
+    assert SeededUniformNoise(0.1, 7)._draw_many(line[:0]).shape == (0,)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -264,7 +280,7 @@ def test_sparse_store_matches_per_point_draws_in_any_call_order(dim):
     ]
 
     def per_point(rows):
-        return np.array([SeededUniformNoise(0.1, 3)._draw_many([row])[0] for row in rows.tolist()])
+        return np.array([SeededUniformNoise(0.1, 3)._draw_many(rows[i : i + 1])[0] for i in range(len(rows))])
 
     want = [per_point(q).tobytes() for q in queries]
     for order in itertools.permutations(range(len(queries))):

@@ -31,7 +31,7 @@ from jensen_stab import (
     phi_mean_construction,
     validate_carrier,
 )
-from jensen_stab import stabilize
+from jensen_stab import scan, stabilize
 from jensen_stab.funcspace import BoundedFn
 
 
@@ -215,12 +215,10 @@ def _phi_per_translate(f, k):
     return vals
 
 
-@pytest.mark.parametrize(
-    "name, k",
-    [("s3", None), ("q8", None), ("z6", None), ("int1", 512), ("int2", 16)],
-)
-def test_phi_matches_the_per_translate_oracle_loop(name, k):
-    c = bundled_carrier(name)
+PHI_CASES = [("s3", None), ("q8", None), ("z6", None), ("int1", 512), ("int2", 16)]
+
+
+def _assert_phi_matches_the_per_translate_loop(c, k):
     if c.size:
         def make():
             return perturb(generate_solution(c, 1 - 2j), "seeded_uniform", 0.3, seed=11)
@@ -228,11 +226,30 @@ def test_phi_matches_the_per_translate_oracle_loop(name, k):
         def make():
             return OracleFn(c, [1.5, -0.5 + 1j][: c.dim], 2j, SeededUniformNoise(0.2, 11))
     phi, diag = phi_mean_construction(make(), k)
-    assert np.array_equal(phi.values.ravel(), _phi_per_translate(make(), k))
+    assert phi.values.ravel().tobytes() == _phi_per_translate(make(), k).tobytes()
     if not c.size:
         assert diag.k_used == k
+
+
+@pytest.mark.parametrize("name, k", PHI_CASES)
+def test_phi_matches_the_per_translate_oracle_loop(name, k):
+    c = bundled_carrier(name)
+    _assert_phi_matches_the_per_translate_loop(c, k)
+    if not c.size:
         for r in range(1, c.folner_max + 1):
             assert np.array_equal(c.box_points(r), c.folner_points(r))
+
+
+@pytest.mark.parametrize("name, k", PHI_CASES)
+def test_phi_in_small_blocks_matches_the_per_translate_oracle_loop(monkeypatch, name, k):
+    c = bundled_carrier(name)
+    # Two window rows a block, so a lattice window (odd in size) ends on a one-row block.
+    width = c.size or (2 * k + 1) ** c.dim
+    monkeypatch.setattr(scan, "_CHUNK", 2 * width + 1)
+    rows = [yx.shape[0] for yx, _ in c.reach(c.mean_set(k)[0], k)[1]]
+    assert sum(rows) == c.window_points().shape[0]
+    assert set(rows) == ({2} if c.size else {1, 2}) and rows[-1] == (2 if c.size else 1)
+    _assert_phi_matches_the_per_translate_loop(c, k)
 
 
 def test_forti_sikorska_constant_trace():
