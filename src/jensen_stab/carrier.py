@@ -37,7 +37,7 @@ import numpy as np
 
 from . import scan
 from .errors import CapabilityError, FormatError, InvalidElementError, LatticeOverflowError
-from .records import Record
+from .records import Record, _number
 
 # Largest lattice coordinate a handle may carry; its negation fits in int64 too.
 INT64_MAX = 2**63 - 1
@@ -191,22 +191,12 @@ class FiniteCarrier(Carrier):
             raise FormatError("carrier needs at least one element")
         if len(set(self.elements)) != n:
             raise FormatError("element labels must be distinct")
-        op = np.asarray(op_table, dtype=np.int64)
-        if op.shape != (n, n):
-            raise FormatError(f"op table must be {n}x{n}, got {op.shape}")
-        if op.min() < 0 or op.max() >= n:
-            raise FormatError("op table entry out of range")
-        inv = np.asarray(involution, dtype=np.int64)
-        if inv.shape != (n,):
-            raise FormatError(f"involution table must have length {n}")
-        if inv.min() < 0 or inv.max() >= n:
-            raise FormatError("involution entry out of range")
+        op = _indices(op_table, (n, n), "op table")
+        inv = _indices(involution, (n,), "involution table")
         if not 0 <= int(neutral) < n:
             raise FormatError("neutral index out of range")
         self.op = op
-        self.op.setflags(write=False)
         self.involution = inv
-        self.involution.setflags(write=False)
         # The window is G in index order, so e sits at its own index.
         self.neutral = self.neutral_position = int(neutral)
         self._is_group: bool | None = None
@@ -319,6 +309,26 @@ class FiniteCarrier(Carrier):
             "op": self.op.tolist(),
             "involution": self.involution.tolist(),
         }
+
+
+def _indices(table: Any, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """table as a read-only int64 array of element indices; FormatError if it
+    is ragged, has another shape, or holds anything but integers in range."""
+    try:
+        arr = np.asarray(table)
+    except ValueError:  # ragged
+        arr = None
+    if arr is None or arr.shape != shape:
+        raise FormatError(f"{what} must be a table of shape {shape}")
+    # A float passes only when it is an integer; numpy would read true as 1.
+    integral = arr.dtype.kind in "iu" or (arr.dtype.kind == "f" and bool((arr == np.floor(arr)).all()))
+    if not integral or any(v.__class__ is bool for v in np.asarray(table, dtype=object).flat):
+        raise FormatError(f"{what} entries must be integers")
+    if arr.size and (arr.min() < 0 or arr.max() >= shape[0]):
+        raise FormatError(f"{what} entry out of range")
+    arr = arr.astype(np.int64)
+    arr.setflags(write=False)
+    return arr
 
 
 class LatticeCarrier(Carrier):
@@ -587,69 +597,23 @@ def validate_carrier(c: Carrier) -> ValidationReport:
 # Bundled carriers
 
 
-def _cyclic(n: int, name: str) -> FiniteCarrier:
-    labels = [f"g{i}" if i else "e" for i in range(n)]
-    op = [[(i + j) % n for j in range(n)] for i in range(n)]
-    inv = [(-i) % n for i in range(n)]
-    return FiniteCarrier(labels, op, inv, neutral=0, name=name)
+def _group(name: str, labels: Sequence[str], elements: list, mul: Callable[[Any, Any], Any]) -> FiniteCarrier:
+    """The group of elements under mul, with elements[0] as e and sigma the
+    inverse, both read off the op table."""
+    op = [[elements.index(mul(a, b)) for b in elements] for a in elements]
+    return FiniteCarrier(labels, op, [row.index(0) for row in op], neutral=0, name=name)
 
 
-def _perm_label(p: tuple[int, ...]) -> str:
-    return "".join(str(i) for i in p)
-
-
-def _s3() -> FiniteCarrier:
-    # Permutations of {0,1,2} in lexicographic order; product (xy)(i) = x(y(i)),
-    # i.e. y acts first. Involution is the group inverse.
-    perms = sorted(itertools.permutations(range(3)))
-    index = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
-    op = [[0] * n for _ in range(n)]
-    inv = [0] * n
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            op[i][j] = index[tuple(p[q[k]] for k in range(3))]
-        inverse = tuple(sorted(range(3), key=lambda k: p[k]))
-        inv[i] = index[inverse]
-    labels = [_perm_label(p) for p in perms]
-    return FiniteCarrier(labels, op, inv, neutral=index[(0, 1, 2)], name="S3")
-
-
-def _q8() -> FiniteCarrier:
-    # Quaternion units 1, -1, i, -i, j, -j, k, -k encoded as (axis, sign)
-    # with axis 0 = scalar, 1 = i, 2 = j, 3 = k.
-    labels = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-
-    def enc(axis: int, sign: int) -> int:
-        return 2 * axis + (0 if sign > 0 else 1)
-
-    def dec(idx: int) -> tuple[int, int]:
-        return idx // 2, 1 if idx % 2 == 0 else -1
-
-    def mul(a: int, b: int) -> int:
-        ax_a, s_a = dec(a)
-        ax_b, s_b = dec(b)
-        sign = s_a * s_b
-        if ax_a == 0:
-            return enc(ax_b, sign)
-        if ax_b == 0:
-            return enc(ax_a, sign)
-        if ax_a == ax_b:
-            return enc(0, -sign)
-        # i*j = k, j*k = i, k*i = j; reversed order flips the sign.
-        cyc = {(1, 2): (3, 1), (2, 3): (1, 1), (3, 1): (2, 1),
-               (2, 1): (3, -1), (3, 2): (1, -1), (1, 3): (2, -1)}
-        axis, flip = cyc[(ax_a, ax_b)]
-        return enc(axis, sign * flip)
-
-    n = 8
-    op = [[mul(a, b) for b in range(n)] for a in range(n)]
-    inv = [0] * n
-    for a in range(n):
-        for b in range(n):
-            if op[a][b] == 0 and op[b][a] == 0:
-                inv[a] = b
-    return FiniteCarrier(labels, op, inv, neutral=0, name="Q8")
+def _hamilton(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """The product of the quaternions a + b i + c j + d k given as (a, b, c, d)."""
+    a, b, c, d = p
+    w, x, y, z = q
+    return (
+        a * w - b * x - c * y - d * z,
+        a * x + b * w + c * z - d * y,
+        a * y - b * z + c * w + d * x,
+        a * z + b * y - c * x + d * w,
+    )
 
 
 def _m3() -> FiniteCarrier:
@@ -673,14 +637,19 @@ def bundled_carrier(name: str) -> Carrier:
     (Z^2, window 8, Folner up to 64).
     """
     key = name.strip().lower()
-    if key == "z2":
-        return _cyclic(2, "Z2")
-    if key == "z6":
-        return _cyclic(6, "Z6")
+    if key in ("z2", "z6"):
+        n = int(key[1:])
+        labels = [f"g{i}" if i else "e" for i in range(n)]
+        return _group(key.upper(), labels, list(range(n)), lambda a, b: (a + b) % n)
     if key == "s3":
-        return _s3()
+        # Permutations of {0,1,2} in lexicographic order, labelled by their
+        # images; (xy)(i) = x(y(i)), i.e. y acts first.
+        perms = sorted(itertools.permutations(range(3)))
+        return _group("S3", ["".join(map(str, p)) for p in perms], perms, lambda p, q: tuple(p[i] for i in q))
     if key == "q8":
-        return _q8()
+        # The units 1, -1, i, -i, j, -j, k, -k as quaternion coefficients.
+        units = [tuple(s * (i == axis) for i in range(4)) for axis in range(4) for s in (1, -1)]
+        return _group("Q8", ["1", "-1", "i", "-i", "j", "-j", "k", "-k"], units, _hamilton)
     if key == "m3":
         return _m3()
     if key == "int1":
@@ -704,12 +673,14 @@ def carrier_from_dict(data: dict, name: str | None = None) -> Carrier:
     kind = data["kind"]
     if kind == "finite":
         try:
-            elements = list(data["elements"])
+            elements = data["elements"]
             neutral_label = data["neutral"]
             op = data["op"]
             involution = data["involution"]
         except KeyError as exc:
             raise FormatError(f"finite carrier file missing field {exc}") from exc
+        if not isinstance(elements, list):
+            raise FormatError(f"elements must be a list of labels, got {elements!r}")
         if neutral_label not in elements:
             raise FormatError(f"neutral label {neutral_label!r} not among elements")
         return FiniteCarrier(
@@ -720,13 +691,9 @@ def carrier_from_dict(data: dict, name: str | None = None) -> Carrier:
             name=name or "finite",
         )
     if kind == "lattice":
-        try:
-            return LatticeCarrier(
-                dim=int(data["dim"]),
-                window_radius=int(data["window"]),
-                folner_max=int(data["folner_max"]),
-                name=name,
-            )
-        except KeyError as exc:
-            raise FormatError(f"lattice carrier file missing field {exc}") from exc
+        keys = ("dim", "window", "folner_max")
+        missing = [key for key in keys if key not in data]
+        if missing:
+            raise FormatError(f"lattice carrier file missing field {missing[0]!r}")
+        return LatticeCarrier(*(_number(data, key, None, int) for key in keys), name=name)
     raise FormatError(f"unknown carrier kind {kind!r}")

@@ -19,7 +19,7 @@ from pathlib import Path
 from .carrier import BUNDLED_CARRIERS, NO_MEAN, Carrier, bundled_carrier, carrier_from_dict, validate_carrier
 from .defect import drygas_defect, inequality_suite, jensen_defect
 from .errors import FormatError, JensenStabError
-from .funcspace import BoundedFn, function_from_dict, function_to_dict
+from .funcspace import DEFAULT_TOL, BoundedFn, function_from_dict, function_to_dict
 from .harness import ExperimentConfig, run_experiment
 from .records import _parse_cnum
 from .stabilize import (
@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--carrier", required=True)
     p.add_argument("--function", required=True)
     p.add_argument("--folner-k", type=int, default=None, dest="folner_k")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--report")
     p.set_defaults(func=_cmd_inequalities)
 
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solution", required=True)
     p.add_argument("--solution-report", dest="solution_report")
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--report")
     p.set_defaults(func=_cmd_verify)
 

@@ -253,7 +253,8 @@ def inequality_suite(
 
     records: list[InequalityRecord] = []
 
-    def add(name: str, coeff: float, value: float, idx: int, pair_domain: bool, extra: float = 0.0) -> None:
+    def add(name: str, coeff: float, value: float | None, idx: int, pair_domain: bool, extra: float = 0.0) -> None:
+        """Record one inequality; a value of None was not evaluated, and holds."""
         bound = coeff * delta + extra + tol
         if idx < 0:
             witness = None
@@ -261,19 +262,9 @@ def inequality_suite(
             witness = (c.element_repr(X[idx]), c.element_repr(Y[idx]))
         else:
             witness = (c.element_repr(W[idx]),)
-        records.append(
-            InequalityRecord(
-                name=name,
-                measured_sup=value,
-                bound_coeff=coeff,
-                delta=delta,
-                extra_budget=extra,
-                bound=bound,
-                holds=value <= bound,
-                status="evaluated",
-                witness=witness,
-            )
-        )
+        status = "not_evaluated" if value is None else "evaluated"
+        holds = value is None or value <= bound
+        records.append(InequalityRecord(name, value, coeff, delta, extra, bound, holds, status, witness))
 
     # eq 2.9: |h_even(y)| <= delta/2.
     value, idx, _ = _one_var_scan([(h_even, 1, W)])
@@ -310,22 +301,7 @@ def inequality_suite(
 
     # eq 2.21: |phi(y)/2 - f_odd(y)| <= (5/2) delta, plus the budget of the
     # approximate mean that built phi.
-    if phi is None:
-        records.append(
-            InequalityRecord(
-                name="eq_2_21",
-                measured_sup=None,
-                bound_coeff=2.5,
-                delta=delta,
-                extra_budget=mean_budget,
-                bound=2.5 * delta + mean_budget + tol,
-                holds=True,
-                status="not_evaluated",
-                witness=None,
-            )
-        )
-    else:
-        value, idx, _ = _one_var_scan([(phi, 0.5, W), (f_odd, -1, W)])
-        add("eq_2_21", 2.5, value, idx, False, extra=mean_budget)
+    value, idx = (None, -1) if phi is None else _one_var_scan([(phi, 0.5, W), (f_odd, -1, W)])[:2]
+    add("eq_2_21", 2.5, value, idx, False, extra=mean_budget)
 
     return records

@@ -16,22 +16,22 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .carrier import Carrier, FiniteCarrier, LatticeCarrier
 from .errors import FormatError, InvalidElementError
-from .records import _cpair, _parse_cnum, _require_finite_complex
+from .records import _cpair, _list, _number, _parse_cnum, _require_finite_complex
 
 # Absolute tolerance used by default in every numeric comparison.
 DEFAULT_TOL = 1e-9
 
 # Largest bounding-box volume kept as a dense noise cache. A query grows the
 # cache only when the grown box is dense in it: at most 4 cells per queried
-# point and at most this many cells overall. Sparse queries (dyadic power
-# orbits, whose box doubles at every level) are served from the sorted
-# per-point store instead; both paths draw from the same pure hash.
+# point and at most this many cells overall. Any other query (a dyadic power
+# orbit, whose box doubles at every level) is served whole from the sorted
+# per-point store, grid cells included; both draw from the same pure hash.
 _DENSE_VOLUME = 1 << 17
 
 # Rows left after a rejection round below which drawing them one by one in
@@ -194,28 +194,6 @@ class SeededUniformNoise:
         self._dense = snapshot
         return snapshot
 
-    def _sparse(self, pts: np.ndarray) -> np.ndarray:
-        """Points inside the published grid read it; the others are looked up
-        in the sorted store, and its misses are drawn once each, in one call,
-        and merged in."""
-        if self._dense is None:
-            return self._stored(pts)
-        lo, hi, grid = self._dense
-        # Per-column bounds, and each point's flat position in the grid with
-        # its coordinates clipped into the grid, so one gather serves every point.
-        inside = np.ones(pts.shape[0], dtype=bool)
-        flat = 0
-        for col, a, b, side in zip(pts.T, lo, hi, grid.shape):
-            inside &= (col >= a) & (col <= b)
-            flat = flat * side + (np.clip(col, a, b) - a)
-        if not inside.any():
-            return self._stored(pts)
-        out = grid.ravel()[flat]
-        outside = ~inside
-        if outside.any():
-            out[outside] = self._stored(pts[outside])
-        return out
-
     def _stored(self, pts: np.ndarray) -> np.ndarray:
         """The draws at pts from the sorted store, after drawing its misses."""
         keys = _point_keys(pts)
@@ -251,7 +229,7 @@ class SeededUniformNoise:
                 hi = np.maximum(hi, dense[1])
             volume = float(np.prod((hi - lo + 1).astype(np.float64)))
             if volume > min(_DENSE_VOLUME, 4 * pts.shape[0]):
-                return self._sparse(pts)
+                return self._stored(pts)
             dense = self._rebuild_grid(lo, hi)
         grid_lo, _, grid = dense
         return grid[tuple(pts[:, j] - grid_lo[j] for j in range(pts.shape[1]))]
@@ -267,18 +245,6 @@ class SeededUniformNoise:
 
 
 Noise = ParityNoise | SeededUniformNoise
-
-
-def _number(section: dict, key: str, default: Any, kind: type) -> Any:
-    """section[key] (or default) converted by ``kind``; FormatError if it cannot be."""
-    v = section.get(key, default)
-    try:
-        # int(True), float(True) and int(2.7) would pass.
-        if isinstance(v, bool) or (kind is int and isinstance(v, float) and not v.is_integer()):
-            raise TypeError
-        return kind(v)
-    except (TypeError, ValueError, OverflowError):
-        raise FormatError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {v!r}") from None
 
 
 def noise_from_dict(data: dict) -> Noise:
@@ -503,10 +469,8 @@ def function_from_dict(data: dict, carrier: Carrier) -> BoundedFn:
     if kind == "oracle":
         if not isinstance(carrier, LatticeCarrier):
             raise FormatError("oracle functions require a lattice carrier")
-        linear = data.get("linear")
-        lin = None
-        if linear is not None:
-            lin = [_parse_cnum(v, "linear coefficient") for v in linear]
+        linear = _list(data, "linear", None)
+        lin = None if linear is None else [_parse_cnum(v, "linear coefficient") for v in linear]
         constant = _parse_cnum(data.get("constant", 0.0), "constant term")
         noise = None
         if data.get("noise") is not None:

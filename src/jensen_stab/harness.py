@@ -30,10 +30,9 @@ from .funcspace import (
     BoundedFn,
     FiniteTableFn,
     OracleFn,
-    _number,
     noise_from_dict,
 )
-from .records import _cpair, _parse_cnum
+from .records import _cpair, _list, _number, _parse_cnum
 from .stabilize import (
     DEFAULT_CONV_TOL,
     DEFAULT_N_MAX,
@@ -92,7 +91,7 @@ class ExperimentConfig:
         noise = data.get("noise") or {}
         if not (isinstance(base, dict) and isinstance(noise, dict)):
             raise FormatError("config fields 'base' and 'noise' must be JSON objects")
-        linear = base.get("linear")
+        linear = _list(base, "linear", None)
         return cls(
             carrier=data.get("carrier", "s3"),
             base_constant=_parse_cnum(base.get("constant", 0.0), "base constant"),
@@ -100,13 +99,13 @@ class ExperimentConfig:
             noise_type=noise.get("type", "none"),
             noise_amplitude=_number(noise, "amplitude", 0.0, float),
             noise_seed=_number(noise, "seed", 0, int),
-            methods=list(data.get("methods", ["mean", "dyadic"])),
+            methods=list(_list(data, "methods", ["mean", "dyadic"])),
             folner_k=data.get("folner_k"),
             dyadic_n=data.get("dyadic_n", DEFAULT_N_MAX),
             conv_tol=_number(data, "conv_tol", DEFAULT_CONV_TOL, float),
             tol=_number(data, "tol", DEFAULT_TOL, float),
             component_dim=_number(data, "component_dim", 1, int),
-            identity_powers=tuple(data.get("identity_powers", (1, 2, 3))),
+            identity_powers=tuple(_list(data, "identity_powers", (1, 2, 3))),
         )
 
     def to_dict(self) -> dict:

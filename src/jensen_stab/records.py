@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import fields
 from functools import cache
-from typing import Callable
+from typing import Any, Callable
 
 from .errors import FormatError
 
@@ -46,15 +46,32 @@ def _parse_cnum(v, what: str) -> complex:
     return _require_finite_complex(z, what)
 
 
+def _number(section: dict, key: str, default: Any, kind: type) -> Any:
+    """section[key] (or default) converted by ``kind``; FormatError if it cannot be."""
+    v = section.get(key, default)
+    try:
+        # int(True), float(True) and int(2.7) would pass.
+        if isinstance(v, bool) or (kind is int and isinstance(v, float) and not v.is_integer()):
+            raise TypeError
+        return kind(v)
+    except (TypeError, ValueError, OverflowError):
+        raise FormatError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {v!r}") from None
+
+
+def _list(section: dict, key: str, default: Any) -> Any:
+    """section[key] (or default); FormatError unless it is a list or the default."""
+    v = section.get(key, default)
+    if v is not default and not isinstance(v, (list, tuple)):
+        raise FormatError(f"{key} must be a list, got {v!r}")
+    return v
+
+
 def _value(v):
     """A field value in report form: records as dicts, tuples and lists
-    element by element (copied whole when every element is plain), complex
-    numbers as [re, im]."""
+    element by element, complex numbers as [re, im]."""
     if isinstance(v, Record):
         return v.to_dict()
     if isinstance(v, (list, tuple)):
-        if _PLAIN.issuperset(map(type, v)):
-            return list(v)
         return [x if x.__class__ in _PLAIN else _value(x) for x in v]
     if isinstance(v, complex):
         return _cpair(v)

@@ -427,49 +427,22 @@ def jensen_approximant(
 
     if method == "mean":
         phi_fn, diag = phi if phi is not None else phi_mean_construction(f, folner_k)
-        g = table_fn(c, phi_fn.values * 0.5)
-        return StabilizationResult(
-            g=g,
-            offset=offset,
-            method="mean",
-            variant="phi_half",
-            iterations_or_k=diag.k_used,
-            convergence_trace=[],
-            error_budget=diag.phi_error_budget / 2.0,
-            delta_used=delta,
-            diagnostics=diag.to_dict(),
-        )
-
-    if method in ("dyadic", "dyadic_full"):
+        vals, variant, n_final, diffs = phi_fn.values * 0.5, "phi_half", diag.k_used, []
+        budget, diagnostics = diag.phi_error_budget / 2.0, diag.to_dict()
+    elif method in ("dyadic", "dyadic_full"):
         target = f if method == "dyadic_full" else OddPart(f)
         vals, diffs, n_final, _ = _dyadic_iterate(target, c.window_points(), n_max, conv_tol)
-        budget = 1.5 * delta * 0.5**n_final
-        return StabilizationResult(
-            g=table_fn(c, vals),
-            offset=offset,
-            method=method,
-            variant="full" if method == "dyadic_full" else "odd_part",
-            iterations_or_k=n_final,
-            convergence_trace=diffs,
-            error_budget=budget,
-            delta_used=delta,
-            diagnostics={"conv_tol": conv_tol},
-        )
-
-    # forti_sikorska
-    vals, diffs, n_final, _ = _fs_iterate(f, c.window_points(), n_max, conv_tol)
-    at_e = vals[c.neutral_position]
-    vals = vals - at_e
-    # Tail of a geometric trace plus the renormalization shift, a posteriori.
-    budget = float(4.0 * diffs[-1] + 2.0 * abs(at_e))
+        variant = "full" if method == "dyadic_full" else "odd_part"
+        budget, diagnostics = 1.5 * delta * 0.5**n_final, {"conv_tol": conv_tol}
+    else:
+        vals, diffs, n_final, _ = _fs_iterate(f, c.window_points(), n_max, conv_tol)
+        at_e = vals[c.neutral_position]
+        vals = vals - at_e
+        variant = "drygas_reconstruction"
+        # Tail of a geometric trace plus the renormalization shift, a posteriori.
+        budget = float(4.0 * diffs[-1] + 2.0 * abs(at_e))
+        diagnostics = {"conv_tol": conv_tol, "renormalization": float(abs(at_e))}
     return StabilizationResult(
-        g=table_fn(c, vals),
-        offset=offset,
-        method="forti_sikorska",
-        variant="drygas_reconstruction",
-        iterations_or_k=n_final,
-        convergence_trace=diffs,
-        error_budget=budget,
-        delta_used=delta,
-        diagnostics={"conv_tol": conv_tol, "renormalization": float(abs(at_e))},
+        g=table_fn(c, vals), offset=offset, method=method, variant=variant, iterations_or_k=n_final,
+        convergence_trace=diffs, error_budget=budget, delta_used=delta, diagnostics=diagnostics,
     )

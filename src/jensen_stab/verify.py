@@ -124,39 +124,21 @@ def identity_checks(
     g_e = g.eval(c.neutral)
     records: list[IdentityRecord] = []
 
-    g_even = EvenPart(g)
-    keep = _table_mask(g_even, pts)
-    ge_vals = g_even.eval_many(pts if keep is None else pts[keep])
-    sup = float(np.abs(ge_vals - g_e).max()) if ge_vals.size else 0.0
     bound = budget + tol
-    records.append(IdentityRecord("even_part_constant", sup, bound, sup <= bound, int(ge_vals.size)))
-
-    prod = t.w_sw
-    keep = _table_mask(g, prod)
-    vals = g.eval_many(prod[keep] if keep is not None else prod)
-    sup = float(np.abs(vals - g_e).max()) if vals.size else 0.0
-    records.append(
-        IdentityRecord(
-            "sigma_product",
-            sup,
-            bound,
-            sup <= bound,
-            int(vals.size),
-        )
-    )
+    for name, view, at in (("even_part_constant", EvenPart(g), pts), ("sigma_product", g, t.w_sw)):
+        keep = _table_mask(view, at)
+        vals = view.eval_many(at if keep is None else at[keep])
+        sup = float(np.abs(vals - g_e).max()) if vals.size else 0.0
+        records.append(IdentityRecord(name, sup, bound, sup <= bound, int(vals.size)))
 
     for n in n_list:
         cur = pts
         for _ in range(n):
             cur = c.square_many(cur)
         keep = _table_mask(g, cur)
-        base = pts if keep is None else pts[keep]
-        top = cur if keep is None else cur[keep]
-        if base.shape[0] == 0:
-            records.append(IdentityRecord(f"power_2^{n}", 0.0, budget * (2.0**n + 1) + tol, True, 0))
-            continue
+        base, top = (pts, cur) if keep is None else (pts[keep], cur[keep])
         resid = np.abs(g.eval_many(top) + (2.0**n - 1) * g_e - (2.0**n) * g.eval_many(base))
-        sup = float(resid.max())
+        sup = float(resid.max()) if resid.size else 0.0
         bound_n = budget * (2.0**n + 1) + tol
         records.append(IdentityRecord(f"power_2^{n}", sup, bound_n, sup <= bound_n, int(base.shape[0])))
 
@@ -233,15 +215,14 @@ def verify_solution(
     delta: float | None = None,
     phi: BoundedFn | None = None,
     phi_budget: float = 0.0,
-    inequality_records: list[InequalityRecord] | None = None,
     n_list: tuple[int, ...] = (1, 2, 3),
     tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
     """Assemble the full verification verdict for one stabilization result.
 
     ``phi`` (with its construction budget) enables the Drygas residual
-    check; inequality records computed elsewhere can be attached so the
-    report carries the complete evidence.
+    check. The inequality chain is measured and reported apart from it
+    (``defect.inequality_suite``), so ``inequality_records`` stays empty.
     """
     if delta is None:
         delta = result.delta_used
@@ -256,13 +237,11 @@ def verify_solution(
         drygas_val = drygas_residual(phi)
         drygas_bound = 6.0 * phi_budget + tol
         drygas_holds = drygas_val <= drygas_bound
-    records = inequality_records if inequality_records is not None else []
     ok = (
         stability.holds
         and (stability.sharper_holds is not False)
         and jres_holds
         and all(r.holds for r in identities)
-        and all(r.holds for r in records)
         and (drygas_holds is not False)
     )
     return VerificationReport(
@@ -273,7 +252,6 @@ def verify_solution(
         jensen_residual_bound=jres_bound,
         jensen_residual_holds=jres_holds,
         identity_records=identities,
-        inequality_records=records,
         drygas_residual_of_phi=drygas_val,
         drygas_residual_bound=drygas_bound,
         drygas_residual_holds=drygas_holds,

@@ -275,6 +275,32 @@ def test_malformed_carrier_dicts_rejected():
         carrier_from_dict({"kind": "weird"})
     with pytest.raises(FormatError):
         FiniteCarrier(["e", "a"], [[0, 1], [1, 2]], [0, 1], 0)
+    # Each of these once escaped as a TypeError or ValueError, or was truncated silently.
+    lattice = {"kind": "lattice", "dim": 1, "window": 8, "folner_max": 16}
+    for key in ("dim", "window", "folner_max"):
+        for bad in (None, "x", 1.7, True, [1]):
+            with pytest.raises(FormatError):
+                carrier_from_dict({**lattice, key: bad})
+        with pytest.raises(FormatError, match="missing field"):
+            carrier_from_dict({k: v for k, v in lattice.items() if k != key})
+    assert carrier_from_dict({**lattice, "dim": 1.0}).dim == 1
+    z2 = bundled_carrier("z2").to_dict()
+    for key, bad in (
+        ("op", [[0, 1], [1]]),
+        ("op", [[0, 1], [1, 0.5]]),
+        ("op", [[0, 1], [1, True]]),
+        ("op", [[0, 1], [1, None]]),
+        ("op", [[0, 1], [1, "0"]]),
+        ("op", [[0, 1], [1, float("nan")]]),
+        ("op", [[0, 1], [1, float("inf")]]),
+        ("involution", [0, 1.5]),
+        ("elements", "ea"),
+        ("elements", None),
+    ):
+        with pytest.raises(FormatError):
+            carrier_from_dict({**z2, key: bad})
+    again = carrier_from_dict({**z2, "op": [[0.0, 1.0], [1.0, 0.0]]})
+    assert again.op.dtype == np.int64 and again.op.tolist() == [[0, 1], [1, 0]]
 
 
 def test_modules_never_ask_which_kind_of_carrier_they_hold():

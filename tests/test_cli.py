@@ -199,6 +199,22 @@ def test_missing_or_malformed_input_files_are_clean_errors(s3_files, tmp_path, c
     ])
 
 
+@pytest.mark.parametrize(
+    "carrier",
+    [
+        {"kind": "lattice", "dim": None, "window": 8, "folner_max": 16},
+        {"kind": "lattice", "dim": "x", "window": 8, "folner_max": 16},
+        {"kind": "lattice", "dim": 1.7, "window": 8, "folner_max": 16},
+        {"kind": "finite", "elements": ["e", "a"], "neutral": "e", "op": [[0, 1], [1]], "involution": [0, 1]},
+        {"kind": "finite", "elements": ["e", "a"], "neutral": "e", "op": [[0, 1], [1, 0.5]], "involution": [0, 1]},
+    ],
+)
+def test_malformed_carrier_file_is_a_clean_error(tmp_path, capsys, carrier):
+    path = tmp_path / "c.json"
+    _write(path, carrier)
+    _assert_clean_error(capsys, ["check-carrier", "--carrier", str(path)])
+
+
 def test_unwritable_output_is_a_clean_error(s3_files, tmp_path, capsys):
     carrier_path, fn_path = s3_files
     cfg_path = tmp_path / "cfg.json"

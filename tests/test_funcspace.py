@@ -290,9 +290,10 @@ def test_sparse_store_matches_per_point_draws_in_any_call_order(dim):
             dense = noise._dense
             got = noise.values(queries[i])
             assert got.tobytes() == want[i], order
-            if noise._dense is dense:  # the call went to the sparse path (or read the grid alone)
-                lo, hi = (np.full(dim, 1), np.full(dim, 0)) if dense is None else dense[:2]
-                stored |= {tuple(p) for p in queries[i].tolist() if not (lo <= p).all() or not (p <= hi).all()}
+            lo, hi = (np.full(dim, 1), np.full(dim, 0)) if dense is None else dense[:2]
+            if noise._dense is dense and not ((lo <= queries[i]) & (queries[i] <= hi)).all():
+                # The grid did not serve the call whole, so the store holds all of its points.
+                stored |= {tuple(p) for p in queries[i].tolist()}
         assert len(noise._memo) == len(stored), order
         assert noise.value(tuple(far[3])) == complex(per_point(far[3:4])[0])
 
@@ -380,6 +381,9 @@ def test_malformed_functions_rejected():
             function_from_dict({"kind": "table", "values": {lab: bad for lab in s3.elements}}, s3)
         with pytest.raises(FormatError):
             function_from_dict({"kind": "oracle", "linear": [1.0], "constant": bad}, z1)
+    for linear in (2.0, "2", {"x": 2.0}):
+        with pytest.raises(FormatError):
+            function_from_dict({"kind": "oracle", "linear": linear}, z1)
     for noise in (
         {"type": "seeded_uniform", "amplitude": True, "seed": 2.7},
         {"type": "seeded_uniform", "amplitude": True, "seed": 2},

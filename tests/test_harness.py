@@ -125,6 +125,12 @@ def test_config_rejects_identity_powers_below_one(powers):
         {"identity_powers": [True]},
         {"component_dim": True},
         {"noise": {"type": "seeded_uniform", "amplitude": 0.1, "seed": True}},
+        {"identity_powers": 3},
+        {"identity_powers": None},
+        {"methods": 5},
+        {"methods": "mean"},
+        {"methods": None},
+        {"base": {"linear": 2}},
     ],
 )
 def test_config_rejects_malformed_values(data):
@@ -207,6 +213,21 @@ def test_run_experiment_records_carrier_failure():
     report = run_experiment(cfg)
     assert not report["pass"]
     assert report["errors"][0]["stage"] == "carrier"
+
+
+@pytest.mark.parametrize(
+    "carrier",
+    [
+        {"kind": "lattice", "dim": None, "window": 8, "folner_max": 16},
+        {"kind": "lattice", "dim": "x", "window": 8, "folner_max": 16},
+        {"kind": "finite", "elements": ["e", "a"], "neutral": "e", "op": [[0, 1], [1]], "involution": [0, 1]},
+    ],
+)
+def test_run_experiment_records_a_malformed_carrier_dict(carrier):
+    report = run_experiment(ExperimentConfig(carrier=carrier))
+    assert not report["pass"]
+    assert [e["stage"] for e in report["errors"]] == ["carrier"]
+    assert report["errors"][0]["error"].startswith("FormatError: ")
 
 
 def test_run_experiment_on_plane_lattice():
