@@ -18,7 +18,8 @@ runs the scalar ``compose``, ``involute`` and ``dyadic_power`` on one row.
 The window geometry (window points, pair arrays and the composed terms
 the scans read, ``window_terms``) is built once per carrier object and
 handed out read-only; a lattice also keeps the table positions and box
-masks of those terms. Only arrays the carrier built and holds are looked
+masks of those terms, and every carrier the dyadic orbit levels of the
+window (``dyadic_levels``, ``pair_levels``). Only arrays the carrier built and holds are looked
 up, by identity, so an array from anywhere else is always computed afresh.
 
 Each carrier answers every question that depends on its kind: its window
@@ -99,14 +100,16 @@ class Carrier:
     _built: dict = {}
 
     def _once(self, key: Any, build: Callable[[], Any]) -> Any:
-        """The value cached under key, built on first use; its arrays are made read-only."""
+        """The value cached under key, built on first use."""
         got = self._built.get(key)
-        if got is None:
-            got = build()
-            for a in got if isinstance(got, tuple) else (got,):
-                if isinstance(a, np.ndarray):
-                    a.flags.writeable = False
-            self._built = {**self._built, key: got}
+        return self._publish(key, build()) if got is None else got
+
+    def _publish(self, key: Any, got: Any) -> Any:
+        """Cache got under key, its arrays made read-only."""
+        for a in got if isinstance(got, tuple) else (got,):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+        self._built = {**self._built, key: got}
         return got
 
     def window_terms(self) -> WindowTerms:
@@ -144,6 +147,44 @@ class Carrier:
                     return name
         return None
 
+    def dyadic_levels(self, pts: np.ndarray) -> Callable[[int], np.ndarray]:
+        """k -> pts^(2^k), level k squared from level k - 1 (see ``_levels``)."""
+        return self._levels(pts, "powers", pts, lambda k, prev: self.square_many(prev))
+
+    def pair_levels(self, pts: np.ndarray) -> Callable[[int], np.ndarray]:
+        """k -> the 2k Forti-Sikorska pair rows of level k, stacked: the rows
+        of level k - 1 squared, then x^(2^(k-1)) sigma(x)^(2^(k-1)) and its
+        mirror sigma(x)^(2^(k-1)) x^(2^(k-1)) for x in pts (see ``_levels``)."""
+        power = self.dyadic_levels(pts)
+
+        def step(k: int, prev: np.ndarray) -> np.ndarray:
+            xk = power(k - 1)
+            sk = self.involute_many(xk)
+            return np.concatenate([self.square_many(prev), self.compose_many(xk, sk), self.compose_many(sk, xk)])
+
+        return self._levels(pts, "pair_rows", pts[:0], step)
+
+    def _levels(self, pts: np.ndarray, what: str, first: np.ndarray, step: Callable) -> Callable[[int], np.ndarray]:
+        """k -> level k: level 0 is first, level k is step(k, level k - 1),
+        built on first use. For a window term this carrier holds, the levels
+        built so far are held on it as one read-only tuple, which each new
+        level replaces, for every later caller; for any other array they live
+        as long as the returned function. A level whose step raises is not kept."""
+        name = self._term_name(pts)
+        key, own = (what, name), {}
+
+        def level(k: int) -> np.ndarray:
+            got = (own if name is None else self._built).get(key, (first,))
+            for i in range(len(got), k + 1):
+                got += (step(i, got[-1]),)
+                if name is None:
+                    own[key] = got
+                else:
+                    self._publish(key, got)
+            return got[k]
+
+        return level
+
     def row(self, x) -> np.ndarray:
         """The one-row point array holding the element x."""
         return np.array([self.check_element(x)], dtype=np.int64)
@@ -158,10 +199,7 @@ class Carrier:
         """x^(2^n) by n repeated squarings; n = 0 returns x itself."""
         if n < 0:
             raise ValueError("dyadic power exponent must be nonnegative")
-        pts = self.row(x)
-        for _ in range(n):
-            pts = self.square_many(pts)
-        return self.check_element(pts[0])
+        return self.check_element(self.dyadic_levels(self.row(x))(n)[0])
 
 
 class FiniteCarrier(Carrier):
@@ -525,13 +563,17 @@ def box_translate_ratio(dim: int, k: int, shift: tuple[int, ...]) -> float:
 
 
 def validate_carrier(c: Carrier) -> ValidationReport:
-    """Exhaustively check the carrier axioms.
+    """Exhaustively check the carrier axioms, once per carrier object.
 
     Finite carriers are scanned over all pairs and triples; the first
     violated axiom is reported with a witness. Lattice carriers satisfy the
     axioms structurally (addition is associative, negation is an involutive
-    anti-homomorphism on an abelian group).
+    anti-homomorphism on an abelian group). Later calls return the same report.
     """
+    return c._once("validation", lambda: _validate(c))
+
+
+def _validate(c: Carrier) -> ValidationReport:
     if isinstance(c, LatticeCarrier):
         return ValidationReport(ok=True, kind="lattice", size=None, is_group=True)
 

@@ -20,7 +20,7 @@ from .carrier import BUNDLED_CARRIERS, NO_MEAN, Carrier, bundled_carrier, carrie
 from .defect import drygas_defect, inequality_suite, jensen_defect
 from .errors import FormatError, JensenStabError
 from .funcspace import DEFAULT_TOL, BoundedFn, function_from_dict, function_to_dict
-from .harness import ExperimentConfig, run_experiment
+from .harness import ExperimentConfig, require_tolerance, run_experiment
 from .records import _parse_cnum
 from .stabilize import (
     DEFAULT_CONV_TOL,
@@ -258,6 +258,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in ("tol", "conv_tol"):
+            if name in args:
+                require_tolerance(getattr(args, name), "--" + name.replace("_", "-"))
         return args.func(args)
     except JensenStabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -227,7 +227,8 @@ class SeededUniformNoise:
             if dense is not None:
                 lo = np.minimum(lo, dense[0])
                 hi = np.maximum(hi, dense[1])
-            volume = float(np.prod((hi - lo + 1).astype(np.float64)))
+            # In floats: hi - lo overflows int64 once an orbit passes 2^62.
+            volume = float(np.prod(hi.astype(np.float64) - lo + 1))
             if volume > min(_DENSE_VOLUME, 4 * pts.shape[0]):
                 return self._stored(pts)
             dense = self._rebuild_grid(lo, hi)

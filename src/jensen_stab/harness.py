@@ -8,8 +8,10 @@ is still emitted.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Any
 
 import numpy as np
@@ -68,6 +70,8 @@ class ExperimentConfig:
             raise FormatError("noise amplitude must be nonnegative")
         if self.component_dim < 1:
             raise FormatError("component_dim must be >= 1")
+        for name in ("tol", "conv_tol"):
+            require_tolerance(getattr(self, name), name)
         k = self.folner_k
         if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 1):
             raise FormatError(f"folner_k must be null or an integer >= 1, got {k!r}")
@@ -130,12 +134,26 @@ class ExperimentConfig:
         }
 
 
+def require_tolerance(value: float, name: str) -> None:
+    """FormatError unless value is finite and >= 0 (0 is exact comparison)."""
+    if not (math.isfinite(value) and value >= 0):
+        raise FormatError(f"{name} must be a finite number >= 0, got {value!r}")
+
+
 def resolve_carrier(spec: str | dict) -> Carrier:
+    """The carrier of a config: one shared instance per bundled name, so its
+    validation and held geometry are built once per process; a carrier
+    dict is built afresh."""
     if isinstance(spec, str):
         if spec.lower() in BUNDLED_CARRIERS:
-            return bundled_carrier(spec)
+            return _shared_carrier(spec.lower())
         raise FormatError(f"unknown carrier name {spec!r}; bundled: {sorted(BUNDLED_CARRIERS)}")
     return carrier_from_dict(spec)
+
+
+@cache
+def _shared_carrier(name: str) -> Carrier:
+    return bundled_carrier(name)
 
 
 def generate_solution(c: Carrier, constant: complex = 0j, linear: list[complex] | None = None) -> BoundedFn:

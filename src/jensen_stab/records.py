@@ -47,11 +47,12 @@ def _parse_cnum(v, what: str) -> complex:
 
 
 def _number(section: dict, key: str, default: Any, kind: type) -> Any:
-    """section[key] (or default) converted by ``kind``; FormatError if it cannot be."""
+    """section[key] (or default) converted by ``kind``; FormatError if it is
+    not a number of that kind."""
     v = section.get(key, default)
     try:
-        # int(True), float(True) and int(2.7) would pass.
-        if isinstance(v, bool) or (kind is int and isinstance(v, float) and not v.is_integer()):
+        # int(True), float(True), int(2.7) and float("1e-3") would pass.
+        if isinstance(v, (bool, str)) or (kind is int and isinstance(v, float) and not v.is_integer()):
             raise TypeError
         return kind(v)
     except (TypeError, ValueError, OverflowError):

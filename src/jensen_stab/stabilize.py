@@ -188,21 +188,17 @@ def _dyadic_iterate(
 
     All points iterate to the same depth so that one a posteriori tail
     bound covers every point. With ``collect_values`` every level is kept.
-    Levels run in blocks (see ``_iterate_levels``), each squared level by
-    level and evaluated once.
+    Levels run in blocks (see ``_iterate_levels``), each evaluated once at
+    the carrier's ``dyadic_levels`` of pts.
     """
     c = target.carrier
     t_e = target.eval(c.neutral)
     m = pts.shape[0]
-    cur = pts
+    power = c.dyadic_levels(pts)
 
     def run(n: int, size: int) -> np.ndarray:
-        nonlocal cur
-        powers = [cur]
-        for _ in range(size):
-            powers.append(c.square_many(powers[-1]))
-        block = target.eval_many(np.concatenate(powers[1:])).reshape(size, m)
-        cur = powers[-1]
+        powers = [power(k) for k in range(n + 1, n + size + 1)]
+        block = target.eval_many(np.concatenate(powers)).reshape(size, m)
         return (block - t_e) * np.ldexp(1.0, -np.arange(n + 1, n + size + 1))[:, None]
 
     first = target.eval_many(pts) - t_e
@@ -294,38 +290,23 @@ def _fs_iterate(
 
     Level n reads f at x^(2^n) and at 2n pair rows, for j < n the row
     (x^(2^j) sigma(x)^(2^j))^(2^(n-1-j)) and then its mirror
-    (sigma(x)^(2^j) x^(2^j))^(2^(n-1-j)). A level's pair rows are those of
-    the level before squared, then the two rows j = n - 1. Levels run in
-    blocks (see ``_iterate_levels``): a block squares x^(2^n) and the pair
-    rows once per level, builds the new rows of all its levels with one
-    involution and one composition, and evaluates them in ``_fs_levels``.
+    (sigma(x)^(2^j) x^(2^j))^(2^(n-1-j)): the carrier's ``pair_levels`` and
+    ``dyadic_levels`` of pts. Levels run in blocks (see ``_iterate_levels``),
+    each evaluated in ``_fs_levels``.
     """
     c = f.carrier
     m = pts.shape[0]
-    x, rows = pts, pts[:0]
+    pairs, power = c.pair_levels(pts), c.dyadic_levels(pts)
 
     def run(n: int, size: int) -> np.ndarray:
-        nonlocal x, rows
-        xs = [x]
-        for _ in range(size):
-            xs.append(c.square_many(xs[-1]))
-        # x^(2^k) sigma(x)^(2^k) for k = n ... n + size - 1, then the mirrors.
-        xk = np.concatenate(xs[:-1])
-        sk = c.involute_many(xk)
-        new = c.compose_many(np.concatenate([xk, sk]), np.concatenate([sk, xk]))
-        stacks = [rows]
-        for a in range(0, size * m, m):
-            b = a + size * m
-            stacks.append(np.concatenate([c.square_many(stacks[-1]), new[a : a + m], new[b : b + m]]))
-        vals = _fs_levels(f, stacks[1:], xs[1:], n + 1)
-        x, rows = xs[-1], stacks[-1]
-        return vals
+        ks = range(n + 1, n + size + 1)
+        return _fs_levels(f, [pairs(k) for k in ks], [power(k) for k in ks], n + 1)
 
     # Levels past the one that converges are computed too, and values that
     # overflow make the result non-finite, which table_fn rejects; numpy's
     # warnings would only reach stderr ahead of that.
     with np.errstate(over="ignore", invalid="ignore"):
-        first = _fs_levels(f, [rows], [x], 0)[0]
+        first = _fs_levels(f, [pairs(0)], [pts], 0)[0]
         return _iterate_levels(
             "reconstruction", first, run, lambda k: 2 * (2 * k + 1) * m, n_max, conv_tol, collect_values
         )

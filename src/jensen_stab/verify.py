@@ -131,10 +131,9 @@ def identity_checks(
         sup = float(np.abs(vals - g_e).max()) if vals.size else 0.0
         records.append(IdentityRecord(name, sup, bound, sup <= bound, int(vals.size)))
 
+    power = c.dyadic_levels(pts)
     for n in n_list:
-        cur = pts
-        for _ in range(n):
-            cur = c.square_many(cur)
+        cur = power(n)
         keep = _table_mask(g, cur)
         base, top = (pts, cur) if keep is None else (pts[keep], cur[keep])
         resid = np.abs(g.eval_many(top) + (2.0**n - 1) * g_e - (2.0**n) * g.eval_many(base))

@@ -278,7 +278,7 @@ def test_malformed_carrier_dicts_rejected():
     # Each of these once escaped as a TypeError or ValueError, or was truncated silently.
     lattice = {"kind": "lattice", "dim": 1, "window": 8, "folner_max": 16}
     for key in ("dim", "window", "folner_max"):
-        for bad in (None, "x", 1.7, True, [1]):
+        for bad in (None, "x", "16", 1.7, True, [1]):
             with pytest.raises(FormatError):
                 carrier_from_dict({**lattice, key: bad})
         with pytest.raises(FormatError, match="missing field"):

@@ -175,6 +175,9 @@ def _assert_clean_error(capsys, argv):
         {"carrier": "s3", "folner_k": "abc"},
         {"carrier": "s3", "folner_k": 0},
         {"carrier": "s3", "base": {"constant": [1, "a"]}},
+        {"carrier": "s3", "noise": {"type": "seeded_uniform", "amplitude": "0.1", "seed": " 7 "}, "tol": "1e-3"},
+        {"carrier": "s3", "tol": -1.0},
+        {"carrier": "s3", "conv_tol": -1.0},
     ],
 )
 def test_experiment_bad_config_is_a_clean_error(tmp_path, capsys, config):
@@ -207,6 +210,7 @@ def test_missing_or_malformed_input_files_are_clean_errors(s3_files, tmp_path, c
         {"kind": "lattice", "dim": 1.7, "window": 8, "folner_max": 16},
         {"kind": "finite", "elements": ["e", "a"], "neutral": "e", "op": [[0, 1], [1]], "involution": [0, 1]},
         {"kind": "finite", "elements": ["e", "a"], "neutral": "e", "op": [[0, 1], [1, 0.5]], "involution": [0, 1]},
+        {"kind": "lattice", "dim": "1", "window": "8", "folner_max": "16"},
     ],
 )
 def test_malformed_carrier_file_is_a_clean_error(tmp_path, capsys, carrier):
@@ -310,3 +314,29 @@ def test_lattice_carrier_file_and_oracle(tmp_path):
         "--solution", str(out), "--solution-report", str(tmp_path / "g.report.json"),
     ])
     assert code == 0
+
+
+@pytest.mark.parametrize("command", ["inequalities", "stabilize", "verify"])
+@pytest.mark.parametrize("tol", ["-1", "inf", "nan"])
+def test_negative_or_non_finite_tol_is_a_clean_error(s3_files, tmp_path, capsys, command, tol):
+    carrier_path, fn_path = s3_files
+    out = tmp_path / "g.json"
+    extra = {
+        "inequalities": [],
+        "stabilize": ["--method", "dyadic", "--out", str(out)],
+        "verify": ["--solution", str(fn_path)],
+    }[command]
+    _assert_clean_error(capsys, [
+        command, *extra, "--carrier", str(carrier_path), "--function", str(fn_path), "--tol", tol,
+    ])
+    assert not out.exists()
+
+
+def test_zero_tol_is_legal(tmp_path):
+    # An exact solution: every dyadic step is 0, and every check holds with no tolerance.
+    fn_path, out = tmp_path / "f.json", tmp_path / "g.json"
+    _write(fn_path, function_to_dict(generate_solution(bundled_carrier("s3"), 3 + 2j)))
+    argv = ["--carrier", "s3", "--function", str(fn_path), "--tol", "0"]
+    assert main(["stabilize", "--method", "dyadic", "--out", str(out), *argv]) == 0
+    assert main(["inequalities", *argv]) == 0
+    assert main(["verify", "--solution", str(out), *argv]) == 0

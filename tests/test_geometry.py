@@ -1,4 +1,5 @@
-"""The window geometry each carrier builds once: its terms, table positions and box masks."""
+"""The window geometry each carrier builds once: its terms, table positions,
+box masks and dyadic orbit levels."""
 
 from __future__ import annotations
 
@@ -11,17 +12,21 @@ import pytest
 
 from jensen_stab import (
     FiniteTableFn,
+    LatticeOverflowError,
     LatticeTableFn,
     OracleFn,
     SeededUniformNoise,
     bundled_carrier,
     drygas_defect,
+    generate_solution,
     inequality_suite,
     jensen_defect,
+    perturb,
     phi_mean_construction,
 )
 from jensen_stab.carrier import WindowTerms
-from jensen_stab.stabilize import _fs_iterate
+from jensen_stab.funcspace import BoundedFn
+from jensen_stab.stabilize import _dyadic_iterate, _fs_iterate
 
 CARRIERS = ["z2", "s3", "int1", "int2"]
 
@@ -141,3 +146,93 @@ def test_reconstruction_on_a_primed_carrier_equals_a_fresh_one():
         vals, diffs, n, _ = _fs_iterate(f, c.window_points(), 40, 1e-10)
         runs.append((vals.tobytes(), diffs, n))
     assert runs[0] == runs[1]
+
+
+def _power_rows(c, pts, k):
+    """pts^(2^k) by k squarings on c."""
+    for _ in range(k):
+        pts = c.square_many(pts)
+    return pts
+
+
+def _pair_rows(c, pts, k):
+    """The 2k pair rows of level k: row 2j is (x^(2^j) sigma(x)^(2^j))^(2^(k-1-j)), row 2j + 1 its mirror."""
+    rows = [pts[:0]]
+    for j in range(k):
+        xj = _power_rows(c, pts, j)
+        sj = c.involute_many(xj)
+        rows += [_power_rows(c, c.compose_many(a, b), k - 1 - j) for a, b in ((xj, sj), (sj, xj))]
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize("name", ["z2", "s3", "q8", "m3", "int1", "int2"])
+def test_held_orbit_levels_are_the_repeated_squares_and_read_only(name):
+    c, fresh = bundled_carrier(name), bundled_carrier(name)
+    w = c.window_terms().w
+    power, pairs = c.dyadic_levels(w), c.pair_levels(w)
+    for k in range(13):
+        assert np.array_equal(power(k), _power_rows(fresh, fresh.window_points(), k)), k
+        assert np.array_equal(pairs(k), _pair_rows(fresh, fresh.window_points(), k)), k
+    # A second reader gets the held arrays themselves.
+    again, again_pairs = c.dyadic_levels(w), c.pair_levels(w)
+    for k in range(1, 13):
+        for held, a in ((power(k), again(k)), (pairs(k), again_pairs(k))):
+            assert held is a
+            with pytest.raises(ValueError):
+                a[0] = a[0]
+    # Any other array gets its levels afresh, and the carrier keeps nothing for them.
+    built = c._built
+    other = w.copy()
+    assert np.array_equal(c.pair_levels(other)(5), pairs(5))
+    assert c.dyadic_levels(other)(5) is not power(5)
+    assert c._built is built
+
+
+def _iterations(c, seed):
+    if c.size:
+        f = perturb(generate_solution(c, 1 - 2j), "seeded_uniform", 0.3, seed=seed)
+    else:
+        f = OracleFn(c, [0.5 - 1j, 2.0][: c.dim], 1.0, SeededUniformNoise(0.2, seed))
+    out = []
+    for run in (_dyadic_iterate, _fs_iterate):
+        vals, diffs, n, levels = run(f, c.window_points(), 40, 1e-10, collect_values=True)
+        out.append((vals.tobytes(), diffs, n, [a.tobytes() for a in levels]))
+    return out
+
+
+@pytest.mark.parametrize("name", ["z2", "q8", "m3", "int1", "int2"])
+def test_iterations_on_a_primed_carrier_equal_those_on_a_fresh_one(name):
+    primed = bundled_carrier(name)
+    primed.window_terms()
+    first, second = _iterations(primed, 4), _iterations(primed, 4)
+    assert first == second == _iterations(bundled_carrier(name), 4)
+
+
+class _Root(BoundedFn):
+    """2 x + sign(x) sqrt(|x|) on Z^1: no two levels are equal, so conv_tol = 0 runs to the guard."""
+
+    def __init__(self, carrier):
+        self.carrier = carrier
+        self.calls = 0
+
+    def eval_many(self, pts: np.ndarray) -> np.ndarray:
+        self.calls += 1
+        x = pts[:, 0].astype(np.float64)
+        return (2.0 * x + np.sign(x) * np.sqrt(np.abs(x))).astype(np.complex128)
+
+
+def test_a_held_level_that_meets_the_overflow_guard_raises_each_time_and_is_not_kept():
+    # The window reaches 64 = 2^6: level 56 is 2^62, and squaring it trips the
+    # 2^61 guard. The dyadic loop evaluates f(e) and levels 0 to 56, the
+    # reconstruction level 0 once and levels 1 to 56 three times each.
+    c = bundled_carrier("int1")
+    w = c.window_terms().w
+    for _ in range(2):
+        for run, calls in ((_dyadic_iterate, 2 + 56), (_fs_iterate, 1 + 3 * 56)):
+            f = _Root(c)
+            with pytest.raises(LatticeOverflowError):
+                run(f, w, 80, 0.0)
+            assert f.calls == calls
+    assert int(np.abs(c.dyadic_levels(w)(56)).max()) == 2**62
+    # Levels 0 to 56 are held; the one that raised is not.
+    assert [len(c._built[what, "w"]) for what in ("powers", "pair_rows")] == [57, 57]

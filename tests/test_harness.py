@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 
 import numpy as np
@@ -19,6 +20,7 @@ from jensen_stab import (
     perturb,
     run_experiment,
 )
+from jensen_stab import carrier as carrier_module
 from jensen_stab import harness, stabilize
 from jensen_stab.errors import FormatError
 from jensen_stab.harness import build_function
@@ -131,6 +133,17 @@ def test_config_rejects_identity_powers_below_one(powers):
         {"methods": "mean"},
         {"methods": None},
         {"base": {"linear": 2}},
+        {"noise": {"type": "seeded_uniform", "amplitude": "0.1", "seed": 7}},
+        {"noise": {"type": "seeded_uniform", "amplitude": 0.1, "seed": " 7 "}},
+        {"tol": "1e-3"},
+        {"conv_tol": "0"},
+        {"component_dim": "2"},
+        {"tol": -1.0},
+        {"tol": float("inf")},
+        {"tol": float("nan")},
+        {"conv_tol": -1e-300},
+        {"conv_tol": float("inf")},
+        {"conv_tol": float("nan")},
     ],
 )
 def test_config_rejects_malformed_values(data):
@@ -298,3 +311,77 @@ def test_non_finite_defect_is_a_stage_error():
     assert err["error"].startswith("FormatError: jensen defect is not finite")
     assert "[-64]" in err["error"]
     json.dumps(report, allow_nan=False)
+
+
+def test_zero_tolerances_are_legal():
+    # conv_tol = 0 runs every level alone; on an exact solution the first step is 0, so it converges.
+    cfg = ExperimentConfig.from_dict({"carrier": "s3", "tol": 0, "conv_tol": 0, "methods": ["dyadic"]})
+    assert (cfg.tol, cfg.conv_tol) == (0.0, 0.0)
+    assert run_experiment(cfg)["pass"]
+
+
+def test_an_orbit_that_meets_the_overflow_guard_is_a_stage_error():
+    # Seeded noise along an int1 orbit past 2^62 once overflowed its volume
+    # estimate and escaped as a numpy ValueError.
+    cfg = ExperimentConfig.from_dict({
+        "carrier": "int1", "base": {"linear": [2.0]}, "noise": {"type": "seeded_uniform", "amplitude": 0.1},
+        "methods": ["dyadic"], "dyadic_n": 80, "conv_tol": 0,
+    })
+    report = run_experiment(cfg)
+    assert not report["pass"]
+    assert report["errors"] == [
+        {"stage": "stabilize:dyadic", "error": "LatticeOverflowError: lattice coordinates left the safe integer range"}
+    ]
+
+
+def _digest(report: dict) -> str:
+    return hashlib.sha256(json.dumps(_strip_timing(report), sort_keys=True).encode()).hexdigest()
+
+
+def test_one_carrier_per_bundled_name_per_process():
+    shared = harness.resolve_carrier("q8")
+    assert harness.resolve_carrier("Q8") is shared
+    assert harness.resolve_carrier("q8") is not bundled_carrier("q8")
+    # A carrier dict is built afresh each time.
+    spec = {"kind": "lattice", "dim": 1, "window": 8, "folner_max": 16}
+    assert harness.resolve_carrier(spec) is not harness.resolve_carrier(spec)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ExperimentConfig(carrier="q8", base_constant=3 + 2j, noise_type="seeded_uniform", noise_amplitude=0.1,
+                         noise_seed=4, methods=["mean", "dyadic", "dyadic_full", "forti_sikorska"]),
+        ExperimentConfig(carrier="m3", base_constant=1.0, noise_type="seeded_uniform", noise_amplitude=0.3,
+                         noise_seed=5, methods=["mean", "dyadic", "forti_sikorska"]),
+        ExperimentConfig(carrier="int1", base_constant=5.0, base_linear=[2.0], noise_type="seeded_uniform",
+                         noise_amplitude=0.1, noise_seed=6, methods=["mean", "dyadic", "forti_sikorska"],
+                         folner_k=128),
+    ],
+)
+def test_sharing_a_carrier_leaves_reports_unchanged(monkeypatch, cfg):
+    shared = [_digest(run_experiment(cfg)) for _ in range(2)]
+    monkeypatch.setattr(harness, "resolve_carrier", lambda spec: bundled_carrier(spec))
+    assert shared == [_digest(run_experiment(cfg))] * 2
+
+
+def test_validation_runs_once_per_carrier_and_is_asked_once_per_experiment(monkeypatch):
+    c = bundled_carrier("s3")
+    bodies, asked = [], []
+    validate, body = harness.validate_carrier, carrier_module._validate
+
+    def counted_body(carrier):
+        bodies.append(carrier)
+        return body(carrier)
+
+    def counted(carrier):
+        asked.append(carrier)
+        return validate(carrier)
+
+    monkeypatch.setattr(carrier_module, "_validate", counted_body)
+    monkeypatch.setattr(harness, "validate_carrier", counted)
+    monkeypatch.setattr(harness, "resolve_carrier", lambda spec: c)
+    cfg = ExperimentConfig(carrier="s3", methods=["dyadic"])
+    reports = [run_experiment(cfg) for _ in range(3)]
+    assert bodies == [c] and asked == [c] * 3
+    assert all(r["validation"] == reports[0]["validation"] and r["pass"] for r in reports)
