@@ -38,9 +38,7 @@ from .funcspace import (
     even_part,
     function_from_dict,
     function_to_dict,
-    left_translate,
     odd_part,
-    right_translate,
 )
 from .harness import ExperimentConfig, build_function, generate_solution, perturb, run_experiment
 from .stabilize import (
@@ -111,12 +109,10 @@ __all__ = [
     "jensen_approximant",
     "jensen_defect",
     "jensen_residual",
-    "left_translate",
     "method_agreement",
     "odd_part",
     "perturb",
     "phi_mean_construction",
-    "right_translate",
     "run_experiment",
     "stability_bound_check",
     "validate_carrier",

@@ -237,7 +237,6 @@ class FiniteCarrier(Carrier):
         self.involution = inv
         # The window is G in index order, so e sits at its own index.
         self.neutral = self.neutral_position = int(neutral)
-        self._is_group: bool | None = None
 
     @property
     def size(self) -> int:
@@ -246,13 +245,8 @@ class FiniteCarrier(Carrier):
     @property
     def is_group(self) -> bool:
         """True iff every row and column of the op table is a permutation."""
-        if self._is_group is None:
-            n = self.size
-            full = np.arange(n)
-            rows_ok = all(np.array_equal(np.sort(self.op[i]), full) for i in range(n))
-            cols_ok = all(np.array_equal(np.sort(self.op[:, j]), full) for j in range(n))
-            self._is_group = bool(rows_ok and cols_ok)
-        return self._is_group
+        full = np.arange(self.size)
+        return self._once("is_group", lambda: all((np.sort(t, axis=1) == full).all() for t in (self.op, self.op.T)))
 
     @property
     def is_abelian(self) -> bool:

@@ -258,8 +258,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for name in ("tol", "conv_tol"):
-            if name in args:
+        for name in ("tol", "conv_tol", "delta"):
+            if getattr(args, name, None) is not None:
                 require_tolerance(getattr(args, name), "--" + name.replace("_", "-"))
         return args.func(args)
     except JensenStabError as exc:

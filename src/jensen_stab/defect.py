@@ -83,17 +83,19 @@ class _MinusConst(BoundedFn):
 def _table_mask(fn: BoundedFn, pts: np.ndarray) -> np.ndarray | None:
     """Mask of scan positions whose points stay evaluable, None if all do.
 
-    A view reads its base at the points, and an even or odd view reads it at
-    their involutes as well; every point read must lie in the base table's
-    box. An involution other than negation can map points of the box out of it.
+    Each view down to the base table names the points at which it reads its
+    base (``reads``: the points themselves, with their involutes for an even
+    or odd part, the composed points for a translate); every point read
+    must lie in the table's box. An involution other than negation can map
+    points of the box out of it.
     """
     reads = [pts]
     while not isinstance(fn, LatticeTableFn):
-        if isinstance(fn, (EvenPart, OddPart)):
-            reads += [fn.carrier.involute_many(a) for a in reads]
-        fn = getattr(fn, "base", None)
-        if fn is None:
+        base = getattr(fn, "base", None)
+        if base is None:
             return None
+        reads = [b for a in reads for b in fn.reads(a)]
+        fn = base
     mask = fn.covers(reads[0])
     for a in reads[1:]:
         mask = mask & fn.covers(a)

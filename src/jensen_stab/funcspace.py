@@ -273,6 +273,11 @@ class BoundedFn:
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def reads(self, pts: np.ndarray) -> list[np.ndarray]:
+        """The point arrays at which a view (a function with a ``base``) reads
+        its base to evaluate itself at pts: pts itself unless it says otherwise."""
+        return [pts]
+
     def __call__(self, x) -> complex:
         return self.eval(x)
 
@@ -385,9 +390,11 @@ class EvenPart(BoundedFn):
         self.base = base
         self.carrier = base.carrier
 
+    def reads(self, pts: np.ndarray) -> list[np.ndarray]:
+        return [pts, self.carrier.involute_many(pts)]
+
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        v1 = self.base.eval_many(pts)
-        v2 = self.base.eval_many(self.carrier.involute_many(pts))
+        v1, v2 = map(self.base.eval_many, self.reads(pts))
         return (v1 + v2) / 2
 
 
@@ -403,9 +410,10 @@ class OddPart(BoundedFn):
         self.base = base
         self.carrier = base.carrier
 
+    reads = EvenPart.reads
+
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        v1 = self.base.eval_many(pts)
-        v2 = self.base.eval_many(self.carrier.involute_many(pts))
+        v1, v2 = map(self.base.eval_many, self.reads(pts))
         return v1 - (v1 + v2) / 2
 
 
@@ -417,8 +425,11 @@ class LeftTranslate(BoundedFn):
         self.carrier = base.carrier
         self.y = self.carrier.check_element(y)
 
+    def reads(self, pts: np.ndarray) -> list[np.ndarray]:
+        return [self.carrier.compose_many(np.asarray(self.y, dtype=np.int64), pts)]
+
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        return self.base.eval_many(self.carrier.compose_many(np.asarray(self.y, dtype=np.int64), pts))
+        return self.base.eval_many(self.reads(pts)[0])
 
 
 class RightTranslate(BoundedFn):
@@ -429,8 +440,11 @@ class RightTranslate(BoundedFn):
         self.carrier = base.carrier
         self.y = self.carrier.check_element(y)
 
+    def reads(self, pts: np.ndarray) -> list[np.ndarray]:
+        return [self.carrier.compose_many(pts, np.asarray(self.y, dtype=np.int64))]
+
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        return self.base.eval_many(self.carrier.compose_many(pts, np.asarray(self.y, dtype=np.int64)))
+        return self.base.eval_many(self.reads(pts)[0])
 
 
 def even_part(f: BoundedFn) -> BoundedFn:
@@ -439,14 +453,6 @@ def even_part(f: BoundedFn) -> BoundedFn:
 
 def odd_part(f: BoundedFn) -> BoundedFn:
     return OddPart(f)
-
-
-def left_translate(y, f: BoundedFn) -> BoundedFn:
-    return LeftTranslate(y, f)
-
-
-def right_translate(f: BoundedFn, y) -> BoundedFn:
-    return RightTranslate(f, y)
 
 
 # ----------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from .stabilize import (
     jensen_approximant,
     phi_mean_construction,
 )
-from .verify import method_agreement, verify_solution
+from .verify import AgreementReport, method_agreement, verify_solution
 
 SCHEMA = "jensen-stab/report/v1"
 
@@ -66,11 +66,9 @@ class ExperimentConfig:
     identity_powers: tuple[int, ...] = (1, 2, 3)
 
     def __post_init__(self) -> None:
-        if self.noise_amplitude < 0:
-            raise FormatError("noise amplitude must be nonnegative")
         if self.component_dim < 1:
             raise FormatError("component_dim must be >= 1")
-        for name in ("tol", "conv_tol"):
+        for name in ("noise_amplitude", "tol", "conv_tol"):
             require_tolerance(getattr(self, name), name)
         k = self.folner_k
         if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 1):
@@ -135,7 +133,7 @@ class ExperimentConfig:
 
 
 def require_tolerance(value: float, name: str) -> None:
-    """FormatError unless value is finite and >= 0 (0 is exact comparison)."""
+    """FormatError unless value is finite and >= 0 (a tolerance of 0 is exact comparison)."""
     if not (math.isfinite(value) and value >= 0):
         raise FormatError(f"{name} must be a finite number >= 0, got {value!r}")
 
@@ -210,12 +208,7 @@ def _scalar_run(config: ExperimentConfig, c: Carrier, component: int, timing: di
         return wrap
 
     f = stage("generate")(lambda: build_function(config, c, component))
-    if f is None:
-        report["errors"] = errors
-        report["pass"] = False
-        return report
-
-    defect_report = stage("defect")(lambda: jensen_defect(f))
+    defect_report = None if f is None else stage("defect")(lambda: jensen_defect(f))
     if defect_report is None:
         report["errors"] = errors
         report["pass"] = False
@@ -279,11 +272,9 @@ def _scalar_run(config: ExperimentConfig, c: Carrier, component: int, timing: di
     agreement = None
     if "mean" in results and "dyadic" in results:
         agreement = stage("agreement")(
-            lambda: method_agreement(f, results["mean"], results["dyadic"], delta=delta, tol=tol)
+            lambda: method_agreement(f, results["mean"], results["dyadic"], tol=tol)
         )
     elif "mean" in config.methods and not mean_capable:
-        from .verify import AgreementReport
-
         agreement = AgreementReport(status="skipped_no_mean")
     report["agreement"] = agreement.to_dict() if agreement is not None else None
 

@@ -43,7 +43,6 @@ class DyadicTrace(Record):
     values: list[complex]
     diffs: list[float]
     n_final: int
-    converged: bool
 
 
 @dataclass
@@ -107,20 +106,20 @@ def _iterate_levels(
     level_points: Callable[[int], int],
     n_max: int,
     conv_tol: float,
-    collect_values: bool,
 ) -> tuple[np.ndarray, list[float], int, list[np.ndarray]]:
     """Level 0 is ``first``; ``run(n, size)`` returns levels n + 1 ... n + size as rows.
 
     Stops at the first level whose step from the one before is at most
-    conv_tol. Levels run in blocks: up to the level where the ratio of the
-    last two steps predicts a step at most conv_tol, within _BLOCK_LEVELS
-    levels and, unless the block is one level, _BLOCK_POINTS stacked points
-    (``level_points(k)`` for level k). A block that raises is replayed one
+    conv_tol, and returns it with the steps, its index and every level (row
+    views of the blocks, not copies). Levels run in blocks: up to the level
+    where the ratio of the last two steps predicts a step at most conv_tol,
+    within _BLOCK_LEVELS levels and, unless the block is one level,
+    _BLOCK_POINTS stacked points (``level_points(k)`` for level k). A block that raises is replayed one
     level at a time, and so is every later level, so results and errors are
     those of single levels. With conv_tol = 0 every level runs alone.
     """
     prev = first
-    levels = [first] if collect_values else []
+    levels = [first]
     diffs: list[float] = []
     blocks = conv_tol > 0
     n = 0
@@ -145,8 +144,7 @@ def _iterate_levels(
         steps = np.maximum.reduce(np.abs(block - np.concatenate([prev[None], block[:-1]])), axis=1).tolist()
         for vals, step in zip(block, steps):
             n += 1
-            if collect_values:
-                levels.append(vals)
+            levels.append(vals)
             diffs.append(step)
             if step <= conv_tol:
                 return vals, diffs, n, levels
@@ -172,9 +170,13 @@ def dyadic_limit(
     lattice power leaves the safe integer range first (for affine oracles
     convergence arrives long before overflow).
     """
-    pts = f.carrier.row(x)
-    vals, diffs, n_final, levels = _dyadic_iterate(f, pts, n_max, tol, collect_values=True)
-    return complex(vals[0]), DyadicTrace([complex(v[0]) for v in levels], diffs, n_final, True)
+    return _pointwise(_dyadic_iterate, f, x, n_max, tol)
+
+
+def _pointwise(iterate: Callable, f: BoundedFn, x, n_max: int, tol: float) -> tuple[complex, DyadicTrace]:
+    """The limit of ``iterate`` at the one element x, with the trace of its levels."""
+    vals, diffs, n_final, levels = iterate(f, f.carrier.row(x), n_max, tol)
+    return complex(vals[0]), DyadicTrace([complex(v[0]) for v in levels], diffs, n_final)
 
 
 def _dyadic_iterate(
@@ -182,14 +184,12 @@ def _dyadic_iterate(
     pts: np.ndarray,
     n_max: int,
     conv_tol: float,
-    collect_values: bool = False,
 ) -> tuple[np.ndarray, list[float], int, list[np.ndarray]]:
     """Vectorized dyadic iteration of ``target`` at pts until a step is at most conv_tol.
 
     All points iterate to the same depth so that one a posteriori tail
-    bound covers every point. With ``collect_values`` every level is kept.
-    Levels run in blocks (see ``_iterate_levels``), each evaluated once at
-    the carrier's ``dyadic_levels`` of pts.
+    bound covers every point. Levels run in blocks (see ``_iterate_levels``),
+    each evaluated once at the carrier's ``dyadic_levels`` of pts.
     """
     c = target.carrier
     t_e = target.eval(c.neutral)
@@ -202,7 +202,7 @@ def _dyadic_iterate(
         return (block - t_e) * np.ldexp(1.0, -np.arange(n + 1, n + size + 1))[:, None]
 
     first = target.eval_many(pts) - t_e
-    return _iterate_levels("dyadic limit", first, run, lambda k: m, n_max, conv_tol, collect_values)
+    return _iterate_levels("dyadic limit", first, run, lambda k: m, n_max, conv_tol)
 
 
 # ----------------------------------------------------------------------------
@@ -284,7 +284,6 @@ def _fs_iterate(
     pts: np.ndarray,
     n_max: int,
     conv_tol: float,
-    collect_values: bool = False,
 ) -> tuple[np.ndarray, list[float], int, list[np.ndarray]]:
     """Two-block partial expressions of f at pts for n = 0, 1, ... until a step is at most conv_tol.
 
@@ -307,38 +306,39 @@ def _fs_iterate(
     # warnings would only reach stderr ahead of that.
     with np.errstate(over="ignore", invalid="ignore"):
         first = _fs_levels(f, [pairs(0)], [pts], 0)[0]
-        return _iterate_levels(
-            "reconstruction", first, run, lambda k: 2 * (2 * k + 1) * m, n_max, conv_tol, collect_values
-        )
+        return _iterate_levels("reconstruction", first, run, lambda k: 2 * (2 * k + 1) * m, n_max, conv_tol)
 
 
 def _fs_levels(f: BoundedFn, pair_rows: list[np.ndarray], xs: list[np.ndarray], k0: int) -> np.ndarray:
     """Levels k0, k0 + 1, ... of the two-block expression, one row each.
 
-    ``pair_rows[i]`` and ``xs[i]`` are the points of level k0 + i. The even
-    and odd parts of f are formed as ``EvenPart`` and ``OddPart`` form them.
+    ``pair_rows[i]`` and ``xs[i]`` are the points of level k0 + i. Every pair
+    row is sigma-fixed: sigma(x sigma(x)) = x sigma(x) and sigma(z^2) =
+    sigma(z)^2, so f_even is f there and f is read there once. Where both
+    parts of f are at most DBL_MAX / 2 in modulus this is the value of the
+    halved sum (f + f o sigma) / 2 (above that the sum overflowed to inf);
+    the bits can differ only in the sign of a zero part, as numpy divides a
+    complex by 2 as by 2 + 0j. At x^(2^k) the even and odd parts are formed
+    as ``EvenPart`` and ``OddPart`` form them.
+
     Level k sums k terms t = 0 ... k-1: the even sum 2^t times the left plus
     right rows k-1-t, the odd sum the left minus right rows t. Each sum is
     added one term at a time from +0, as np.add.accumulate does along a term
     axis front-padded with zeros to the block's last level (np.add.reduce
     may sum pairwise, which moves the last bits).
     """
-    c = f.carrier
     m = xs[0].shape[0]
     size = len(xs)
     top = k0 + size - 1
     ks = np.arange(k0, top + 1)[:, None]
-    # f is evaluated once at all pair rows, once at their involutes, and once
-    # at all x^(2^k) rows with theirs. On lattices with sigma = -id every
-    # pair row is the neutral point, which the dense noise grid serves, while
-    # the orbit of x is sparse and goes to the sorted store.
-    pairs = np.zeros((0, m), dtype=np.complex128)
-    if top:
-        rows = np.concatenate(pair_rows)
-        pairs = ((f.eval_many(rows) + f.eval_many(c.involute_many(rows))) / 2).reshape(-1, m)
+    # f is evaluated once at all pair rows and once at all x^(2^k) rows with
+    # their involutes. On lattices with sigma = -id every pair row is the
+    # neutral point, which the dense noise grid serves, while the orbit of x
+    # is sparse and goes to the sorted store.
+    pairs = f.eval_many(np.concatenate(pair_rows)).reshape(-1, m) if top else np.zeros((0, m), dtype=np.complex128)
     left, right = pairs[0::2], pairs[1::2]
     x = np.concatenate(xs)
-    x1, x2 = np.split(f.eval_many(np.concatenate([x, c.involute_many(x)])), 2)
+    x1, x2 = np.split(f.eval_many(np.concatenate([x, f.carrier.involute_many(x)])), 2)
     even_x = ((x1 + x2) / 2).reshape(size, m)
     odd_x = x1.reshape(size, m) - even_x
     # Row j < k of level k goes to column top - j of its even sum and to
@@ -367,10 +367,7 @@ def forti_sikorska_reconstruct(
     bounded distance of a Drygas solution g the levels converge to g(x) at
     a geometric rate.
     """
-    pts = f.carrier.row(x)
-    vals, diffs, n_final, levels = _fs_iterate(f, pts, n_max, tol, collect_values=True)
-    trace = DyadicTrace([complex(v[0]) for v in levels], diffs, n_final, True)
-    return complex(vals[0]), trace
+    return _pointwise(_fs_iterate, f, x, n_max, tol)
 
 
 # ----------------------------------------------------------------------------

@@ -178,6 +178,8 @@ def _assert_clean_error(capsys, argv):
         {"carrier": "s3", "noise": {"type": "seeded_uniform", "amplitude": "0.1", "seed": " 7 "}, "tol": "1e-3"},
         {"carrier": "s3", "tol": -1.0},
         {"carrier": "s3", "conv_tol": -1.0},
+        {"carrier": "s3", "noise": {"type": "seeded_uniform", "amplitude": float("nan")}},
+        {"carrier": "s3", "noise": {"type": "seeded_uniform", "amplitude": float("inf")}},
     ],
 )
 def test_experiment_bad_config_is_a_clean_error(tmp_path, capsys, config):
@@ -330,6 +332,16 @@ def test_negative_or_non_finite_tol_is_a_clean_error(s3_files, tmp_path, capsys,
         command, *extra, "--carrier", str(carrier_path), "--function", str(fn_path), "--tol", tol,
     ])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("delta", ["-1", "inf", "nan"])
+def test_negative_or_non_finite_delta_is_a_clean_error(s3_files, capsys, delta):
+    # g = f is wrong; --delta inf would make its bound inf and pass it.
+    carrier_path, fn_path = s3_files
+    argv = ["verify", "--carrier", str(carrier_path), "--function", str(fn_path), "--solution", str(fn_path)]
+    assert main(argv) == 1
+    capsys.readouterr()
+    _assert_clean_error(capsys, [*argv, "--delta", delta])
 
 
 def test_zero_tol_is_legal(tmp_path):

@@ -22,11 +22,13 @@ from jensen_stab import (
     even_part,
     identity_checks,
     inequality_suite,
+    jensen_approximant,
     jensen_defect,
     jensen_residual,
     odd_part,
     phi_mean_construction,
 )
+from jensen_stab.funcspace import LeftTranslate, RightTranslate
 
 
 def brute_force_jensen(f, carrier):
@@ -152,6 +154,37 @@ def test_views_of_a_table_skip_pairs_whose_involutes_leave_the_box(part):
     assert 0 < scanned < report.domain_size
     assert report.scanned_pairs == scanned
     assert abs(report.delta - best) <= 1e-12
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("name", ["int1", "int2"])
+def test_translates_of_a_table_skip_pairs_whose_reads_leave_the_box(name, side):
+    c = bundled_carrier(name)
+    w, r = c.window_points(), c.window_radius
+    y = np.array([3, -2][: c.dim])
+    rng = np.random.default_rng(13)
+    g = LatticeTableFn(c, rng.normal(size=w.shape[0]) + 1j * rng.normal(size=w.shape[0]))
+    view = LeftTranslate(y, g) if side == "left" else RightTranslate(g, y)
+    report = jensen_defect(view)
+    # Brute force, one window point x at a time: the pairs (x, v) whose three
+    # reads y + x + v, y + x - v and y + x all lie in the table's box.
+    best, scanned = -1.0, 0
+    for x in w:
+        reads = [y + x + w, y + x - w, np.broadcast_to(y + x, w.shape)]
+        keep = np.logical_and.reduce([(np.abs(a) <= r).all(axis=1) for a in reads])
+        if keep.any():
+            v = [g.eval_many(a[keep]) for a in reads]
+            best = max(best, float(np.abs(v[0] + v[1] - 2 * v[2]).max()))
+        scanned += int(keep.sum())
+    assert 0 < scanned < report.domain_size
+    assert report.scanned_pairs == scanned
+    assert report.delta == best
+    # A translate of the exact dyadic solution of an affine f is exact again:
+    # its inequality chain scans, and holds, where its reads stay in the box.
+    exact = jensen_approximant(OracleFn(c, [2.0, -1.0][: c.dim], 1.0), "dyadic").g
+    view = LeftTranslate(y, exact) if side == "left" else RightTranslate(exact, y)
+    records = inequality_suite(view)
+    assert all(rec.status == "evaluated" and rec.holds for rec in records[:-1])
 
 
 def test_identity_checks_skip_window_points_whose_involutes_leave_the_box():

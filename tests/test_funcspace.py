@@ -24,12 +24,10 @@ from jensen_stab import (
     even_part,
     function_from_dict,
     function_to_dict,
-    left_translate,
     odd_part,
-    right_translate,
 )
 from jensen_stab.errors import FormatError
-from jensen_stab.funcspace import _ROUND_MIN
+from jensen_stab.funcspace import _ROUND_MIN, LeftTranslate, RightTranslate
 
 
 def test_evaluate_examples():
@@ -124,11 +122,11 @@ def test_translates_on_lattice():
     z1 = bundled_carrier("int1")
     f = OracleFn(z1, [3.0], 1.0, SeededUniformNoise(0.2, 5))
     pts = z1.window_points()
-    lt = left_translate(3, f)
-    rt = right_translate(f, 3)
+    lt = LeftTranslate(3, f)
+    rt = RightTranslate(f, 3)
     assert np.array_equal(lt.eval_many(pts), f.eval_many(pts + 3))
     assert np.array_equal(rt.eval_many(pts), f.eval_many(pts + 3))
-    ident = left_translate(z1.neutral, f)
+    ident = LeftTranslate(z1.neutral, f)
     assert np.array_equal(ident.eval_many(pts), f.eval_many(pts))
 
 
@@ -142,10 +140,10 @@ def test_translates_on_s3_worked_example():
     q = (2, 1, 0)
     composed = "".join(str(p[q[i]]) for i in range(3))
     assert composed == "201"
-    assert left_translate(y, f).eval(x) == f.eval(s3.index_of("201"))
+    assert LeftTranslate(y, f).eval(x) == f.eval(s3.index_of("201"))
     # right translate composes the other way round
     composed_r = "".join(str(q[p[i]]) for i in range(3))
-    assert right_translate(f, y).eval(x) == f.eval(s3.index_of(composed_r))
+    assert RightTranslate(f, y).eval(x) == f.eval(s3.index_of(composed_r))
 
 
 def test_oracle_determinism_across_processes():

@@ -195,7 +195,7 @@ def _iterations(c, seed):
         f = OracleFn(c, [0.5 - 1j, 2.0][: c.dim], 1.0, SeededUniformNoise(0.2, seed))
     out = []
     for run in (_dyadic_iterate, _fs_iterate):
-        vals, diffs, n, levels = run(f, c.window_points(), 40, 1e-10, collect_values=True)
+        vals, diffs, n, levels = run(f, c.window_points(), 40, 1e-10)
         out.append((vals.tobytes(), diffs, n, [a.tobytes() for a in levels]))
     return out
 
@@ -224,11 +224,11 @@ class _Root(BoundedFn):
 def test_a_held_level_that_meets_the_overflow_guard_raises_each_time_and_is_not_kept():
     # The window reaches 64 = 2^6: level 56 is 2^62, and squaring it trips the
     # 2^61 guard. The dyadic loop evaluates f(e) and levels 0 to 56, the
-    # reconstruction level 0 once and levels 1 to 56 three times each.
+    # reconstruction level 0 once and levels 1 to 56 twice each.
     c = bundled_carrier("int1")
     w = c.window_terms().w
     for _ in range(2):
-        for run, calls in ((_dyadic_iterate, 2 + 56), (_fs_iterate, 1 + 3 * 56)):
+        for run, calls in ((_dyadic_iterate, 2 + 56), (_fs_iterate, 1 + 2 * 56)):
             f = _Root(c)
             with pytest.raises(LatticeOverflowError):
                 run(f, w, 80, 0.0)

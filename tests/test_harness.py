@@ -144,6 +144,9 @@ def test_config_rejects_identity_powers_below_one(powers):
         {"conv_tol": -1e-300},
         {"conv_tol": float("inf")},
         {"conv_tol": float("nan")},
+        {"noise": {"type": "seeded_uniform", "amplitude": float("nan")}},
+        {"noise": {"type": "seeded_uniform", "amplitude": float("inf")}},
+        {"noise": {"type": "parity", "amplitude": float("-inf")}},
     ],
 )
 def test_config_rejects_malformed_values(data):

@@ -14,11 +14,10 @@ from jensen_stab import (
     even_part,
     generate_solution,
     jensen_defect,
-    left_translate,
     odd_part,
     perturb,
-    right_translate,
 )
+from jensen_stab.funcspace import LeftTranslate, RightTranslate
 
 GROUPS = ("z2", "z6", "s3", "q8")
 
@@ -88,10 +87,10 @@ def test_translate_identities(y, seed):
     c = LatticeCarrier(dim=1, window_radius=16, folner_max=64)
     f = OracleFn(c, [2.0], 1.0, SeededUniformNoise(0.2, seed))
     pts = c.window_points()
-    assert np.array_equal(left_translate(y, f).eval_many(pts), f.eval_many(pts + y))
-    assert np.array_equal(right_translate(f, y).eval_many(pts), f.eval_many(pts + y))
+    assert np.array_equal(LeftTranslate(y, f).eval_many(pts), f.eval_many(pts + y))
+    assert np.array_equal(RightTranslate(f, y).eval_many(pts), f.eval_many(pts + y))
     e = c.neutral
-    assert np.array_equal(left_translate(e, f).eval_many(pts), f.eval_many(pts))
+    assert np.array_equal(LeftTranslate(e, f).eval_many(pts), f.eval_many(pts))
 
 
 @given(seed=seeds)

@@ -58,7 +58,7 @@ def _instances():
     out += results.values()
     rep = verify_solution(f, results["mean"], delta=d.delta, phi=phi, phi_budget=diag.phi_error_budget)
     out += [rep, rep.stability, *rep.identity_records]
-    out.append(method_agreement(f, results["mean"], results["dyadic"], delta=d.delta))
+    out.append(method_agreement(f, results["mean"], results["dyadic"]))
     z1 = bundled_carrier("int1")
     g = OracleFn(z1, [1.5 - 0.5j], 2j, SeededUniformNoise(0.1, 4))
     out += [dyadic_limit(g, 3)[1], folner_mean(g, 8), jensen_defect(g), validate_carrier(z1)]
@@ -126,8 +126,8 @@ def test_values_are_json_values(record):
 
 
 def test_complex_lists_tuples_and_nested_records():
-    trace = stabilize.DyadicTrace([1 + 2j, -0.5 + 0j], [0.25], 1, True)
-    assert trace.to_dict() == {"values": [[1.0, 2.0], [-0.5, 0.0]], "diffs": [0.25], "n_final": 1, "converged": True}
+    trace = stabilize.DyadicTrace([1 + 2j, -0.5 + 0j], [0.25], 1)
+    assert trace.to_dict() == {"values": [[1.0, 2.0], [-0.5, 0.0]], "diffs": [0.25], "n_final": 1}
     d = defect.DefectReport("jensen", 0.5, ((1, -2), (3, 4)), 9, "lower_bound")
     assert d.to_dict()["witness"] == [[1, -2], [3, 4]]
     v = carrier.AxiomViolation("neutral", ("a", "b"), "no element acts")

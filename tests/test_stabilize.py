@@ -349,6 +349,19 @@ def _twisted_s3():
     return c
 
 
+@pytest.mark.parametrize("name", ["z2", "z6", "s3", "q8", "m3", "s3_twisted", "int1", "int2"])
+def test_fs_pair_rows_are_sigma_fixed(name):
+    # sigma(x sigma(x)) = x sigma(x) and sigma(z^2) = sigma(z)^2, so every pair
+    # row is its own involute, and _fs_levels reads f there once, as f_even.
+    c = _twisted_s3() if name == "s3_twisted" else bundled_carrier(name)
+    w = c.window_points()
+    pairs = c.pair_levels(w)
+    for k in range(13):
+        rows = pairs(k)
+        assert rows.shape[0] == 2 * k * w.shape[0]
+        assert np.array_equal(c.involute_many(rows), rows)
+
+
 @pytest.mark.parametrize(
     "name, noise",
     [("z2", "seeded"), ("z6", "seeded"), ("s3", "seeded"), ("q8", "seeded"), ("m3", "seeded"),
@@ -365,7 +378,7 @@ def test_fs_matches_the_per_pair_reference_loop(name, noise):
             return OracleFn(c, [1.5, -0.5 + 1j][: c.dim], 2j, amp)
     pts = c.window_points()
     vals, diffs, n_final, levels = stabilize._fs_iterate(
-        make(), pts, stabilize.DEFAULT_N_MAX, stabilize.DEFAULT_CONV_TOL, collect_values=True
+        make(), pts, stabilize.DEFAULT_N_MAX, stabilize.DEFAULT_CONV_TOL
     )
     ref_levels, ref_diffs, ref_n = _fs_per_pair(make(), pts)
     assert (n_final, diffs) == (ref_n, ref_diffs)
@@ -396,7 +409,7 @@ def _dyadic_per_level(target, pts, n_max=stabilize.DEFAULT_N_MAX, tol=stabilize.
 
 
 def _assert_dyadic_matches(target, pts, n_max=stabilize.DEFAULT_N_MAX, tol=stabilize.DEFAULT_CONV_TOL):
-    vals, diffs, n_final, levels = stabilize._dyadic_iterate(target, pts, n_max, tol, collect_values=True)
+    vals, diffs, n_final, levels = stabilize._dyadic_iterate(target, pts, n_max, tol)
     ref_levels, ref_diffs, ref_n = _dyadic_per_level(target, pts, n_max, tol)
     assert (n_final, diffs) == (ref_n, ref_diffs)
     assert _same_bits(vals, ref_levels[-1])
@@ -502,7 +515,7 @@ class _CountingFn(BoundedFn):
 
 
 def _assert_fs_matches(f, pts, n_max=stabilize.DEFAULT_N_MAX, tol=stabilize.DEFAULT_CONV_TOL):
-    vals, diffs, n_final, levels = stabilize._fs_iterate(f, pts, n_max, tol, collect_values=True)
+    vals, diffs, n_final, levels = stabilize._fs_iterate(f, pts, n_max, tol)
     ref_levels, ref_diffs, ref_n = _fs_per_pair(f, pts, n_max, tol)
     assert (n_final, diffs) == (ref_n, ref_diffs)
     assert _same_bits(vals, ref_levels[-1])
@@ -520,12 +533,12 @@ def test_fs_makes_a_bounded_number_of_evaluations_per_level(name):
     f = _CountingFn(base)
     res = jensen_approximant(f, "forti_sikorska", delta=0.0)
     # A per-pair evaluation would make about 2 n^2 calls over n levels; a
-    # block makes three (pair rows, their involutes, x^(2^k) rows with theirs)
-    # and level 0 one. On int1 (129 window points) the point cap keeps the
+    # block makes two (pair rows, x^(2^k) rows with their involutes) and
+    # level 0 one. On int1 (129 window points) the point cap keeps the
     # late blocks to one level; with 17 points they hold many.
     n = res.iterations_or_k
     assert n >= 10
-    assert f.calls <= 3 * n + 1
+    assert f.calls <= 2 * n + 1
     if name != "int1":
         assert f.calls < n
 
@@ -549,11 +562,14 @@ def test_fs_blocks_stay_within_the_point_cap(monkeypatch):
     monkeypatch.setattr(stabilize, "_BLOCK_POINTS", cap)
     _assert_fs_matches(counted, c.window_points())
     assert [k0 for k0, _, _ in blocks] == list(np.cumsum([0, 1] + [size for _, size, _ in blocks[1:-1]]))
-    for k0, size, points in blocks:
-        assert points == sum(2 * (2 * k + 1) * m for k in range(k0, k0 + size))
-        assert points <= cap or size == 1
+    stacked = [sum(2 * (2 * k + 1) * m for k in range(k0, k0 + size)) for k0, size, _ in blocks]
+    for (k0, size, points), total in zip(blocks, stacked):
+        # f is read once at the 2k sigma-fixed pair rows of level k and once
+        # at its x^(2^k) row with its involute: (2k + 2) m of the 2 (2k + 1) m.
+        assert points == sum((2 * k + 2) * m for k in range(k0, k0 + size))
+        assert total <= cap or size == 1
     assert any(size > 1 for _, size, _ in blocks)
-    assert any(points > cap for _, _, points in blocks)
+    assert any(total > cap for total in stacked)
 
 
 class _PointCountingFn(_CountingFn):
@@ -590,7 +606,7 @@ def test_an_fs_block_that_meets_the_overflow_guard_is_replayed_level_by_level():
     evaluated = np.unique(np.concatenate(calls))
     assert np.array_equal(evaluated, np.unique(np.concatenate(ref_calls)))
     assert evaluated.max() == 3 * 2**60
-    assert len(calls) == 1 + 3 * 60
+    assert len(calls) == 1 + 2 * 60
     # Converging at the last level below the guard gives the same levels.
     with pytest.raises(NonConvergenceError) as exc:
         _fs_per_pair(_OddRootFn(z1, []), pts, n_max=60, tol=0.0)
@@ -628,7 +644,7 @@ def test_fs_with_zero_tolerance_runs_single_levels(name):
     with pytest.raises(NonConvergenceError) as got:
         stabilize._fs_iterate(counted, pts, 12, 0.0)
     assert got.value.trace == ref.value.trace
-    assert counted.calls == 1 + 3 * 12
+    assert counted.calls == 1 + 2 * 12
 
 
 def test_jensen_approximant_exact_fixed_points():
@@ -710,7 +726,8 @@ def test_mean_solution_is_odd_within_budget():
 
 
 def test_translated_mean_invariance():
-    from jensen_stab import folner_mean, left_translate, odd_part, perturb, right_translate
+    from jensen_stab import folner_mean, odd_part, perturb
+    from jensen_stab.funcspace import LeftTranslate, RightTranslate
 
     # finite group: the uniform average of any translate equals the average
     s3 = bundled_carrier("s3")
@@ -720,9 +737,9 @@ def test_translated_mean_invariance():
     probe = _combination(fo, s3, z)
     m0 = folner_mean(probe).value
     for y in range(6):
-        my = folner_mean(right_translate(probe, y)).value
+        my = folner_mean(RightTranslate(probe, y)).value
         assert abs(my - m0) <= 1e-14
-        my_left = folner_mean(left_translate(y, probe)).value
+        my_left = folner_mean(LeftTranslate(y, probe)).value
         assert abs(my_left - m0) <= 1e-14
 
     # lattice: translates move the mean by at most the boundary fraction
@@ -733,7 +750,7 @@ def test_translated_mean_invariance():
     k = 128
     m0 = folner_mean(probe_l, k).value
     for y in (1, 5, -9):
-        my = folner_mean(right_translate(probe_l, y), k).value
+        my = folner_mean(RightTranslate(probe_l, y), k).value
         # probe is bounded by 4 * eps; the translate moves 2|y| boundary points
         assert abs(my - m0) <= (4 * 0.3) * (2 * abs(y)) / (2 * k + 1) + 1e-12
 
