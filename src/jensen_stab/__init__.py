@@ -54,9 +54,7 @@ from .stabilize import (
 from .verify import (
     AgreementReport,
     VerificationReport,
-    drygas_residual,
     identity_checks,
-    jensen_residual,
     method_agreement,
     stability_bound_check,
     verify_solution,
@@ -96,7 +94,6 @@ __all__ = [
     "bundled_carrier",
     "carrier_from_dict",
     "drygas_defect",
-    "drygas_residual",
     "dyadic_limit",
     "even_part",
     "folner_mean",
@@ -108,7 +105,6 @@ __all__ = [
     "inequality_suite",
     "jensen_approximant",
     "jensen_defect",
-    "jensen_residual",
     "method_agreement",
     "odd_part",
     "perturb",

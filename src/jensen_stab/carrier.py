@@ -17,8 +17,8 @@ runs the scalar ``compose``, ``involute`` and ``dyadic_power`` on one row.
 
 The window geometry (window points, pair arrays and the composed terms
 the scans read, ``window_terms``) is built once per carrier object and
-handed out read-only; a lattice also keeps the table positions and box
-masks of those terms, and every carrier the dyadic orbit levels of the
+handed out read-only; a lattice also keeps the table radius, boxes and
+positions of those terms, and every carrier the dyadic orbit levels of the
 window (``dyadic_levels``, ``pair_levels``). Only arrays the carrier built and holds are looked
 up, by identity, so an array from anywhere else is always computed afresh.
 
@@ -505,11 +505,6 @@ class LatticeCarrier(Carrier):
         box = self.box_points(r) if None in names else self._once(("box", r), lambda: self.box_points(r))
         positions = [self._held(name, ("flat", r), lambda a=a: self._flat(a, r)) for a, name in zip(arrays, names)]
         return box, positions
-
-    def in_box(self, pts: np.ndarray, r: int) -> np.ndarray:
-        """Boolean mask of the points with every |coordinate| <= r (computed
-        once for a window term this carrier holds)."""
-        return self._held(self._term_name(pts), ("in_box", r), lambda: (np.abs(pts) <= r).all(axis=1))
 
     def _held(self, name: Any, what: Any, build: Callable[[], Any]) -> Any:
         """build(), cached under (what, name) unless name is None."""

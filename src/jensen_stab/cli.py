@@ -20,7 +20,7 @@ from .carrier import BUNDLED_CARRIERS, NO_MEAN, Carrier, bundled_carrier, carrie
 from .defect import drygas_defect, inequality_suite, jensen_defect
 from .errors import FormatError, JensenStabError
 from .funcspace import DEFAULT_TOL, BoundedFn, function_from_dict, function_to_dict
-from .harness import ExperimentConfig, require_tolerance, run_experiment
+from .harness import ExperimentConfig, require_tolerance, resolve_carrier, run_experiment
 from .records import _parse_cnum
 from .stabilize import (
     DEFAULT_CONV_TOL,
@@ -176,7 +176,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         error_budget=budget,
         delta_used=delta,
     )
-    report = verify_solution(f, result, delta=delta, tol=args.tol)
+    report = verify_solution(f, result, tol=args.tol)
     if args.report:
         _write_json(args.report, report.to_dict())
     print(
@@ -190,6 +190,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     config = ExperimentConfig.from_dict(_load_json(args.config))
     if args.seed is not None:
         config = dataclasses.replace(config, noise_seed=args.seed)
+    resolve_carrier(config.carrier)  # an unknown or malformed carrier is an input error
     report = run_experiment(config)
     if args.report:
         _write_json(args.report, report)

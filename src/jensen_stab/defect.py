@@ -102,14 +102,15 @@ def _table_mask(fn: BoundedFn, pts: np.ndarray) -> np.ndarray | None:
     return None if mask.all() else mask
 
 
-def _table_values(fn: BoundedFn, domain: np.ndarray) -> np.ndarray:
-    """fn on the domain; NaN where it would read outside its table, which no kept position gathers."""
+def _table_values(fn: BoundedFn, domain: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """fn on the domain, with the mask of its evaluable points (None if all
+    are); NaN where it would read outside its table, which no kept position gathers."""
     mask = _table_mask(fn, domain)
     if mask is None:
-        return fn.eval_many(domain)
+        return fn.eval_many(domain), None
     vals = np.full(domain.shape[0], np.nan, dtype=np.complex128)
     vals[mask] = fn.eval_many(domain[mask])
-    return vals
+    return vals, mask
 
 
 def _combo_scan(
@@ -187,32 +188,32 @@ def _one_var_scan(fn_terms: Sequence[tuple[BoundedFn, complex, np.ndarray]], con
     Each distinct fn is evaluated once, on the carrier's table domain of
     its points (all of G, or the smallest centred box), and the chunks
     gather from that table by position. The domain and positions are those
-    of the full terms, which the carrier holds for its window terms; a
-    mask keeps the positions of the scanned index set, none of which
-    gathers the NaN that ``_table_values`` puts outside a table.
+    of the full terms, which the carrier holds for its window terms. A
+    position is kept when every term reads an evaluable domain point (the
+    mask ``_table_values`` returns), so no kept position gathers the NaN
+    it puts outside a table.
     """
-    mask = None
+    by_fn: dict[int, tuple[BoundedFn, list[np.ndarray]]] = {}
     for fn, _, pts in fn_terms:
-        m = _table_mask(fn, pts)
-        if m is not None:
-            mask = m if mask is None else (mask & m)
+        by_fn.setdefault(id(fn), (fn, []))[1].append(pts)
+    reads = {}
+    mask = None
+    for key, (fn, arrays) in by_fn.items():
+        domain, positions = fn.carrier.table_domain(arrays)
+        table, ok = _table_values(fn, domain)
+        reads[key] = (table, iter(positions))
+        if ok is not None:
+            for pos in positions:
+                mask = ok[pos] if mask is None else (mask & ok[pos])
     keep = None if mask is None else np.flatnonzero(mask)
     n = fn_terms[0][2].shape[0] if keep is None else keep.shape[0]
     gathers = []
-    if n:
-        by_fn: dict[int, tuple[BoundedFn, list[np.ndarray]]] = {}
-        for fn, _, pts in fn_terms:
-            by_fn.setdefault(id(fn), (fn, []))[1].append(pts)
-        reads = {}
-        for key, (fn, arrays) in by_fn.items():
-            domain, positions = fn.carrier.table_domain(arrays)
-            reads[key] = (_table_values(fn, domain), iter(positions))
-        # coeff * table[pos] has the bits of (coeff * table)[pos].
-        with np.errstate(**_QUIET):
-            for fn, coeff, _ in fn_terms:
-                table, positions = reads[id(fn)]
-                pos = next(positions)
-                gathers.append((coeff * table, pos if keep is None else pos[keep]))
+    # coeff * table[pos] has the bits of (coeff * table)[pos].
+    with np.errstate(**_QUIET):
+        for fn, coeff, _ in fn_terms:
+            table, positions = reads[id(fn)]
+            pos = next(positions)
+            gathers.append((coeff * table, pos if keep is None else pos[keep]))
 
     def chunk(start: int, stop: int) -> np.ndarray:
         acc = np.full(stop - start, const, dtype=np.complex128)

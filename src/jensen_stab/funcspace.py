@@ -330,7 +330,7 @@ class LatticeTableFn(BoundedFn):
 
     def covers(self, pts: np.ndarray) -> np.ndarray:
         """Boolean mask of points that lie inside the tabulated box."""
-        return self.carrier.in_box(pts, self.radius)
+        return (np.abs(pts) <= self.radius).all(axis=1)
 
 
 TableFn = FiniteTableFn | LatticeTableFn

@@ -81,9 +81,12 @@ class ExperimentConfig:
                 raise FormatError(f"unknown method {m!r}; expected one of {METHODS}")
         if self.noise_type not in ("none", "parity", "seeded_uniform"):
             raise FormatError(f"unknown noise type {self.noise_type!r}")
+        # 2.0**n, the weight of the power-2^n identity, is finite up to n = 1023.
         powers = self.identity_powers
-        if not powers or not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in powers):
-            raise FormatError(f"identity_powers must be a nonempty list of integers >= 1, got {list(powers)!r}")
+        if not powers or not all(isinstance(n, int) and not isinstance(n, bool) and 1 <= n <= 1023 for n in powers):
+            raise FormatError(
+                f"identity_powers must be a nonempty list of integers from 1 to 1023, got {list(powers)!r}"
+            )
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -215,9 +218,7 @@ def _scalar_run(config: ExperimentConfig, c: Carrier, component: int, timing: di
         return report
     delta = defect_report.delta
     report["defect"] = defect_report.to_dict()
-    analytic = defect_report.analytic_bound
-    if analytic is None and config.noise_type != "none":
-        analytic = 4.0 * config.noise_amplitude
+    analytic = None if config.noise_type == "none" else 4.0 * config.noise_amplitude
     report["defect_consistency"] = {
         "analytic_bound": analytic,
         "holds": True if analytic is None else bool(delta <= analytic + tol),
@@ -256,7 +257,6 @@ def _scalar_run(config: ExperimentConfig, c: Carrier, component: int, timing: di
             lambda r=res, m=method: verify_solution(
                 f,
                 r,
-                delta=delta,
                 phi=phi if m == "mean" else None,
                 phi_budget=phi_budget,
                 n_list=config.identity_powers,

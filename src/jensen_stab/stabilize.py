@@ -201,8 +201,11 @@ def _dyadic_iterate(
         block = target.eval_many(np.concatenate(powers)).reshape(size, m)
         return (block - t_e) * np.ldexp(1.0, -np.arange(n + 1, n + size + 1))[:, None]
 
-    first = target.eval_many(pts) - t_e
-    return _iterate_levels("dyadic limit", first, run, lambda k: m, n_max, conv_tol)
+    # Values that overflow make the steps inf or NaN, so the loop ends in
+    # NonConvergenceError; numpy's warnings would only reach stderr ahead of that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = target.eval_many(pts) - t_e
+        return _iterate_levels("dyadic limit", first, run, lambda k: m, n_max, conv_tol)
 
 
 # ----------------------------------------------------------------------------

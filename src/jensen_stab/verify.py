@@ -25,21 +25,6 @@ from .records import Record
 from .stabilize import StabilizationResult, jensen_approximant  # noqa: F401
 
 
-def jensen_residual(g: BoundedFn) -> float:
-    """sup |g(xy) + g(x sigma(y)) - 2 g(x)| over window pairs.
-
-    For window-tabulated g the scan restricts to pairs whose products stay
-    inside the tabulated box; the restriction is visible in the full report
-    from ``jensen_defect``.
-    """
-    return jensen_defect(g).delta
-
-
-def drygas_residual(g: BoundedFn) -> float:
-    """sup |g(yx) + g(sigma(y)x) - 2g(x) - g(y) - g(sigma(y))| over pairs."""
-    return drygas_defect(g).delta
-
-
 @dataclass
 class StabilityCheck(Record):
     """The stability bound sup |f - g - f(e)| <= 3 delta, itemized."""
@@ -58,17 +43,17 @@ class StabilityCheck(Record):
 def stability_bound_check(
     f: BoundedFn,
     result: StabilizationResult,
-    delta: float | None = None,
+    *,
     tol: float = DEFAULT_TOL,
 ) -> StabilityCheck:
-    """Measure sup over the window of |f(x) - g(x) - offset| against 3 delta.
+    """Measure sup over the window of |f(x) - g(x) - offset| against 3 delta,
+    the ``delta_used`` of the result.
 
     The bound is 3 delta + error_budget + tol, each layer itemized. When
     the result is the dyadic construction applied to f itself, the sharper
     bound 3 delta / 2 is checked as well and reported separately.
     """
-    if delta is None:
-        delta = result.delta_used
+    delta = result.delta_used
     c = f.carrier
     pts = c.window_points()
     devs = np.abs(f.eval_many(pts) - result.g.eval_many(pts) - result.offset)
@@ -199,29 +184,28 @@ class VerificationReport(Record):
 def verify_solution(
     f: BoundedFn,
     result: StabilizationResult,
-    delta: float | None = None,
+    *,
     phi: BoundedFn | None = None,
     phi_budget: float = 0.0,
     n_list: tuple[int, ...] = (1, 2, 3),
     tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
-    """Assemble the full verification verdict for one stabilization result.
+    """Assemble the full verification verdict for one stabilization result,
+    against the result's ``delta_used``.
 
     ``phi`` (with its construction budget) enables the Drygas residual
     check. The inequality chain is measured and reported apart from it
     (``defect.inequality_suite``), so ``inequality_records`` stays empty.
     """
-    if delta is None:
-        delta = result.delta_used
-    stability = stability_bound_check(f, result, delta, tol)
-    jres = jensen_residual(result.g)
+    stability = stability_bound_check(f, result, tol=tol)
+    jres = jensen_defect(result.g).delta
     jres_bound = 4.0 * result.error_budget + tol
     jres_holds = jres <= jres_bound
     identities = identity_checks(result.g, n_list=n_list, tol=tol, budget=result.error_budget)
     drygas_val = drygas_bound = None
     drygas_holds = None
     if phi is not None:
-        drygas_val = drygas_residual(phi)
+        drygas_val = drygas_defect(phi).delta
         drygas_bound = 6.0 * phi_budget + tol
         drygas_holds = drygas_val <= drygas_bound
     ok = (
@@ -233,7 +217,7 @@ def verify_solution(
     )
     return VerificationReport(
         method=result.method,
-        delta=delta,
+        delta=result.delta_used,
         stability=stability,
         jensen_residual_of_g=jres,
         jensen_residual_bound=jres_bound,

@@ -180,6 +180,15 @@ def _assert_clean_error(capsys, argv):
         {"carrier": "s3", "conv_tol": -1.0},
         {"carrier": "s3", "noise": {"type": "seeded_uniform", "amplitude": float("nan")}},
         {"carrier": "s3", "noise": {"type": "seeded_uniform", "amplitude": float("inf")}},
+        {
+            "carrier": "s3",
+            "noise": {"type": "seeded_uniform", "amplitude": 0.1, "seed": 1},
+            "methods": ["dyadic"],
+            "identity_powers": [1024],
+        },
+        {"carrier": "nope"},
+        {"carrier": 5},
+        {"carrier": {"kind": "lattice", "dim": 1}},
     ],
 )
 def test_experiment_bad_config_is_a_clean_error(tmp_path, capsys, config):

@@ -24,10 +24,10 @@ from jensen_stab import (
     inequality_suite,
     jensen_approximant,
     jensen_defect,
-    jensen_residual,
     odd_part,
     phi_mean_construction,
 )
+from jensen_stab import defect
 from jensen_stab.funcspace import LeftTranslate, RightTranslate
 
 
@@ -227,9 +227,33 @@ def test_repeated_table_scans_reuse_the_held_positions(monkeypatch, name):
 
     monkeypatch.setattr(LatticeCarrier, "_flat", staticmethod(counted))
     for _ in range(3):
-        assert jensen_residual(g) == first.delta
+        assert jensen_defect(g).delta == first.delta
         assert jensen_defect(even_part(g)) == first_even
     assert calls == []
+
+
+def test_scans_mask_their_table_domain_and_not_the_pair_terms(monkeypatch):
+    # Each scan learns which positions it can read from the mask of the table
+    # domain it evaluates, never from its full pair terms (83,521 rows here).
+    c = bundled_carrier("int2")
+    f = OracleFn(c, [0.5, -0.25j], 1.0, SeededUniformNoise(0.1, 4))
+    domains, masked = [0], []
+    table_domain, table_mask = LatticeCarrier.table_domain, defect._table_mask
+
+    def recorded_domain(self, arrays):
+        got = table_domain(self, arrays)
+        domains.append(got[0].shape[0])
+        return got
+
+    def recorded_mask(fn, pts):
+        masked.append((pts.shape[0], domains[-1]))
+        return table_mask(fn, pts)
+
+    monkeypatch.setattr(LatticeCarrier, "table_domain", recorded_domain)
+    monkeypatch.setattr(defect, "_table_mask", recorded_mask)
+    inequality_suite(f, delta=jensen_defect(f).delta)
+    assert len(masked) == len(domains) - 1 > 0
+    assert all(n <= domain for n, domain in masked)
 
 
 def test_window_monotonicity():

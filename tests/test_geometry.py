@@ -1,5 +1,5 @@
-"""The window geometry each carrier builds once: its terms, table positions,
-box masks and dyadic orbit levels."""
+"""The window geometry each carrier builds once: its terms, table radius,
+boxes and positions, and dyadic orbit levels."""
 
 from __future__ import annotations
 
@@ -113,12 +113,14 @@ def test_arrays_the_carrier_does_not_hold_get_no_cached_results():
     t = c.window_terms()
     _reports(c, 5)
     built = c._built
+    assert all("in_box" not in repr(key) for key in built)
+    box3, box9 = (LatticeTableFn(c, np.zeros((2 * r + 1) ** 2, dtype=complex), radius=r) for r in (3, 9))
     for a in (t.xy.copy(), t.x[::-1], t.x[:7], np.ascontiguousarray(t.yx[::2])):
         _, [pos] = c.table_domain([a])
         r = int(np.abs(a).max())
         want = (a[:, 0] + r) * (2 * r + 1) + a[:, 1] + r
         assert np.array_equal(pos, want)
-        assert np.array_equal(c.in_box(a, 3), (np.abs(a) <= 3).all(axis=1))
+        assert np.array_equal(box3.covers(a), (np.abs(a) <= 3).all(axis=1))
     # A freed array's id is often reused by the next array of its size, and
     # read-only arrays look like the carrier's own.
     for shift in range(1, 6):
@@ -127,7 +129,7 @@ def test_arrays_the_carrier_does_not_hold_get_no_cached_results():
         _, [pos] = c.table_domain([a])
         r = int(np.abs(a).max())
         assert np.array_equal(pos, (a[:, 0] + r) * (2 * r + 1) + a[:, 1] + r)
-        assert np.array_equal(c.in_box(a, 9), (np.abs(a) <= 9).all(axis=1))
+        assert np.array_equal(box9.covers(a), (np.abs(a) <= 9).all(axis=1))
         assert np.array_equal(c.compose_many(a, t.y), a + t.y)
         assert np.array_equal(c.involute_many(a), -a)
         assert np.array_equal(c.square_many(a), 2 * a)

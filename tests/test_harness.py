@@ -95,9 +95,10 @@ def test_config_rejects_bad_values():
         ExperimentConfig(component_dim=0)
 
 
-@pytest.mark.parametrize("powers", [[], [-1], [0], [1, 0, 2]])
+@pytest.mark.parametrize("powers", [[], [-1], [0], [1, 0, 2], [1024]])
 def test_config_rejects_identity_powers_below_one(powers):
-    # n < 1 squares nothing, so its power-2^n record would not test the dyadic identity
+    # n < 1 squares nothing, so its power-2^n record would not test the dyadic
+    # identity; past n = 1023 its weight 2.0**n overflows
     with pytest.raises(FormatError):
         ExperimentConfig.from_dict({"carrier": "s3", "identity_powers": powers})
 

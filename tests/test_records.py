@@ -56,7 +56,7 @@ def _instances():
     out = [d, diag, *inequality_suite(f, phi=phi, delta=d.delta, mean_budget=diag.phi_error_budget)]
     results = {m: jensen_approximant(f, m, delta=d.delta, phi=(phi, diag)) for m in stabilize.METHODS}
     out += results.values()
-    rep = verify_solution(f, results["mean"], delta=d.delta, phi=phi, phi_budget=diag.phi_error_budget)
+    rep = verify_solution(f, results["mean"], phi=phi, phi_budget=diag.phi_error_budget)
     out += [rep, rep.stability, *rep.identity_records]
     out.append(method_agreement(f, results["mean"], results["dyadic"]))
     z1 = bundled_carrier("int1")

@@ -110,6 +110,19 @@ def test_dyadic_overflow_is_reported():
         dyadic_limit(f, 3, n_max=80, tol=0.0)
 
 
+def test_overflowing_oracle_values_end_in_nonconvergence_without_warnings():
+    # 1e300 * 2^n overflows to inf after a few levels, and the odd part then
+    # subtracts inf from inf; pytest turns numpy's RuntimeWarnings into errors.
+    f = OracleFn(LatticeCarrier(1, 4, 4), [1e300], 0.0, SeededUniformNoise(0.5, 3))
+    for construct in (
+        lambda: jensen_approximant(f, "dyadic"),
+        lambda: jensen_approximant(f, "dyadic_full"),
+        lambda: dyadic_limit(f, 3),
+    ):
+        with pytest.raises(NonConvergenceError):
+            construct()
+
+
 def test_zero_levels_is_a_nonconvergence_with_an_empty_trace():
     s3 = bundled_carrier("s3")
     f = perturb(generate_solution(s3, 1 - 2j), "seeded_uniform", 0.3, seed=5)

@@ -12,11 +12,10 @@ from jensen_stab import (
     ParityNoise,
     SeededUniformNoise,
     bundled_carrier,
-    drygas_residual,
+    drygas_defect,
     identity_checks,
     jensen_approximant,
     jensen_defect,
-    jensen_residual,
     method_agreement,
     perturb,
     phi_mean_construction,
@@ -28,8 +27,8 @@ from jensen_stab.defect import jensen_defect as _jd
 
 def test_jensen_residual_examples():
     z1 = bundled_carrier("int1")
-    assert jensen_residual(OracleFn(z1, [1.5], 0.0)) == 0.0
-    assert jensen_residual(OracleFn(z1, None, 4.0)) == 0.0
+    assert jensen_defect(OracleFn(z1, [1.5], 0.0)).delta == 0.0
+    assert jensen_defect(OracleFn(z1, None, 4.0)).delta == 0.0
 
     small = LatticeCarrier(dim=1, window_radius=8, folner_max=16)
     pts = small.window_points()
@@ -43,7 +42,7 @@ def test_jensen_residual_examples():
                 r = abs(quad.eval(x + y) + quad.eval(x - y) - 2 * quad.eval(x))
                 brute = max(brute, r)
     assert brute == 2 * 8.0**2
-    assert jensen_residual(quad) == brute
+    assert jensen_defect(quad).delta == brute
 
 
 def test_stability_check_z2_example():
@@ -51,7 +50,7 @@ def test_stability_check_z2_example():
     f = FiniteTableFn(z2, [0.0, 1.0])
     delta = jensen_defect(f).delta
     res = jensen_approximant(f, "mean", delta=delta)
-    check = stability_bound_check(f, res, delta)
+    check = stability_bound_check(f, res)
     assert check.stability_sup == 1.0
     assert check.bound >= 6.0
     assert check.holds
@@ -62,7 +61,7 @@ def test_stability_check_parity_example():
     f = OracleFn(z1, [2.0], 5.0, ParityNoise(0.1))
     delta = jensen_defect(f).delta
     res = jensen_approximant(f, "mean", delta=delta, folner_k=512)
-    check = stability_bound_check(f, res, delta)
+    check = stability_bound_check(f, res)
     # |f - g - f(0)| = |p(x) - p(0)| <= 2 eps
     assert check.stability_sup <= 0.2 + 1e-12
     assert check.holds
@@ -73,11 +72,11 @@ def test_sharper_bound_reported_only_for_full_dyadic():
     f = OracleFn(z1, [2.0], 5.0, SeededUniformNoise(0.1, 2))
     delta = jensen_defect(f).delta
     res_full = jensen_approximant(f, "dyadic_full", delta=delta)
-    check_full = stability_bound_check(f, res_full, delta)
+    check_full = stability_bound_check(f, res_full)
     assert check_full.sharper_bound is not None
     assert check_full.sharper_holds
     res_odd = jensen_approximant(f, "dyadic", delta=delta)
-    check_odd = stability_bound_check(f, res_odd, delta)
+    check_odd = stability_bound_check(f, res_odd)
     assert check_odd.sharper_bound is None
 
 
@@ -124,7 +123,7 @@ def test_drygas_residual_of_phi_finite_group():
     q8 = bundled_carrier("q8")
     f = perturb(FiniteTableFn(q8, [1 + 1j] * 8), "seeded_uniform", 0.2, seed=9)
     phi, diag = phi_mean_construction(f)
-    assert drygas_residual(phi) <= 1e-9
+    assert drygas_defect(phi).delta <= 1e-9
     assert diag.phi_error_budget == 0.0
 
 
@@ -134,7 +133,7 @@ def test_verify_solution_full_pass_and_tamper_detection():
     delta = _jd(f).delta
     res = jensen_approximant(f, "mean", delta=delta, folner_k=512)
     phi, diag = phi_mean_construction(f, 512)
-    report = verify_solution(f, res, delta=delta, phi=phi, phi_budget=diag.phi_error_budget)
+    report = verify_solution(f, res, phi=phi, phi_budget=diag.phi_error_budget)
     assert report.passed
     assert report.stability.holds
     assert report.jensen_residual_holds
@@ -157,7 +156,7 @@ def test_verify_solution_full_pass_and_tamper_detection():
         error_budget=res.error_budget,
         delta_used=res.delta_used,
     )
-    report_bad = verify_solution(f, tampered, delta=delta)
+    report_bad = verify_solution(f, tampered)
     assert not report_bad.passed
 
 
@@ -168,5 +167,5 @@ def test_verification_on_mean_capable_carriers_passes():
         delta = _jd(f).delta
         for method in ("mean", "dyadic", "forti_sikorska"):
             res = jensen_approximant(f, method, delta=delta)
-            rep = verify_solution(f, res, delta=delta)
+            rep = verify_solution(f, res)
             assert rep.passed, (name, method, rep.to_dict())
