@@ -13,7 +13,6 @@ from .carrier import (
     FiniteCarrier,
     LatticeCarrier,
     ValidationReport,
-    box_translate_ratio,
     bundled_carrier,
     carrier_from_dict,
     validate_carrier,
@@ -35,12 +34,10 @@ from .funcspace import (
     OracleFn,
     ParityNoise,
     SeededUniformNoise,
-    even_part,
     function_from_dict,
     function_to_dict,
-    odd_part,
 )
-from .harness import ExperimentConfig, build_function, generate_solution, perturb, run_experiment
+from .harness import ExperimentConfig, build_function, perturb, run_experiment
 from .stabilize import (
     MeanValue,
     PhiDiagnostics,
@@ -89,24 +86,20 @@ __all__ = [
     "StabilizationResult",
     "ValidationReport",
     "VerificationReport",
-    "box_translate_ratio",
     "build_function",
     "bundled_carrier",
     "carrier_from_dict",
     "drygas_defect",
     "dyadic_limit",
-    "even_part",
     "folner_mean",
     "forti_sikorska_reconstruct",
     "function_from_dict",
     "function_to_dict",
-    "generate_solution",
     "identity_checks",
     "inequality_suite",
     "jensen_approximant",
     "jensen_defect",
     "method_agreement",
-    "odd_part",
     "perturb",
     "phi_mean_construction",
     "run_experiment",

@@ -24,8 +24,12 @@ up, by identity, so an array from anywhere else is always computed afresh.
 
 Each carrier answers every question that depends on its kind: its window
 and file keys, its invariant mean's averaging set and budget, the domain
-that phi's integrand reaches and how exact its suprema are, so the scans,
-constructions, checks and CLI never ask which kind they hold.
+that phi's integrand reaches, how exact its suprema are and how its axioms
+are checked, so the scans, constructions, checks and CLI never ask which
+kind they hold. It also builds the functions of its kind: ``table_fn``
+(a ``FiniteTableFn`` over G, a ``LatticeTableFn`` over the window box),
+``exact_solution`` (a constant table, an affine oracle) and ``oracle``
+(an ``OracleFn``, on a lattice only).
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import numpy as np
 
 from . import scan
 from .errors import CapabilityError, FormatError, InvalidElementError, LatticeOverflowError
+from .funcspace import FiniteTableFn, LatticeTableFn, Noise, OracleFn
 from .records import Record, _number
 
 # Largest lattice coordinate a handle may carry; its negation fits in int64 too.
@@ -201,6 +206,10 @@ class Carrier:
             raise ValueError("dyadic power exponent must be nonnegative")
         return self.check_element(self.dyadic_levels(self.row(x))(n)[0])
 
+    def oracle(self, linear: Sequence[complex] | None, constant: complex, noise: Noise | None) -> OracleFn:
+        """The oracle a . x + constant + noise, which only a lattice evaluates."""
+        raise FormatError("oracle functions require a lattice carrier")
+
 
 class FiniteCarrier(Carrier):
     """Finite monoid/group from a Cayley table with an involution table.
@@ -332,6 +341,74 @@ class FiniteCarrier(Carrier):
 
     def element_repr(self, x) -> str:
         return self.label(x)
+
+    def table_fn(self, values: Sequence[complex]) -> FiniteTableFn:
+        """The table of values over G in index order."""
+        return FiniteTableFn(self, values)
+
+    def exact_solution(self, constant: complex, linear: Sequence[complex] | None = None) -> FiniteTableFn:
+        """The constant exact Jensen solution; a nonzero linear part is refused."""
+        if linear is not None and any(a != 0 for a in linear):
+            raise FormatError("finite carriers admit only constant base solutions")
+        return FiniteTableFn(self, np.full(self.size, complex(constant), dtype=np.complex128))
+
+    def _validate(self) -> ValidationReport:
+        n = self.size
+        op = self.op
+        inv = self.involution
+        e = self.neutral
+
+        # Neutral element first: op(e, x) = op(x, e) = x.
+        row_ok = np.array_equal(op[e], np.arange(n))
+        col_ok = np.array_equal(op[:, e], np.arange(n))
+        if not (row_ok and col_ok):
+            detail = f"declared neutral {self.elements[e]!r} is not a two-sided identity"
+            others = [
+                i
+                for i in range(n)
+                if np.array_equal(op[i], np.arange(n)) and np.array_equal(op[:, i], np.arange(n))
+            ]
+            if not others:
+                detail += "; no element acts as a two-sided identity"
+            bad_x = int(np.argmax(op[e] != np.arange(n))) if not row_ok else int(np.argmax(op[:, e] != np.arange(n)))
+            v = AxiomViolation("neutral", (self.elements[e], self.elements[bad_x]), detail)
+            return ValidationReport(False, "finite", n, None, [v])
+
+        # Associativity over all n^3 triples: (xy)z = x(yz).
+        left = op[op, :]            # left[x, y, z] = op(op(x, y), z)
+        right = op[:, op]           # right[x, y, z] = op(x, op(y, z))
+        mismatch = left != right
+        if mismatch.any():
+            x, y, z = (int(i) for i in np.argwhere(mismatch)[0])
+            v = AxiomViolation(
+                "associativity",
+                (self.elements[x], self.elements[y], self.elements[z]),
+                f"op(op({self.elements[x]},{self.elements[y]}),{self.elements[z]}) != "
+                f"op({self.elements[x]},op({self.elements[y]},{self.elements[z]}))",
+            )
+            return ValidationReport(False, "finite", n, None, [v])
+
+        # Involutive: sigma(sigma(x)) = x.
+        twice = inv[inv]
+        if not np.array_equal(twice, np.arange(n)):
+            x = int(np.argmax(twice != np.arange(n)))
+            v = AxiomViolation("involutive", (self.elements[x],), "sigma(sigma(x)) != x")
+            return ValidationReport(False, "finite", n, None, [v])
+
+        # Anti-homomorphism: sigma(xy) = sigma(y) sigma(x).
+        lhs = inv[op]               # sigma(op(x, y))
+        rhs = op[inv, :][:, inv].T  # rhs[x, y] = op(inv[y], inv[x])
+        anti_bad = lhs != rhs
+        if anti_bad.any():
+            x, y = (int(i) for i in np.argwhere(anti_bad)[0])
+            v = AxiomViolation(
+                "anti_homomorphism",
+                (self.elements[x], self.elements[y]),
+                "sigma(xy) != sigma(y)sigma(x)",
+            )
+            return ValidationReport(False, "finite", n, None, [v])
+
+        return ValidationReport(True, "finite", n, self.is_group)
 
     def to_dict(self) -> dict:
         return {
@@ -519,8 +596,27 @@ class LatticeCarrier(Carrier):
         return pos
 
     def mean_translate_ratio(self, k_used: int) -> float:
-        """Boundary fraction of the Folner box under the farthest window translate."""
-        return box_translate_ratio(self.dim, k_used, (self.window_radius,) * self.dim)
+        """|F delta (F + w)| / |F| for the Folner box F of radius k_used and
+        the farthest window translate w = (N, ..., N)."""
+        side = 2 * k_used + 1
+        prod = 1.0
+        for _ in range(self.dim):
+            prod *= max(0, side - self.window_radius) / side
+        return 2.0 * (1.0 - prod)
+
+    def table_fn(self, values: np.ndarray) -> LatticeTableFn:
+        """The table of values over the window box."""
+        return LatticeTableFn(self, values)
+
+    def exact_solution(self, constant: complex, linear: Sequence[complex] | None = None) -> OracleFn:
+        """The affine exact Jensen solution a . x + constant."""
+        return OracleFn(self, linear, complex(constant))
+
+    def oracle(self, linear: Sequence[complex] | None, constant: complex, noise: Noise | None) -> OracleFn:
+        return OracleFn(self, linear, constant, noise)
+
+    def _validate(self) -> ValidationReport:
+        return ValidationReport(ok=True, kind="lattice", size=None, is_group=True)
 
     def element_repr(self, x) -> list[int]:
         return list(self.check_element(x))
@@ -542,15 +638,6 @@ def _row_blocks(rows: np.ndarray, width: int) -> Iterator[np.ndarray]:
     return (rows[i : i + step] for i in range(0, rows.shape[0], step))
 
 
-def box_translate_ratio(dim: int, k: int, shift: tuple[int, ...]) -> float:
-    """|F delta (F + shift)| / |F| for the centered box F of radius k."""
-    side = 2 * k + 1
-    prod = 1.0
-    for s in shift:
-        prod *= max(0, side - abs(int(s))) / side
-    return 2.0 * (1.0 - prod)
-
-
 def validate_carrier(c: Carrier) -> ValidationReport:
     """Exhaustively check the carrier axioms, once per carrier object.
 
@@ -559,69 +646,7 @@ def validate_carrier(c: Carrier) -> ValidationReport:
     axioms structurally (addition is associative, negation is an involutive
     anti-homomorphism on an abelian group). Later calls return the same report.
     """
-    return c._once("validation", lambda: _validate(c))
-
-
-def _validate(c: Carrier) -> ValidationReport:
-    if isinstance(c, LatticeCarrier):
-        return ValidationReport(ok=True, kind="lattice", size=None, is_group=True)
-
-    n = c.size
-    op = c.op
-    inv = c.involution
-    e = c.neutral
-
-    # Neutral element first: op(e, x) = op(x, e) = x.
-    row_ok = np.array_equal(op[e], np.arange(n))
-    col_ok = np.array_equal(op[:, e], np.arange(n))
-    if not (row_ok and col_ok):
-        detail = f"declared neutral {c.elements[e]!r} is not a two-sided identity"
-        others = [
-            i
-            for i in range(n)
-            if np.array_equal(op[i], np.arange(n)) and np.array_equal(op[:, i], np.arange(n))
-        ]
-        if not others:
-            detail += "; no element acts as a two-sided identity"
-        bad_x = int(np.argmax(op[e] != np.arange(n))) if not row_ok else int(np.argmax(op[:, e] != np.arange(n)))
-        v = AxiomViolation("neutral", (c.elements[e], c.elements[bad_x]), detail)
-        return ValidationReport(False, "finite", n, None, [v])
-
-    # Associativity over all n^3 triples: (xy)z = x(yz).
-    left = op[op, :]            # left[x, y, z] = op(op(x, y), z)
-    right = op[:, op]           # right[x, y, z] = op(x, op(y, z))
-    mismatch = left != right
-    if mismatch.any():
-        x, y, z = (int(i) for i in np.argwhere(mismatch)[0])
-        v = AxiomViolation(
-            "associativity",
-            (c.elements[x], c.elements[y], c.elements[z]),
-            f"op(op({c.elements[x]},{c.elements[y]}),{c.elements[z]}) != "
-            f"op({c.elements[x]},op({c.elements[y]},{c.elements[z]}))",
-        )
-        return ValidationReport(False, "finite", n, None, [v])
-
-    # Involutive: sigma(sigma(x)) = x.
-    twice = inv[inv]
-    if not np.array_equal(twice, np.arange(n)):
-        x = int(np.argmax(twice != np.arange(n)))
-        v = AxiomViolation("involutive", (c.elements[x],), "sigma(sigma(x)) != x")
-        return ValidationReport(False, "finite", n, None, [v])
-
-    # Anti-homomorphism: sigma(xy) = sigma(y) sigma(x).
-    lhs = inv[op]               # sigma(op(x, y))
-    rhs = op[inv, :][:, inv].T  # rhs[x, y] = op(inv[y], inv[x])
-    anti_bad = lhs != rhs
-    if anti_bad.any():
-        x, y = (int(i) for i in np.argwhere(anti_bad)[0])
-        v = AxiomViolation(
-            "anti_homomorphism",
-            (c.elements[x], c.elements[y]),
-            "sigma(xy) != sigma(y)sigma(x)",
-        )
-        return ValidationReport(False, "finite", n, None, [v])
-
-    return ValidationReport(True, "finite", n, c.is_group)
+    return c._once("validation", c._validate)
 
 
 # ----------------------------------------------------------------------------

@@ -12,16 +12,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
-from .carrier import BUNDLED_CARRIERS, NO_MEAN, Carrier, bundled_carrier, carrier_from_dict, validate_carrier
+from .carrier import BUNDLED_CARRIERS, NO_MEAN, Carrier, carrier_from_dict, validate_carrier
 from .defect import drygas_defect, inequality_suite, jensen_defect
 from .errors import FormatError, JensenStabError
 from .funcspace import DEFAULT_TOL, BoundedFn, function_from_dict, function_to_dict
 from .harness import ExperimentConfig, require_tolerance, resolve_carrier, run_experiment
-from .records import _parse_cnum
+from .records import _number, _parse_cnum
 from .stabilize import (
     DEFAULT_CONV_TOL,
     DEFAULT_N_MAX,
@@ -57,7 +56,7 @@ def _write_json(path: str, data: dict) -> None:
 
 def _resolve_carrier_arg(arg: str) -> Carrier:
     if arg.lower() in BUNDLED_CARRIERS:
-        return bundled_carrier(arg)
+        return resolve_carrier(arg)
     if Path(arg).exists():
         return carrier_from_dict(_load_json(arg), name=Path(arg).stem)
     raise JensenStabError(
@@ -161,9 +160,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if not isinstance(side, dict):
             raise FormatError(f"{args.solution_report} must hold a JSON object")
         offset = _parse_cnum(side.get("offset"), "solution report offset")
-        budget = side.get("error_budget")
-        if isinstance(budget, bool) or not isinstance(budget, (int, float)) or not math.isfinite(budget):
-            raise FormatError(f"solution report error_budget must be a finite number, got {budget!r}")
+        budget = _number(side, "error_budget", None, float)
+        require_tolerance(budget, "solution report error_budget")
         method = side.get("method", method)
     delta = args.delta if args.delta is not None else jensen_defect(f).delta
     result = StabilizationResult(

@@ -23,14 +23,7 @@ import numpy as np
 
 from .carrier import WindowTerms
 from .errors import FormatError
-from .funcspace import (
-    DEFAULT_TOL,
-    BoundedFn,
-    EvenPart,
-    LatticeTableFn,
-    OddPart,
-    OracleFn,
-)
+from .funcspace import DEFAULT_TOL, BoundedFn, EvenPart, OddPart
 from .records import Record
 from .scan import max_scan
 
@@ -80,32 +73,10 @@ class _MinusConst(BoundedFn):
         return self.base.eval_many(pts) - self.z
 
 
-def _table_mask(fn: BoundedFn, pts: np.ndarray) -> np.ndarray | None:
-    """Mask of scan positions whose points stay evaluable, None if all do.
-
-    Each view down to the base table names the points at which it reads its
-    base (``reads``: the points themselves, with their involutes for an even
-    or odd part, the composed points for a translate); every point read
-    must lie in the table's box. An involution other than negation can map
-    points of the box out of it.
-    """
-    reads = [pts]
-    while not isinstance(fn, LatticeTableFn):
-        base = getattr(fn, "base", None)
-        if base is None:
-            return None
-        reads = [b for a in reads for b in fn.reads(a)]
-        fn = base
-    mask = fn.covers(reads[0])
-    for a in reads[1:]:
-        mask = mask & fn.covers(a)
-    return None if mask.all() else mask
-
-
 def _table_values(fn: BoundedFn, domain: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """fn on the domain, with the mask of its evaluable points (None if all
     are); NaN where it would read outside its table, which no kept position gathers."""
-    mask = _table_mask(fn, domain)
+    mask = fn.readable(domain)
     if mask is None:
         return fn.eval_many(domain), None
     vals = np.full(domain.shape[0], np.nan, dtype=np.complex128)
@@ -167,9 +138,7 @@ def _drygas_terms(t: WindowTerms) -> list[np.ndarray]:
 
 def jensen_defect(f: BoundedFn) -> DefectReport:
     """delta = sup over window pairs of |f(xy) + f(x sigma(y)) - 2 f(x)|."""
-    analytic = None
-    if isinstance(f, OracleFn) and f.noise is not None:
-        analytic = 4.0 * f.noise_bound()
+    analytic = None if f.noise is None else 4.0 * f.noise.bound()
     return _pair_defect(f, "jensen", _jensen_terms, [1, 1, -2], analytic)
 
 

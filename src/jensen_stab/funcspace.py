@@ -16,13 +16,15 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .carrier import Carrier, FiniteCarrier, LatticeCarrier
 from .errors import FormatError, InvalidElementError
 from .records import _cpair, _list, _number, _parse_cnum, _require_finite_complex
+
+if TYPE_CHECKING:
+    from .carrier import Carrier, FiniteCarrier, LatticeCarrier
 
 # Absolute tolerance used by default in every numeric comparison.
 DEFAULT_TOL = 1e-9
@@ -262,10 +264,13 @@ class BoundedFn:
     """Base class: a complex-valued function on a carrier.
 
     Subclasses implement ``eval_many`` on point arrays; ``eval`` runs it on
-    one row, so a scalar value is bit-identical to the bulk one.
+    one row, so a scalar value is bit-identical to the bulk one. A view
+    reads its ``base``; an oracle carries its bounded ``noise``.
     """
 
     carrier: Carrier
+    base: BoundedFn | None = None
+    noise: Noise | None = None
 
     def eval(self, x) -> complex:
         return complex(self.eval_many(self.carrier.row(x))[0])
@@ -277,6 +282,24 @@ class BoundedFn:
         """The point arrays at which a view (a function with a ``base``) reads
         its base to evaluate itself at pts: pts itself unless it says otherwise."""
         return [pts]
+
+    def readable(self, pts: np.ndarray) -> np.ndarray | None:
+        """Mask of the points of pts at which this function can be evaluated,
+        None if at all of them. A view can be read where its base can be
+        read at every point it reads (an involution other than negation can
+        map points of a table's box out of it); a table masks its box."""
+        if self.base is None:
+            return None
+        mask = None
+        for a in self.reads(pts):
+            got = self.base.readable(a)
+            if got is not None:
+                mask = got if mask is None else mask & got
+        return mask
+
+    def perturbed(self, noise: Noise) -> BoundedFn:
+        """This function plus the noise."""
+        raise FormatError(f"cannot perturb function of type {type(self).__name__}")
 
     def __call__(self, x) -> complex:
         return self.eval(x)
@@ -298,16 +321,19 @@ class FiniteTableFn(BoundedFn):
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         return self.values[pts]
 
+    def perturbed(self, noise: Noise) -> FiniteTableFn:
+        return FiniteTableFn(self.carrier, self.values + noise.values(np.arange(self.carrier.size)[:, None]))
+
 
 class LatticeTableFn(BoundedFn):
-    """Values tabulated on the centered box [-R, R]^d of a lattice carrier.
+    """Values tabulated on the window box [-N, N]^d of a lattice carrier.
 
     Evaluation outside the tabulated box raises ``InvalidElementError``;
     scans that need products restrict their pair domains accordingly.
     """
 
-    def __init__(self, carrier: LatticeCarrier, values: np.ndarray, radius: int | None = None) -> None:
-        r = carrier.window_radius if radius is None else int(radius)
+    def __init__(self, carrier: LatticeCarrier, values: np.ndarray) -> None:
+        r = carrier.window_radius
         side = 2 * r + 1
         vals = np.asarray(values, dtype=np.complex128)
         expected = (side,) * carrier.dim
@@ -328,19 +354,12 @@ class LatticeTableFn(BoundedFn):
             raise InvalidElementError(f"points outside the tabulated box of radius {self.radius}")
         return self.values[tuple(shifted[:, j] for j in range(self.carrier.dim))]
 
-    def covers(self, pts: np.ndarray) -> np.ndarray:
-        """Boolean mask of points that lie inside the tabulated box."""
-        return (np.abs(pts) <= self.radius).all(axis=1)
+    def readable(self, pts: np.ndarray) -> np.ndarray | None:
+        mask = (np.abs(pts) <= self.radius).all(axis=1)
+        return None if mask.all() else mask
 
 
 TableFn = FiniteTableFn | LatticeTableFn
-
-
-def table_fn(c: Carrier, values) -> TableFn:
-    """A table of c's kind over its window: total on a finite carrier, on the window box on a lattice."""
-    if isinstance(c, FiniteCarrier):
-        return FiniteTableFn(c, values)
-    return LatticeTableFn(c, values)
 
 
 class OracleFn(BoundedFn):
@@ -375,12 +394,10 @@ class OracleFn(BoundedFn):
             vals = vals + self.noise.values(pts)
         return vals
 
-    def noise_bound(self) -> float:
-        return 0.0 if self.noise is None else self.noise.bound()
-
-    def odd_noise_bound(self) -> float:
-        """Sup-norm bound on the part of the noise that survives into f_odd."""
-        return 0.0 if self.noise is None else self.noise.odd_part_bound()
+    def perturbed(self, noise: Noise) -> OracleFn:
+        if self.noise is not None:
+            raise FormatError("oracle already carries noise; perturb the noise-free base")
+        return OracleFn(self.carrier, self.linear, self.constant, noise)
 
 
 class EvenPart(BoundedFn):
@@ -447,14 +464,6 @@ class RightTranslate(BoundedFn):
         return self.base.eval_many(self.reads(pts)[0])
 
 
-def even_part(f: BoundedFn) -> BoundedFn:
-    return EvenPart(f)
-
-
-def odd_part(f: BoundedFn) -> BoundedFn:
-    return OddPart(f)
-
-
 # ----------------------------------------------------------------------------
 # File interchange
 
@@ -472,17 +481,15 @@ def function_from_dict(data: dict, carrier: Carrier) -> BoundedFn:
         missing = [key for key in keys if key not in values]
         if missing:
             raise FormatError(f"table is not total on the window: missing {len(missing)} keys, e.g. {missing[0]!r}")
-        return table_fn(carrier, [_parse_cnum(values[key], f"value at {key!r}") for key in keys])
+        return carrier.table_fn([_parse_cnum(values[key], f"value at {key!r}") for key in keys])
     if kind == "oracle":
-        if not isinstance(carrier, LatticeCarrier):
-            raise FormatError("oracle functions require a lattice carrier")
         linear = _list(data, "linear", None)
         lin = None if linear is None else [_parse_cnum(v, "linear coefficient") for v in linear]
         constant = _parse_cnum(data.get("constant", 0.0), "constant term")
         noise = None
         if data.get("noise") is not None:
             noise = noise_from_dict(data["noise"])
-        return OracleFn(carrier, lin, constant, noise)
+        return carrier.oracle(lin, constant, noise)
     raise FormatError(f"unknown function kind {kind!r}")
 
 

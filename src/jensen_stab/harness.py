@@ -14,26 +14,10 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Any
 
-import numpy as np
-
-from .carrier import (
-    NO_MEAN,
-    BUNDLED_CARRIERS,
-    Carrier,
-    FiniteCarrier,
-    bundled_carrier,
-    carrier_from_dict,
-    validate_carrier,
-)
+from .carrier import NO_MEAN, BUNDLED_CARRIERS, Carrier, bundled_carrier, carrier_from_dict, validate_carrier
 from .defect import inequality_suite, jensen_defect
 from .errors import FormatError, JensenStabError
-from .funcspace import (
-    DEFAULT_TOL,
-    BoundedFn,
-    FiniteTableFn,
-    OracleFn,
-    noise_from_dict,
-)
+from .funcspace import DEFAULT_TOL, BoundedFn, noise_from_dict
 from .records import _cpair, _list, _number, _parse_cnum
 from .stabilize import (
     DEFAULT_CONV_TOL,
@@ -157,16 +141,6 @@ def _shared_carrier(name: str) -> Carrier:
     return bundled_carrier(name)
 
 
-def generate_solution(c: Carrier, constant: complex = 0j, linear: list[complex] | None = None) -> BoundedFn:
-    """An exact Jensen solution: a constant on finite carriers with
-    sigma = inverse, an affine function a . x + c on lattices."""
-    if isinstance(c, FiniteCarrier):
-        if linear is not None and any(a != 0 for a in linear):
-            raise FormatError("finite carriers admit only constant base solutions")
-        return FiniteTableFn(c, np.full(c.size, complex(constant), dtype=np.complex128))
-    return OracleFn(c, linear, complex(constant), noise=None)
-
-
 def _component_seed(seed: int, j: int) -> int:
     return seed + j
 
@@ -176,18 +150,11 @@ def perturb(f: BoundedFn, noise_type: str, amplitude: float, seed: int = 0) -> B
     so the Jensen defect of the result is at most 4 * amplitude."""
     if noise_type == "none" or amplitude == 0.0:
         return f
-    noise = noise_from_dict({"type": noise_type, "amplitude": amplitude, "seed": seed})
-    if isinstance(f, OracleFn):
-        if f.noise is not None:
-            raise FormatError("oracle already carries noise; perturb the noise-free base")
-        return OracleFn(f.carrier, f.linear, f.constant, noise)
-    if isinstance(f, FiniteTableFn):
-        return FiniteTableFn(f.carrier, f.values + noise.values(np.arange(f.carrier.size)[:, None]))
-    raise FormatError(f"cannot perturb function of type {type(f).__name__}")
+    return f.perturbed(noise_from_dict({"type": noise_type, "amplitude": amplitude, "seed": seed}))
 
 
 def build_function(config: ExperimentConfig, c: Carrier, component: int = 0) -> BoundedFn:
-    base = generate_solution(c, config.base_constant, config.base_linear)
+    base = c.exact_solution(config.base_constant, config.base_linear)
     seed = _component_seed(config.noise_seed, component)
     return perturb(base, config.noise_type, config.noise_amplitude, seed)
 

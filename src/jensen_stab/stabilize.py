@@ -26,7 +26,7 @@ import numpy as np
 
 from .defect import jensen_defect
 from .errors import JensenStabError, NonConvergenceError
-from .funcspace import BoundedFn, EvenPart, OddPart, OracleFn, TableFn, table_fn
+from .funcspace import BoundedFn, EvenPart, OddPart, TableFn
 from .records import Record
 
 DEFAULT_N_MAX = 40
@@ -248,16 +248,16 @@ def phi_mean_construction(
     # Tabulate f_odd once over every point y x and x sigma(y) can reach (all
     # of G, or the box of radius k + N), so each block of window rows y below
     # only gathers; the mean of a row has the bits of a 1-d mean.
-    # Values that overflow make phi non-finite, which table_fn rejects with a
+    # Values that overflow make phi non-finite, which c.table_fn rejects with a
     # FormatError; numpy's warnings would only reach stderr ahead of it.
     reach, blocks = c.reach(pts, k_used)
     with np.errstate(over="ignore", invalid="ignore"):
         table = fo.eval_many(reach)
-        phi = table_fn(c, np.concatenate([(table[yx] - table[xsy]).mean(axis=1) for yx, xsy in blocks]))
+        phi = c.table_fn(np.concatenate([(table[yx] - table[xsy]).mean(axis=1) for yx, xsy in blocks]))
 
     m_bound = 0.0
-    if isinstance(f, OracleFn):
-        m_bound = f.noise_bound() if assume_odd else f.odd_noise_bound()
+    if f.noise is not None:
+        m_bound = f.noise.bound() if assume_odd else f.noise.odd_part_bound()
     ratio_max = c.mean_translate_ratio(k_used)
     probe_res = folner_mean(_ProbeFn(f, f_e), k_used).invariance_residual
     diag = PhiDiagnostics(
@@ -424,6 +424,6 @@ def jensen_approximant(
         budget = float(4.0 * diffs[-1] + 2.0 * abs(at_e))
         diagnostics = {"conv_tol": conv_tol, "renormalization": float(abs(at_e))}
     return StabilizationResult(
-        g=table_fn(c, vals), offset=offset, method=method, variant=variant, iterations_or_k=n_final,
+        g=c.table_fn(vals), offset=offset, method=method, variant=variant, iterations_or_k=n_final,
         convergence_trace=diffs, error_budget=budget, delta_used=delta, diagnostics=diagnostics,
     )

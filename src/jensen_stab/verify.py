@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .defect import InequalityRecord, _table_mask, drygas_defect, jensen_defect
+from .defect import InequalityRecord, drygas_defect, jensen_defect
 from .funcspace import DEFAULT_TOL, BoundedFn, EvenPart
 from .records import Record
 # No function here calls jensen_approximant; perfbench's tracer patches this name.
@@ -111,7 +111,7 @@ def identity_checks(
 
     bound = budget + tol
     for name, view, at in (("even_part_constant", EvenPart(g), pts), ("sigma_product", g, t.w_sw)):
-        keep = _table_mask(view, at)
+        keep = view.readable(at)
         vals = view.eval_many(at if keep is None else at[keep])
         sup = float(np.abs(vals - g_e).max()) if vals.size else 0.0
         records.append(IdentityRecord(name, sup, bound, sup <= bound, int(vals.size)))
@@ -119,7 +119,7 @@ def identity_checks(
     power = c.dyadic_levels(pts)
     for n in n_list:
         cur = power(n)
-        keep = _table_mask(g, cur)
+        keep = g.readable(cur)
         base, top = (pts, cur) if keep is None else (pts[keep], cur[keep])
         resid = np.abs(g.eval_many(top) + (2.0**n - 1) * g_e - (2.0**n) * g.eval_many(base))
         sup = float(resid.max()) if resid.size else 0.0

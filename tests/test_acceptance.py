@@ -22,7 +22,6 @@ from jensen_stab import (
     ParityNoise,
     bundled_carrier,
     drygas_defect,
-    generate_solution,
     jensen_approximant,
     jensen_defect,
     perturb,
@@ -142,7 +141,7 @@ def test_criterion_1_carrier_axioms():
 def test_criterion_2_exact_solution_fixed_points():
     t0 = time.perf_counter()
     s3 = bundled_carrier("s3")
-    f_s3 = generate_solution(s3, 3 + 2j)
+    f_s3 = s3.exact_solution(3 + 2j)
     target_s3 = f_s3.eval_many(s3.window_points()) - f_s3.eval(s3.neutral)
     for method in ("dyadic", "mean", "forti_sikorska"):
         res = jensen_approximant(f_s3, method)
@@ -150,7 +149,7 @@ def test_criterion_2_exact_solution_fixed_points():
         assert dev <= 1e-9, (method, dev)
 
     z1 = bundled_carrier("int1")
-    f_z1 = generate_solution(z1, 5.0, [2.0])
+    f_z1 = z1.exact_solution(5.0, [2.0])
     pts = z1.window_points()
     target_z1 = f_z1.eval_many(pts) - f_z1.eval(z1.neutral)
     for method in ("dyadic", "mean", "forti_sikorska"):
@@ -210,7 +209,7 @@ def test_criterion_6_drygas_verification():
     # exact mean on finite groups
     for name in ("s3", "q8", "z6"):
         c = bundled_carrier(name)
-        f = perturb(generate_solution(c, 3 + 2j), "seeded_uniform", 0.1, seed=0)
+        f = perturb(c.exact_solution(3 + 2j), "seeded_uniform", 0.1, seed=0)
         phi, _ = phi_mean_construction(f)
         assert drygas_defect(phi).delta <= 1e-9, name
 

@@ -303,23 +303,61 @@ def test_malformed_carrier_dicts_rejected():
     assert again.op.dtype == np.int64 and again.op.tolist() == [[0, 1], [1, 0]]
 
 
+class _RuntimeNames(ast.NodeVisitor):
+    """The names a module reads when it runs: imported names, names and
+    attributes, leaving out annotations and imports for type checkers only."""
+
+    def __init__(self) -> None:
+        self.names: set[str] = set()
+
+    def visit_If(self, node: ast.If) -> None:
+        if not (isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING"):
+            self.generic_visit(node)
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        for child in (*node.decorator_list, node.args, *node.body):
+            self.visit(child)
+
+    def visit_arg(self, node: ast.arg) -> None:
+        pass
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        for child in (node.target, node.value):
+            if child is not None:
+                self.visit(child)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        self.names |= {a.name for a in node.names}
+
+    visit_Import = visit_ImportFrom
+
+    def visit_Name(self, node: ast.Name) -> None:
+        self.names.add(node.id)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        self.names.add(node.attr)
+        self.generic_visit(node)
+
+
 def test_modules_never_ask_which_kind_of_carrier_they_hold():
-    # Every kind decision lives on the carrier, so a new carrier edits no other module.
+    # Every kind decision lives on the carrier and every function answers for
+    # itself, so a new carrier or function class edits no other module.
     src = Path(jensen_stab.__file__).parent
-    kind_names = {"FiniteCarrier", "LatticeCarrier", "EXACT_UNIFORM", "FOLNER"}
-    for module in ("stabilize", "defect", "verify", "cli"):
-        tree = ast.parse((src / f"{module}.py").read_text())
-        used = set()
+    carrier_classes = {"FiniteCarrier", "LatticeCarrier"}
+    function_classes = {"FiniteTableFn", "LatticeTableFn", "OracleFn"}
+    trees = {path.stem: ast.parse(path.read_text()) for path in src.glob("*.py")}
+    for module, tree in trees.items():
+        visitor = _RuntimeNames()
+        visitor.visit(tree)
+        if module not in ("carrier", "__init__"):
+            assert not visitor.names & carrier_classes, module
+        if module in ("harness", "stabilize", "defect", "verify", "cli"):
+            assert not visitor.names & (function_classes | {"EXACT_UNIFORM", "FOLNER"}), module
         for node in ast.walk(tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                used |= {a.name for a in node.names}
-            elif isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-        assert not used & kind_names, module
-    cli = ast.parse((src / "cli.py").read_text())
-    assert not [n for n in ast.walk(cli) if isinstance(n, ast.Constant) and n.value == "none"]
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                named = {getattr(n, "id", None) for n in ast.walk(node.args[1])}
+                assert not named & (carrier_classes | {"Carrier"}), (module, node.lineno)
+    assert not [n for n in ast.walk(trees["cli"]) if isinstance(n, ast.Constant) and n.value == "none"]
 
 
 def test_scalar_operations_are_defined_once():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import jensen_stab
-from jensen_stab import bundled_carrier, function_to_dict, generate_solution, perturb
+from jensen_stab import bundled_carrier, function_to_dict, perturb
 from jensen_stab.cli import main
 
 
@@ -24,7 +24,7 @@ def s3_files(tmp_path):
     c = bundled_carrier("s3")
     carrier_path = tmp_path / "s3.json"
     _write(carrier_path, c.to_dict())
-    f = perturb(generate_solution(c, 3 + 2j), "seeded_uniform", 0.1, seed=5)
+    f = perturb(c.exact_solution(3 + 2j), "seeded_uniform", 0.1, seed=5)
     fn_path = tmp_path / "f.json"
     _write(fn_path, function_to_dict(f))
     return carrier_path, fn_path
@@ -110,7 +110,7 @@ def test_stabilize_then_verify_roundtrip(s3_files, tmp_path):
 def test_verify_fails_on_wrong_solution(s3_files, tmp_path):
     carrier_path, fn_path = s3_files
     c = bundled_carrier("s3")
-    bogus = generate_solution(c, 40 + 0j)
+    bogus = c.exact_solution(40 + 0j)
     bogus_path = tmp_path / "bogus.json"
     _write(bogus_path, function_to_dict(bogus))
     code = main([
@@ -295,7 +295,13 @@ def test_non_finite_defect_writes_only_the_error_line_to_stderr(tmp_path, comman
 
 @pytest.mark.parametrize(
     "sidecar",
-    [{"offset": [0, 0]}, {"offset": "x", "error_budget": 0}, {"offset": [0, 0], "error_budget": "inf"}, []],
+    [
+        {"offset": [0, 0]},
+        {"offset": "x", "error_budget": 0},
+        {"offset": [0, 0], "error_budget": "inf"},
+        [],
+        {"offset": [3, 2], "error_budget": -1},
+    ],
 )
 def test_malformed_solution_report_is_a_clean_error(s3_files, tmp_path, capsys, sidecar):
     carrier_path, fn_path = s3_files
@@ -356,7 +362,7 @@ def test_negative_or_non_finite_delta_is_a_clean_error(s3_files, capsys, delta):
 def test_zero_tol_is_legal(tmp_path):
     # An exact solution: every dyadic step is 0, and every check holds with no tolerance.
     fn_path, out = tmp_path / "f.json", tmp_path / "g.json"
-    _write(fn_path, function_to_dict(generate_solution(bundled_carrier("s3"), 3 + 2j)))
+    _write(fn_path, function_to_dict(bundled_carrier("s3").exact_solution(3 + 2j)))
     argv = ["--carrier", "s3", "--function", str(fn_path), "--tol", "0"]
     assert main(["stabilize", "--method", "dyadic", "--out", str(out), *argv]) == 0
     assert main(["inequalities", *argv]) == 0

@@ -19,16 +19,14 @@ from jensen_stab import (
     SeededUniformNoise,
     bundled_carrier,
     drygas_defect,
-    even_part,
     identity_checks,
     inequality_suite,
     jensen_approximant,
     jensen_defect,
-    odd_part,
     phi_mean_construction,
 )
 from jensen_stab import defect
-from jensen_stab.funcspace import LeftTranslate, RightTranslate
+from jensen_stab.funcspace import EvenPart, LeftTranslate, OddPart, RightTranslate
 
 
 def brute_force_jensen(f, carrier):
@@ -133,7 +131,7 @@ class _ShearLattice(LatticeCarrier):
         return np.stack([xs[:, 0], xs[:, 0] - xs[:, 1]], axis=1)
 
 
-@pytest.mark.parametrize("part", [even_part, odd_part])
+@pytest.mark.parametrize("part", [EvenPart, OddPart], ids=["even_part", "odd_part"])
 def test_views_of_a_table_skip_pairs_whose_involutes_leave_the_box(part):
     c = _ShearLattice(2, 3, 6)
     rng = np.random.default_rng(11)
@@ -217,7 +215,7 @@ def test_repeated_table_scans_reuse_the_held_positions(monkeypatch, name):
     g = LatticeTableFn(c, np.arange(size) * (1 - 0.5j))
     first = jensen_defect(g)
     assert first.scanned_pairs < first.domain_size  # the mask applies
-    first_even = jensen_defect(even_part(g))
+    first_even = jensen_defect(EvenPart(g))
     calls = []
     flat = LatticeCarrier._flat
 
@@ -228,7 +226,7 @@ def test_repeated_table_scans_reuse_the_held_positions(monkeypatch, name):
     monkeypatch.setattr(LatticeCarrier, "_flat", staticmethod(counted))
     for _ in range(3):
         assert jensen_defect(g).delta == first.delta
-        assert jensen_defect(even_part(g)) == first_even
+        assert jensen_defect(EvenPart(g)) == first_even
     assert calls == []
 
 
@@ -238,19 +236,19 @@ def test_scans_mask_their_table_domain_and_not_the_pair_terms(monkeypatch):
     c = bundled_carrier("int2")
     f = OracleFn(c, [0.5, -0.25j], 1.0, SeededUniformNoise(0.1, 4))
     domains, masked = [0], []
-    table_domain, table_mask = LatticeCarrier.table_domain, defect._table_mask
+    table_domain, table_values = LatticeCarrier.table_domain, defect._table_values
 
     def recorded_domain(self, arrays):
         got = table_domain(self, arrays)
         domains.append(got[0].shape[0])
         return got
 
-    def recorded_mask(fn, pts):
+    def recorded_values(fn, pts):
         masked.append((pts.shape[0], domains[-1]))
-        return table_mask(fn, pts)
+        return table_values(fn, pts)
 
     monkeypatch.setattr(LatticeCarrier, "table_domain", recorded_domain)
-    monkeypatch.setattr(defect, "_table_mask", recorded_mask)
+    monkeypatch.setattr(defect, "_table_values", recorded_values)
     inequality_suite(f, delta=jensen_defect(f).delta)
     assert len(masked) == len(domains) - 1 > 0
     assert all(n <= domain for n, domain in masked)

@@ -21,13 +21,11 @@ from jensen_stab import (
     ParityNoise,
     SeededUniformNoise,
     bundled_carrier,
-    even_part,
     function_from_dict,
     function_to_dict,
-    odd_part,
 )
 from jensen_stab.errors import FormatError
-from jensen_stab.funcspace import _ROUND_MIN, LeftTranslate, RightTranslate
+from jensen_stab.funcspace import _ROUND_MIN, EvenPart, LeftTranslate, OddPart, RightTranslate
 
 
 def test_evaluate_examples():
@@ -55,12 +53,12 @@ def test_even_odd_linear_and_constant():
     z1 = bundled_carrier("int1")
     f = OracleFn(z1, [1.0], 0.0)
     pts = z1.window_points()
-    assert np.abs(even_part(f).eval_many(pts)).max() == 0.0
-    assert np.array_equal(odd_part(f).eval_many(pts), f.eval_many(pts))
+    assert np.abs(EvenPart(f).eval_many(pts)).max() == 0.0
+    assert np.array_equal(OddPart(f).eval_many(pts), f.eval_many(pts))
 
     g = OracleFn(z1, None, 7.25)
-    assert np.abs(even_part(g).eval_many(pts) - 7.25).max() == 0.0
-    assert np.abs(odd_part(g).eval_many(pts)).max() == 0.0
+    assert np.abs(EvenPart(g).eval_many(pts) - 7.25).max() == 0.0
+    assert np.abs(OddPart(g).eval_many(pts)).max() == 0.0
 
 
 def test_even_odd_quadratic_table():
@@ -68,8 +66,8 @@ def test_even_odd_quadratic_table():
     pts = lat.window_points()
     vals = np.array([x * x + x for (x,) in pts], dtype=np.complex128)
     f = LatticeTableFn(lat, vals)
-    fe = even_part(f).eval_many(pts)
-    fo = odd_part(f).eval_many(pts)
+    fe = EvenPart(f).eval_many(pts)
+    fo = OddPart(f).eval_many(pts)
     for i, (x,) in enumerate(pts):
         assert fe[i] == x * x
         assert fo[i] == x
@@ -93,16 +91,16 @@ def test_decomposition_is_bit_exact(name, noise, probes):
     f = OracleFn(c, [2.0 + 1.0j, -0.7 + 0.3j][: c.dim], 5.0 - 3.0j, noise)
     pts = c.window_points()
     vals = f.eval_many(pts)
-    fe = even_part(f).eval_many(pts)
-    fo = odd_part(f).eval_many(pts)
+    fe = EvenPart(f).eval_many(pts)
+    fo = OddPart(f).eval_many(pts)
     # left-to-right: (f - f_even) - f_odd vanishes bit-exactly
     assert np.all((vals - fe) - fo == 0)
     # scalar path agrees with the vector path bit for bit
     at = np.array(probes, dtype=np.int64)
-    for x, v, e, o in zip(probes, f.eval_many(at), even_part(f).eval_many(at), odd_part(f).eval_many(at)):
+    for x, v, e, o in zip(probes, f.eval_many(at), EvenPart(f).eval_many(at), OddPart(f).eval_many(at)):
         assert f.eval(x) == v
-        assert even_part(f).eval(x) == e
-        assert odd_part(f).eval(x) == o
+        assert EvenPart(f).eval(x) == e
+        assert OddPart(f).eval(x) == o
 
 
 def test_even_odd_symmetry():
@@ -110,8 +108,8 @@ def test_even_odd_symmetry():
     f = OracleFn(z1, [2.0], 5.0, SeededUniformNoise(0.5, 4))
     pts = z1.window_points()
     neg = -pts
-    fe = even_part(f)
-    fo = odd_part(f)
+    fe = EvenPart(f)
+    fo = OddPart(f)
     # evenness is exact: same two values, commuted addition
     assert np.all(fe.eval_many(pts) == fe.eval_many(neg))
     # oddness holds to rounding (odd part is the subtractive complement)

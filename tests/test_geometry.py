@@ -12,13 +12,13 @@ import pytest
 
 from jensen_stab import (
     FiniteTableFn,
+    LatticeCarrier,
     LatticeOverflowError,
     LatticeTableFn,
     OracleFn,
     SeededUniformNoise,
     bundled_carrier,
     drygas_defect,
-    generate_solution,
     inequality_suite,
     jensen_defect,
     perturb,
@@ -77,7 +77,7 @@ def test_carrier_with_built_geometry_copies_and_pickles(name):
         assert np.array_equal(twin.window_terms().sq, c.window_terms().sq)
 
 def _functions(c, seed):
-    """f, a window table g and a wider table on c, and phi where c has a mean."""
+    """f, a window table g on c, and phi where c has a mean."""
     rng = np.random.default_rng(seed)
     if c.size:
         f = FiniteTableFn(c, rng.normal(size=c.size) + 1j * rng.normal(size=c.size))
@@ -85,9 +85,7 @@ def _functions(c, seed):
     f = OracleFn(c, [0.5 + 0.25j] * c.dim, 1.0, SeededUniformNoise(0.1, seed))
     m = c.window_points().shape[0]
     g = LatticeTableFn(c, rng.normal(size=m) + 0j)
-    wide_r = 2 * c.window_radius - 1
-    wide = LatticeTableFn(c, rng.normal(size=(2 * wide_r + 1) ** c.dim) + 0j, radius=wide_r)
-    return f, [f, g, wide], phi_mean_construction(f)[0]
+    return f, [f, g], phi_mean_construction(f)[0]
 
 
 def _reports(c, seed):
@@ -114,13 +112,13 @@ def test_arrays_the_carrier_does_not_hold_get_no_cached_results():
     _reports(c, 5)
     built = c._built
     assert all("in_box" not in repr(key) for key in built)
-    box3, box9 = (LatticeTableFn(c, np.zeros((2 * r + 1) ** 2, dtype=complex), radius=r) for r in (3, 9))
+    box3, box9 = (LatticeTableFn(LatticeCarrier(2, r, r), np.zeros((2 * r + 1) ** 2, dtype=complex)) for r in (3, 9))
     for a in (t.xy.copy(), t.x[::-1], t.x[:7], np.ascontiguousarray(t.yx[::2])):
         _, [pos] = c.table_domain([a])
         r = int(np.abs(a).max())
         want = (a[:, 0] + r) * (2 * r + 1) + a[:, 1] + r
         assert np.array_equal(pos, want)
-        assert np.array_equal(box3.covers(a), (np.abs(a) <= 3).all(axis=1))
+        assert np.array_equal(box3.readable(a), (np.abs(a) <= 3).all(axis=1))
     # A freed array's id is often reused by the next array of its size, and
     # read-only arrays look like the carrier's own.
     for shift in range(1, 6):
@@ -129,7 +127,7 @@ def test_arrays_the_carrier_does_not_hold_get_no_cached_results():
         _, [pos] = c.table_domain([a])
         r = int(np.abs(a).max())
         assert np.array_equal(pos, (a[:, 0] + r) * (2 * r + 1) + a[:, 1] + r)
-        assert np.array_equal(box9.covers(a), (np.abs(a) <= 9).all(axis=1))
+        assert np.array_equal(box9.readable(a), (np.abs(a) <= 9).all(axis=1))
         assert np.array_equal(c.compose_many(a, t.y), a + t.y)
         assert np.array_equal(c.involute_many(a), -a)
         assert np.array_equal(c.square_many(a), 2 * a)
@@ -192,7 +190,7 @@ def test_held_orbit_levels_are_the_repeated_squares_and_read_only(name):
 
 def _iterations(c, seed):
     if c.size:
-        f = perturb(generate_solution(c, 1 - 2j), "seeded_uniform", 0.3, seed=seed)
+        f = perturb(c.exact_solution(1 - 2j), "seeded_uniform", 0.3, seed=seed)
     else:
         f = OracleFn(c, [0.5 - 1j, 2.0][: c.dim], 1.0, SeededUniformNoise(0.2, seed))
     out = []

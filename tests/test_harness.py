@@ -11,16 +11,15 @@ import pytest
 
 from jensen_stab import (
     ExperimentConfig,
+    FiniteCarrier,
     FiniteTableFn,
     OracleFn,
     bundled_carrier,
-    generate_solution,
     jensen_approximant,
     jensen_defect,
     perturb,
     run_experiment,
 )
-from jensen_stab import carrier as carrier_module
 from jensen_stab import harness, stabilize
 from jensen_stab.errors import FormatError
 from jensen_stab.harness import build_function
@@ -28,34 +27,34 @@ from jensen_stab.harness import build_function
 
 def test_generate_solution_examples():
     s3 = bundled_carrier("s3")
-    f = generate_solution(s3, 3 + 2j)
+    f = s3.exact_solution(3 + 2j)
     assert jensen_defect(f).delta == 0.0
 
     z2d = bundled_carrier("int2")
-    g = generate_solution(z2d, 0.0, [1.0, -2.0])
+    g = z2d.exact_solution(0.0, [1.0, -2.0])
     assert jensen_defect(g).delta <= 1e-12
 
     z1 = bundled_carrier("int1")
-    h = generate_solution(z1, 7.0, [0.0])
+    h = z1.exact_solution(7.0, [0.0])
     assert jensen_defect(h).delta == 0.0
 
 
 def test_generate_rejects_linear_on_finite():
     s3 = bundled_carrier("s3")
     with pytest.raises(FormatError):
-        generate_solution(s3, 0.0, [1.0])
+        s3.exact_solution(0.0, [1.0])
 
 
 def test_perturb_identity_when_zero():
     z1 = bundled_carrier("int1")
-    f = generate_solution(z1, 5.0, [2.0])
+    f = z1.exact_solution(5.0, [2.0])
     assert perturb(f, "none", 0.0) is f
     assert perturb(f, "seeded_uniform", 0.0, 3) is f
 
 
 def test_perturb_bounds_and_defect():
     z1 = bundled_carrier("int1")
-    base = generate_solution(z1, 5.0, [2.0])
+    base = z1.exact_solution(5.0, [2.0])
     pts = z1.window_points()
 
     parity = perturb(base, "parity", 0.1)
@@ -67,7 +66,7 @@ def test_perturb_bounds_and_defect():
     assert jensen_defect(seeded).delta <= 4 * 0.05 + 1e-9
 
     s3 = bundled_carrier("s3")
-    fin = perturb(generate_solution(s3, 1.0), "seeded_uniform", 0.05, seed=12)
+    fin = perturb(s3.exact_solution(1.0), "seeded_uniform", 0.05, seed=12)
     assert jensen_defect(fin).delta <= 0.2 + 1e-12
 
 
@@ -372,7 +371,7 @@ def test_sharing_a_carrier_leaves_reports_unchanged(monkeypatch, cfg):
 def test_validation_runs_once_per_carrier_and_is_asked_once_per_experiment(monkeypatch):
     c = bundled_carrier("s3")
     bodies, asked = [], []
-    validate, body = harness.validate_carrier, carrier_module._validate
+    validate, body = harness.validate_carrier, FiniteCarrier._validate
 
     def counted_body(carrier):
         bodies.append(carrier)
@@ -382,7 +381,7 @@ def test_validation_runs_once_per_carrier_and_is_asked_once_per_experiment(monke
         asked.append(carrier)
         return validate(carrier)
 
-    monkeypatch.setattr(carrier_module, "_validate", counted_body)
+    monkeypatch.setattr(FiniteCarrier, "_validate", counted_body)
     monkeypatch.setattr(harness, "validate_carrier", counted)
     monkeypatch.setattr(harness, "resolve_carrier", lambda spec: c)
     cfg = ExperimentConfig(carrier="s3", methods=["dyadic"])

@@ -11,13 +11,10 @@ from jensen_stab import (
     SeededUniformNoise,
     bundled_carrier,
     dyadic_limit,
-    even_part,
-    generate_solution,
     jensen_defect,
-    odd_part,
     perturb,
 )
-from jensen_stab.funcspace import LeftTranslate, RightTranslate
+from jensen_stab.funcspace import EvenPart, LeftTranslate, OddPart, RightTranslate
 
 GROUPS = ("z2", "z6", "s3", "q8")
 
@@ -30,7 +27,7 @@ small_pts = st.integers(min_value=-40, max_value=40)
 @settings(max_examples=40, deadline=None)
 def test_perturbed_defect_bounded_by_4eps(name, amp, seed):
     c = bundled_carrier(name)
-    f = perturb(generate_solution(c, 2 - 1j), "seeded_uniform", amp, seed)
+    f = perturb(c.exact_solution(2 - 1j), "seeded_uniform", amp, seed)
     assert jensen_defect(f).delta <= 4 * amp + 1e-9
 
 
@@ -38,7 +35,7 @@ def test_perturbed_defect_bounded_by_4eps(name, amp, seed):
 @settings(max_examples=30, deadline=None)
 def test_lattice_perturbed_defect_bounded(amp, seed):
     c = LatticeCarrier(dim=1, window_radius=16, folner_max=32)
-    f = perturb(generate_solution(c, 5.0, [2.0]), "seeded_uniform", amp, seed)
+    f = perturb(c.exact_solution(5.0, [2.0]), "seeded_uniform", amp, seed)
     assert jensen_defect(f).delta <= 4 * amp + 1e-9
 
 
@@ -49,10 +46,10 @@ def test_decomposition_bit_exact_for_random_oracles(a_re, c_im, amp, seed):
     f = OracleFn(c, [complex(a_re, 1.0)], complex(2.0, c_im), SeededUniformNoise(amp, seed))
     pts = c.window_points()
     vals = f.eval_many(pts)
-    fe = even_part(f).eval_many(pts)
-    fo = odd_part(f).eval_many(pts)
+    fe = EvenPart(f).eval_many(pts)
+    fo = OddPart(f).eval_many(pts)
     assert np.all((vals - fe) - fo == 0)
-    assert np.all(fe == even_part(f).eval_many(-pts))
+    assert np.all(fe == EvenPart(f).eval_many(-pts))
 
 
 @given(seed=seeds, amp=amplitudes)
@@ -60,7 +57,7 @@ def test_decomposition_bit_exact_for_random_oracles(a_re, c_im, amp, seed):
 def test_odd_part_of_noise_is_bounded_by_amplitude(seed, amp):
     c = LatticeCarrier(dim=1, window_radius=32, folner_max=64)
     f = OracleFn(c, [1.0], 0.0, SeededUniformNoise(amp, seed))
-    fo = odd_part(f).eval_many(c.window_points())
+    fo = OddPart(f).eval_many(c.window_points())
     linear = c.window_points()[:, 0].astype(np.complex128)
     assert np.abs(fo - linear).max() <= amp + 1e-12
 

@@ -15,7 +15,6 @@ from jensen_stab import (
     bundled_carrier,
     dyadic_limit,
     folner_mean,
-    generate_solution,
     inequality_suite,
     jensen_approximant,
     jensen_defect,
@@ -50,7 +49,7 @@ def _package_records():
 def _instances():
     """At least one instance of every record class, from real constructions."""
     q8 = bundled_carrier("q8")
-    f = perturb(generate_solution(q8, 1 + 2j), "seeded_uniform", 0.1, seed=3)
+    f = perturb(q8.exact_solution(1 + 2j), "seeded_uniform", 0.1, seed=3)
     d = jensen_defect(f)
     phi, diag = phi_mean_construction(f)
     out = [d, diag, *inequality_suite(f, phi=phi, delta=d.delta, mean_budget=diag.phi_error_budget)]

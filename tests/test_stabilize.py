@@ -18,21 +18,17 @@ from jensen_stab import (
     ParityNoise,
     SeededUniformNoise,
     bundled_carrier,
-    box_translate_ratio,
     dyadic_limit,
-    even_part,
     folner_mean,
     forti_sikorska_reconstruct,
-    generate_solution,
     jensen_approximant,
     jensen_defect,
-    odd_part,
     perturb,
     phi_mean_construction,
     validate_carrier,
 )
 from jensen_stab import scan, stabilize
-from jensen_stab.funcspace import BoundedFn
+from jensen_stab.funcspace import BoundedFn, EvenPart, OddPart
 
 
 class QuadraticFn(BoundedFn):
@@ -125,7 +121,7 @@ def test_overflowing_oracle_values_end_in_nonconvergence_without_warnings():
 
 def test_zero_levels_is_a_nonconvergence_with_an_empty_trace():
     s3 = bundled_carrier("s3")
-    f = perturb(generate_solution(s3, 1 - 2j), "seeded_uniform", 0.3, seed=5)
+    f = perturb(s3.exact_solution(1 - 2j), "seeded_uniform", 0.3, seed=5)
     for method in ("dyadic", "dyadic_full", "forti_sikorska"):
         with pytest.raises(NonConvergenceError) as exc:
             jensen_approximant(f, method, n_max=0)
@@ -212,14 +208,14 @@ def test_phi_boundary_bound_vs_brute_force():
         assert abs(phi.eval(y) - brute) <= 1e-12
         # boundary-term count of the box average
         assert abs(phi.eval(y) - 2 * a * y) <= 2 * eps * (2 * abs(y)) / (2 * k + 1) + 1e-12
-    assert diag.phi_error_budget == 2 * eps * box_translate_ratio(1, k, (64,))
+    assert diag.phi_error_budget == 2 * eps * z1.mean_translate_ratio(k)
 
 
 def _phi_per_translate(f, k):
     """phi as one oracle loop per translate y, with no table of f_odd."""
     c = f.carrier
     pts = c.window_points() if c.size else c.folner_points(k)
-    fo = odd_part(f)
+    fo = OddPart(f)
     win = c.window_points()
     vals = np.empty(win.shape[0], dtype=np.complex128)
     for i, y in enumerate(win):
@@ -234,7 +230,7 @@ PHI_CASES = [("s3", None), ("q8", None), ("z6", None), ("int1", 512), ("int2", 1
 def _assert_phi_matches_the_per_translate_loop(c, k):
     if c.size:
         def make():
-            return perturb(generate_solution(c, 1 - 2j), "seeded_uniform", 0.3, seed=11)
+            return perturb(c.exact_solution(1 - 2j), "seeded_uniform", 0.3, seed=11)
     else:
         def make():
             return OracleFn(c, [1.5, -0.5 + 1j][: c.dim], 2j, SeededUniformNoise(0.2, 11))
@@ -301,7 +297,7 @@ def test_forti_sikorska_noisy_drygas_geometric():
 def _fs_per_pair(f, pts, n_max=stabilize.DEFAULT_N_MAX, tol=stabilize.DEFAULT_CONV_TOL):
     """Two-block levels with one f_even evaluation per pair array and block, from memoized powers."""
     c = f.carrier
-    fe, fo = even_part(f), odd_part(f)
+    fe, fo = EvenPart(f), OddPart(f)
     pow_x = [pts]
     pairs = {}
 
@@ -384,7 +380,7 @@ def test_fs_matches_the_per_pair_reference_loop(name, noise):
     c = _twisted_s3() if name == "s3_twisted" else bundled_carrier(name)
     if c.size:
         def make():
-            return perturb(generate_solution(c, 1 - 2j), "seeded_uniform", 0.3, seed=5)
+            return perturb(c.exact_solution(1 - 2j), "seeded_uniform", 0.3, seed=5)
     else:
         def make():
             amp = ParityNoise(0.2) if noise == "parity" else SeededUniformNoise(0.2, 5)
@@ -437,12 +433,12 @@ def _assert_dyadic_matches(target, pts, n_max=stabilize.DEFAULT_N_MAX, tol=stabi
 def test_dyadic_blocks_match_the_level_by_level_loop(name, noise):
     c = _twisted_s3() if name == "s3_twisted" else bundled_carrier(name)
     if c.size:
-        f = perturb(generate_solution(c, 1 - 2j), "seeded_uniform", 0.3, seed=5)
+        f = perturb(c.exact_solution(1 - 2j), "seeded_uniform", 0.3, seed=5)
     else:
         amp = ParityNoise(0.2) if noise == "parity" else SeededUniformNoise(0.2, 5)
         f = OracleFn(c, [1.5, -0.5 + 1j][: c.dim], 2j, amp)
     pts = c.window_points()
-    for target in (f, odd_part(f)):
+    for target in (f, OddPart(f)):
         _assert_dyadic_matches(target, pts)
         _assert_dyadic_matches(target, pts[-2:-1])
     counted = _CountingFn(f)
@@ -540,7 +536,7 @@ def _assert_fs_matches(f, pts, n_max=stabilize.DEFAULT_N_MAX, tol=stabilize.DEFA
 def test_fs_makes_a_bounded_number_of_evaluations_per_level(name):
     c = LatticeCarrier(1, 8, 64) if name == "int1w8" else bundled_carrier(name)
     if c.size:
-        base = perturb(generate_solution(c, 1 - 2j), "seeded_uniform", 0.3, seed=5)
+        base = perturb(c.exact_solution(1 - 2j), "seeded_uniform", 0.3, seed=5)
     else:
         base = OracleFn(c, [1.5], 2j, SeededUniformNoise(0.2, 5))
     f = _CountingFn(base)
@@ -558,7 +554,7 @@ def test_fs_makes_a_bounded_number_of_evaluations_per_level(name):
 
 def test_fs_blocks_stay_within_the_point_cap(monkeypatch):
     c = _twisted_s3()
-    f = perturb(generate_solution(c, 1 - 2j), "seeded_uniform", 0.3, seed=5)
+    f = perturb(c.exact_solution(1 - 2j), "seeded_uniform", 0.3, seed=5)
     m = c.size
     cap = 400  # level k stacks 2 (2k + 1) m = 12 (2k + 1) points: one level alone exceeds it from k = 17
     blocks = []
@@ -649,7 +645,7 @@ def test_fs_with_zero_tolerance_runs_single_levels(name):
         f = OracleFn(c, [2.0], 5.0, SeededUniformNoise(0.5, 3))
     else:
         c = _twisted_s3()
-        f = perturb(generate_solution(c, 1 - 2j), "seeded_uniform", 0.3, seed=5)
+        f = perturb(c.exact_solution(1 - 2j), "seeded_uniform", 0.3, seed=5)
     pts = c.window_points()
     with pytest.raises(NonConvergenceError) as ref:
         _fs_per_pair(f, pts, n_max=12, tol=0.0)
@@ -739,13 +735,13 @@ def test_mean_solution_is_odd_within_budget():
 
 
 def test_translated_mean_invariance():
-    from jensen_stab import folner_mean, odd_part, perturb
+    from jensen_stab import folner_mean, perturb
     from jensen_stab.funcspace import LeftTranslate, RightTranslate
 
     # finite group: the uniform average of any translate equals the average
     s3 = bundled_carrier("s3")
     f = perturb(FiniteTableFn(s3, [1 + 1j] * 6), "seeded_uniform", 0.3, seed=2)
-    fo = odd_part(f)
+    fo = OddPart(f)
     z = 3
     probe = _combination(fo, s3, z)
     m0 = folner_mean(probe).value
@@ -758,7 +754,7 @@ def test_translated_mean_invariance():
     # lattice: translates move the mean by at most the boundary fraction
     z1 = bundled_carrier("int1")
     g = OracleFn(z1, [2.0], 5.0, SeededUniformNoise(0.3, 2))
-    go = odd_part(g)
+    go = OddPart(g)
     probe_l = _combination(go, z1, 4)
     k = 128
     m0 = folner_mean(probe_l, k).value
