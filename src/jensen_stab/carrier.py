@@ -190,6 +190,18 @@ class Carrier:
 
         return level
 
+    def reach(self, xs: np.ndarray, k_used: int) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
+        """The table domain of every y x and x sigma(y) that phi's integrand
+        reaches, for y in the window and x in the mean set xs, and their
+        positions in it in blocks of window rows y (see ``_row_blocks``):
+        row y holds the positions of y x, and of x sigma(y), for x in xs."""
+        w = self.window_points()
+        n, m = w.shape[0], xs.shape[0]
+        y, x = np.repeat(w, m, axis=0), np.concatenate([xs] * n)
+        domain, positions = self.table_domain([self.compose_many(y, x), self.compose_many(x, self.involute_many(y))])
+        yx, x_sy = (_row_blocks(p.reshape(n, m), m) for p in positions)
+        return domain, zip(yx, x_sy)
+
     def row(self, x) -> np.ndarray:
         """The one-row point array holding the element x."""
         return np.array([self.check_element(x)], dtype=np.int64)
@@ -316,15 +328,6 @@ class FiniteCarrier(Carrier):
             )
         probe = next((i for i in range(self.size) if i != self.neutral), self.neutral)
         return self.window_elements(), self.size, probe
-
-    def reach(self, xs: np.ndarray, k_used: int) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
-        """All of G, which phi's integrand reaches, and the indices of y x and
-        x sigma(y) in blocks of window rows y (see ``_row_blocks``)."""
-        g = self.window_elements()
-        return g, (
-            (self.op[ys[:, None], xs], self.op[xs, self.involution[ys][:, None]])
-            for ys in _row_blocks(g, xs.shape[0])
-        )
 
     def table_domain(self, arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
         """All of G, which holds every point; an element's position is its index."""
@@ -554,11 +557,16 @@ class LatticeCarrier(Carrier):
         return self.folner_points(k_used), k_used, probe
 
     def reach(self, xs: np.ndarray, k_used: int) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
-        """The box of radius k_used + max |coordinate| of W and sigma(W) that
-        y x and x sigma(y) reach for x in the Folner box xs, and their flat
-        positions in it in blocks of window rows y (see ``_row_blocks``): row
-        y holds the positions of xs shifted by the offset of y, and of
-        sigma(y)."""
+        """``Carrier.reach`` with y x written as a translate: the box of radius
+        k_used + max |coordinate| of W and sigma(W) that y x and x sigma(y)
+        reach for x in the Folner box xs, and their flat positions in it in
+        blocks of window rows y: row y holds the positions of xs shifted by
+        the offset of y, and of sigma(y).
+
+        The generic body would compose |W| |xs| points up front (4.8 M on
+        int2's default Folner box); this one adds one offset per window row
+        to the positions of xs, block by block, with the same result.
+        """
         if np.abs(xs).max() > k_used:
             raise InvalidElementError(f"points outside the Folner box of radius {k_used}")
         w = self.window_points()

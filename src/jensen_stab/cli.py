@@ -103,12 +103,8 @@ def _cmd_inequalities(args: argparse.Namespace) -> int:
     _require_positive(args.folner_k, "--folner-k")
     c = _resolve_carrier_arg(args.carrier)
     f = _load_function_arg(args.function, c)
-    phi = None
-    mean_budget = 0.0
-    if c.mean_capability != NO_MEAN:
-        phi, diag = phi_mean_construction(f, args.folner_k)
-        mean_budget = diag.phi_error_budget
-    records = inequality_suite(f, phi=phi, mean_budget=mean_budget, tol=args.tol)
+    phi = None if c.mean_capability == NO_MEAN else phi_mean_construction(f, args.folner_k)
+    records = inequality_suite(f, phi=phi, tol=args.tol)
     if args.report:
         _write_json(args.report, {"inequalities": [r.to_dict() for r in records]})
     ok = True
@@ -188,7 +184,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     config = ExperimentConfig.from_dict(_load_json(args.config))
     if args.seed is not None:
         config = dataclasses.replace(config, noise_seed=args.seed)
-    resolve_carrier(config.carrier)  # an unknown or malformed carrier is an input error
+    # An unknown or malformed carrier, or a base solution it refuses, is an input error.
+    resolve_carrier(config.carrier).exact_solution(config.base_constant, config.base_linear)
     report = run_experiment(config)
     if args.report:
         _write_json(args.report, report)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -26,6 +26,9 @@ from .errors import FormatError
 from .funcspace import DEFAULT_TOL, BoundedFn, EvenPart, OddPart
 from .records import Record
 from .scan import max_scan
+
+if TYPE_CHECKING:
+    from .stabilize import PhiDiagnostics
 
 # Values that overflow make a scan's products and sums inf or NaN, and so
 # its supremum, which the callers report or reject; numpy's warnings about
@@ -199,17 +202,17 @@ def _one_var_scan(fn_terms: Sequence[tuple[BoundedFn, complex, np.ndarray]], con
 
 def inequality_suite(
     f: BoundedFn,
-    phi: BoundedFn | None = None,
+    phi: tuple[BoundedFn, PhiDiagnostics] | None = None,
     delta: float | None = None,
-    mean_budget: float = 0.0,
     tol: float = DEFAULT_TOL,
 ) -> list[InequalityRecord]:
     """Measure the chain of intermediate inequalities for f.
 
-    ``delta`` defaults to the measured Jensen defect of f. The final record
-    compares |phi/2 - f_odd| against (5/2) delta plus ``mean_budget``, the
-    error budget of the approximate mean that built phi; it is skipped when
-    phi is not supplied.
+    ``delta`` defaults to the measured Jensen defect of f. ``phi`` is the
+    ``(phi, diagnostics)`` pair of ``phi_mean_construction``; the final
+    record compares |phi/2 - f_odd| against (5/2) delta plus its
+    ``phi_error_budget``, the error budget of the approximate mean that
+    built phi, and is skipped when phi is not supplied.
     """
     c = f.carrier
     if delta is None:
@@ -273,7 +276,7 @@ def inequality_suite(
 
     # eq 2.21: |phi(y)/2 - f_odd(y)| <= (5/2) delta, plus the budget of the
     # approximate mean that built phi.
-    value, idx = (None, -1) if phi is None else _one_var_scan([(phi, 0.5, W), (f_odd, -1, W)])[:2]
-    add("eq_2_21", 2.5, value, idx, False, extra=mean_budget)
+    value, idx = (None, -1) if phi is None else _one_var_scan([(phi[0], 0.5, W), (f_odd, -1, W)])[:2]
+    add("eq_2_21", 2.5, value, idx, False, extra=0.0 if phi is None else phi[1].phi_error_budget)
 
     return records

@@ -322,7 +322,10 @@ class FiniteTableFn(BoundedFn):
         return self.values[pts]
 
     def perturbed(self, noise: Noise) -> FiniteTableFn:
-        return FiniteTableFn(self.carrier, self.values + noise.values(np.arange(self.carrier.size)[:, None]))
+        # An overflowing sum is refused as a non-finite table, without numpy's warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = self.values + noise.values(np.arange(self.carrier.size)[:, None])
+        return FiniteTableFn(self.carrier, values)
 
 
 class LatticeTableFn(BoundedFn):

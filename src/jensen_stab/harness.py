@@ -12,7 +12,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Any
+from typing import Any, Callable
 
 from .carrier import NO_MEAN, BUNDLED_CARRIERS, Carrier, bundled_carrier, carrier_from_dict, validate_carrier
 from .defect import inequality_suite, jensen_defect
@@ -23,10 +23,11 @@ from .stabilize import (
     DEFAULT_CONV_TOL,
     DEFAULT_N_MAX,
     METHODS,
+    StabilizationResult,
     jensen_approximant,
     phi_mean_construction,
 )
-from .verify import AgreementReport, method_agreement, verify_solution
+from .verify import AgreementReport, VerificationReport, method_agreement, verify_solution
 
 SCHEMA = "jensen-stab/report/v1"
 
@@ -160,109 +161,72 @@ def build_function(config: ExperimentConfig, c: Carrier, component: int = 0) -> 
 
 
 def _scalar_run(config: ExperimentConfig, c: Carrier, component: int, timing: dict) -> dict:
-    report: dict[str, Any] = {}
     errors: list[dict] = []
     tol = config.tol
 
-    def stage(name: str):
-        def wrap(fn):
-            t0 = time.perf_counter()
-            try:
-                return fn()
-            except JensenStabError as exc:
-                errors.append({"stage": name, "error": f"{type(exc).__name__}: {exc}"})
-                return None
-            finally:
-                timing[f"{name}[{component}]"] = time.perf_counter() - t0
+    def stage(name: str, fn: Callable[[], Any]) -> Any:
+        """fn(), or None with its JensenStabError recorded under the stage name."""
+        t0 = time.perf_counter()
+        try:
+            return fn()
+        except JensenStabError as exc:
+            errors.append({"stage": name, "error": f"{type(exc).__name__}: {exc}"})
+            return None
+        finally:
+            timing[f"{name}[{component}]"] = time.perf_counter() - t0
 
-        return wrap
-
-    f = stage("generate")(lambda: build_function(config, c, component))
-    defect_report = None if f is None else stage("defect")(lambda: jensen_defect(f))
+    f = stage("generate", lambda: build_function(config, c, component))
+    defect_report = None if f is None else stage("defect", lambda: jensen_defect(f))
     if defect_report is None:
-        report["errors"] = errors
-        report["pass"] = False
-        return report
+        return {"errors": errors, "pass": False}
     delta = defect_report.delta
-    report["defect"] = defect_report.to_dict()
     analytic = None if config.noise_type == "none" else 4.0 * config.noise_amplitude
-    report["defect_consistency"] = {
-        "analytic_bound": analytic,
-        "holds": True if analytic is None else bool(delta <= analytic + tol),
-    }
-
-    built = phi = None
-    phi_budget = 0.0
-    stab_reports: dict[str, dict] = {}
-    verif_reports: dict[str, dict] = {}
-    results: dict[str, Any] = {}
-
+    consistent = True if analytic is None else bool(delta <= analytic + tol)
     mean_capable = c.mean_capability != NO_MEAN
 
+    phi = None
     if "mean" in config.methods and mean_capable:
-        built = stage("phi_construction")(lambda: phi_mean_construction(f, config.folner_k))
-        if built is not None:
-            phi, phi_diag = built
-            phi_budget = phi_diag.phi_error_budget
+        phi = stage("phi_construction", lambda: phi_mean_construction(f, config.folner_k))
+    records = stage("inequalities", lambda: inequality_suite(f, phi=phi, delta=delta, tol=tol))
 
-    records = stage("inequalities")(
-        lambda: inequality_suite(f, phi=phi, delta=delta, mean_budget=phi_budget, tol=tol)
-    )
-    report["inequalities"] = [r.to_dict() for r in records] if records else []
-
+    results: dict[str, StabilizationResult] = {}
+    verified: dict[str, VerificationReport] = {}
     for method in config.methods:
-        res = stage(f"stabilize:{method}")(
-            lambda m=method: jensen_approximant(
-                f, m, delta=delta, folner_k=config.folner_k, n_max=config.dyadic_n, conv_tol=config.conv_tol, phi=built
-            )
-        )
+        res = stage(f"stabilize:{method}", lambda: jensen_approximant(
+            f, method, delta=delta, folner_k=config.folner_k, n_max=config.dyadic_n, conv_tol=config.conv_tol, phi=phi
+        ))
         if res is None:
             continue
         results[method] = res
-        stab_reports[method] = res.to_dict()
-        ver = stage(f"verify:{method}")(
-            lambda r=res, m=method: verify_solution(
-                f,
-                r,
-                phi=phi if m == "mean" else None,
-                phi_budget=phi_budget,
-                n_list=config.identity_powers,
-                tol=tol,
-            )
-        )
+        ver = stage(f"verify:{method}", lambda: verify_solution(
+            f, res, phi=phi if method == "mean" else None, n_list=config.identity_powers, tol=tol
+        ))
         if ver is not None:
-            verif_reports[method] = ver.to_dict()
-
-    report["stabilization"] = stab_reports
-    report["verification"] = verif_reports
+            verified[method] = ver
 
     agreement = None
     if "mean" in results and "dyadic" in results:
-        agreement = stage("agreement")(
-            lambda: method_agreement(f, results["mean"], results["dyadic"], tol=tol)
-        )
+        agreement = stage("agreement", lambda: method_agreement(f, results["mean"], results["dyadic"], tol=tol))
     elif "mean" in config.methods and not mean_capable:
         agreement = AgreementReport(status="skipped_no_mean")
-    report["agreement"] = agreement.to_dict() if agreement is not None else None
 
-    suite_ok = all(r.holds for r in records) if records else False
-    methods_ok = all(v.get("pass") for v in verif_reports.values()) if verif_reports else False
-    requested_ok = all(
-        (m in verif_reports) or (m == "mean" and not mean_capable) for m in config.methods
-    )
-    agreement_ok = agreement is None or agreement.status == "skipped_no_mean" or bool(agreement.holds)
-    consistency_ok = bool(report["defect_consistency"]["holds"])
-    report["errors"] = errors
-    capability_errors = [e for e in errors if "CapabilityError" in e["error"]]
-    report["pass"] = bool(
-        suite_ok
-        and methods_ok
-        and requested_ok
-        and agreement_ok
-        and consistency_ok
-        and len(errors) == len(capability_errors)
-    )
-    return report
+    return {
+        "defect": defect_report.to_dict(),
+        "defect_consistency": {"analytic_bound": analytic, "holds": consistent},
+        "inequalities": [r.to_dict() for r in records or []],
+        "stabilization": {m: r.to_dict() for m, r in results.items()},
+        "verification": {m: v.to_dict() for m, v in verified.items()},
+        "agreement": None if agreement is None else agreement.to_dict(),
+        "errors": errors,
+        "pass": bool(
+            records and all(r.holds for r in records)
+            and verified and all(v.passed for v in verified.values())
+            and all(m in verified or (m == "mean" and not mean_capable) for m in config.methods)
+            and (agreement is None or agreement.status == "skipped_no_mean" or agreement.holds)
+            and consistent
+            and all("CapabilityError" in e["error"] for e in errors)
+        ),
+    }
 
 
 def run_experiment(config: ExperimentConfig) -> dict:

@@ -22,7 +22,7 @@ from .defect import InequalityRecord, drygas_defect, jensen_defect
 from .funcspace import DEFAULT_TOL, BoundedFn, EvenPart
 from .records import Record
 # No function here calls jensen_approximant; perfbench's tracer patches this name.
-from .stabilize import StabilizationResult, jensen_approximant  # noqa: F401
+from .stabilize import PhiDiagnostics, StabilizationResult, jensen_approximant  # noqa: F401
 
 
 @dataclass
@@ -116,11 +116,17 @@ def identity_checks(
         sup = float(np.abs(vals - g_e).max()) if vals.size else 0.0
         records.append(IdentityRecord(name, sup, bound, sup <= bound, int(vals.size)))
 
-    power = c.dyadic_levels(pts)
-    for n in n_list:
-        cur = power(n)
+    # Level n squares the points level n - 1 kept and keeps those g can read,
+    # so no orbit is squared on past g's table (nor into the overflow guard).
+    levels, base, cur = {}, pts, pts
+    for n in range(1, max(n_list, default=0) + 1):
+        cur = c.square_many(cur)
         keep = g.readable(cur)
-        base, top = (pts, cur) if keep is None else (pts[keep], cur[keep])
+        if keep is not None:
+            base, cur = base[keep], cur[keep]
+        levels[n] = base, cur
+    for n in n_list:
+        base, top = levels[n]
         resid = np.abs(g.eval_many(top) + (2.0**n - 1) * g_e - (2.0**n) * g.eval_many(base))
         sup = float(resid.max()) if resid.size else 0.0
         bound_n = budget * (2.0**n + 1) + tol
@@ -185,16 +191,16 @@ def verify_solution(
     f: BoundedFn,
     result: StabilizationResult,
     *,
-    phi: BoundedFn | None = None,
-    phi_budget: float = 0.0,
+    phi: tuple[BoundedFn, PhiDiagnostics] | None = None,
     n_list: tuple[int, ...] = (1, 2, 3),
     tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
     """Assemble the full verification verdict for one stabilization result,
     against the result's ``delta_used``.
 
-    ``phi`` (with its construction budget) enables the Drygas residual
-    check. The inequality chain is measured and reported apart from it
+    ``phi``, the ``(phi, diagnostics)`` pair of ``phi_mean_construction``,
+    enables the Drygas residual check against its ``phi_error_budget``.
+    The inequality chain is measured and reported apart from it
     (``defect.inequality_suite``), so ``inequality_records`` stays empty.
     """
     stability = stability_bound_check(f, result, tol=tol)
@@ -205,8 +211,8 @@ def verify_solution(
     drygas_val = drygas_bound = None
     drygas_holds = None
     if phi is not None:
-        drygas_val = drygas_defect(phi).delta
-        drygas_bound = 6.0 * phi_budget + tol
+        drygas_val = drygas_defect(phi[0]).delta
+        drygas_bound = 6.0 * phi[1].phi_error_budget + tol
         drygas_holds = drygas_val <= drygas_bound
     ok = (
         stability.holds

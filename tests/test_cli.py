@@ -189,6 +189,8 @@ def _assert_clean_error(capsys, argv):
         {"carrier": "nope"},
         {"carrier": 5},
         {"carrier": {"kind": "lattice", "dim": 1}},
+        {"carrier": "int2", "base": {"linear": [1.0]}},
+        {"carrier": "s3", "base": {"linear": [1.0]}},
     ],
 )
 def test_experiment_bad_config_is_a_clean_error(tmp_path, capsys, config):

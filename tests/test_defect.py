@@ -307,8 +307,7 @@ def test_suite_evaluates_phi_record():
     assert records_no_phi["eq_2_21"].status == "not_evaluated"
     assert records_no_phi["eq_2_21"].measured_sup is None
 
-    phi, diag = phi_mean_construction(f)
-    records = {r.name: r for r in inequality_suite(f, phi=phi, mean_budget=diag.phi_error_budget)}
+    records = {r.name: r for r in inequality_suite(f, phi=phi_mean_construction(f))}
     assert records["eq_2_21"].status == "evaluated"
     assert records["eq_2_21"].holds
 

@@ -77,21 +77,21 @@ def test_carrier_with_built_geometry_copies_and_pickles(name):
         assert np.array_equal(twin.window_terms().sq, c.window_terms().sq)
 
 def _functions(c, seed):
-    """f, a window table g on c, and phi where c has a mean."""
+    """f, a window table g on c, and the (phi, diagnostics) pair where c has a mean."""
     rng = np.random.default_rng(seed)
     if c.size:
         f = FiniteTableFn(c, rng.normal(size=c.size) + 1j * rng.normal(size=c.size))
-        return f, [f], phi_mean_construction(f)[0]
+        return f, [f], phi_mean_construction(f)
     f = OracleFn(c, [0.5 + 0.25j] * c.dim, 1.0, SeededUniformNoise(0.1, seed))
     m = c.window_points().shape[0]
     g = LatticeTableFn(c, rng.normal(size=m) + 0j)
-    return f, [f, g], phi_mean_construction(f)[0]
+    return f, [f, g], phi_mean_construction(f)
 
 
 def _reports(c, seed):
     f, scanned, phi = _functions(c, seed)
     out = [jensen_defect(fn).to_dict() for fn in scanned]
-    out += [drygas_defect(fn).to_dict() for fn in [*scanned, phi]]
+    out += [drygas_defect(fn).to_dict() for fn in [*scanned, phi[0]]]
     out += [r.to_dict() for r in inequality_suite(f, phi=phi)]
     return json.dumps(out)
 

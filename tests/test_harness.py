@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 
@@ -10,9 +11,11 @@ import numpy as np
 import pytest
 
 from jensen_stab import (
+    CapabilityError,
     ExperimentConfig,
     FiniteCarrier,
     FiniteTableFn,
+    NonConvergenceError,
     OracleFn,
     bundled_carrier,
     jensen_approximant,
@@ -21,6 +24,7 @@ from jensen_stab import (
     run_experiment,
 )
 from jensen_stab import harness, stabilize
+from jensen_stab.carrier import NO_MEAN
 from jensen_stab.errors import FormatError
 from jensen_stab.harness import build_function
 
@@ -335,6 +339,98 @@ def test_an_orbit_that_meets_the_overflow_guard_is_a_stage_error():
     assert report["errors"] == [
         {"stage": "stabilize:dyadic", "error": "LatticeOverflowError: lattice coordinates left the safe integer range"}
     ]
+
+
+def test_identity_powers_past_the_overflow_guard_check_a_correct_table():
+    # Each level keeps only the points whose power stays in g's table, so
+    # the neutral point alone is squared on past 2^61; powers in any order.
+    cfg = ExperimentConfig.from_dict({
+        "carrier": "int1", "base": {"linear": [2.0]}, "noise": {"type": "seeded_uniform", "amplitude": 0.1},
+        "methods": ["dyadic"], "identity_powers": [57, 1, 100, 7, 6],
+    })
+    report = run_experiment(cfg)
+    assert report["errors"] == [] and report["pass"]
+    records = report["verification"]["dyadic"]["identity_records"][2:]
+    assert [(r["name"], r["points_checked"]) for r in records] == [
+        ("power_2^57", 1), ("power_2^1", 65), ("power_2^100", 1), ("power_2^7", 1), ("power_2^6", 3),
+    ]
+    small = run_experiment(dataclasses.replace(cfg, identity_powers=(1, 6)))
+    assert small["verification"]["dyadic"]["identity_records"][2:] == [records[1], records[4]]
+
+
+def test_noise_that_overflows_a_finite_table_is_a_generate_stage_error():
+    # Under the suite's error::RuntimeWarning filter a numpy warning would raise here.
+    report = run_experiment(ExperimentConfig.from_dict({
+        "carrier": "s3", "base": {"constant": 1e308}, "noise": {"type": "seeded_uniform", "amplitude": 1e308},
+    }))
+    assert report["errors"] == [{"stage": "generate", "error": "FormatError: table values must be finite"}]
+    assert report["pass"] is False
+
+
+def _verdict_clauses(report: dict, cfg: ExperimentConfig) -> dict[str, bool]:
+    """The six clauses of ``pass``, read back from the report."""
+    ver, agreement = report["verification"], report["agreement"]
+    no_mean = harness.resolve_carrier(cfg.carrier).mean_capability == NO_MEAN
+    return {
+        "suite": bool(report["inequalities"]) and all(r["holds"] for r in report["inequalities"]),
+        "methods": bool(ver) and all(v["pass"] for v in ver.values()),
+        "requested": all(m in ver or (m == "mean" and no_mean) for m in cfg.methods),
+        "agreement": agreement is None or agreement["status"] == "skipped_no_mean" or bool(agreement["holds"]),
+        "consistency": report["defect_consistency"]["holds"],
+        "errors": all("CapabilityError" in e["error"] for e in report["errors"]),
+    }
+
+
+def _edit(name: str, edit):
+    """A patch of harness.<name> that passes its result through edit."""
+    def patch(monkeypatch):
+        real = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda *args, **kwargs: edit(real(*args, **kwargs)))
+    return patch
+
+
+def _raise(name: str, exc: Exception):
+    """A patch of harness.<name> that raises exc."""
+    def patch(monkeypatch):
+        def fail(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(harness, name, fail)
+    return patch
+
+
+_Z6 = ExperimentConfig(carrier="z6", base_constant=2.0, noise_type="seeded_uniform", noise_amplitude=0.2,
+                       noise_seed=30, methods=["mean", "dyadic"])
+
+
+@pytest.mark.parametrize(
+    "cfg, patch, false_clause",
+    [
+        pytest.param(_Z6, None, None, id="z6"),
+        pytest.param(dataclasses.replace(_Z6, carrier="m3"), None, None, id="m3-mean-and-dyadic"),
+        pytest.param(_Z6, _edit("inequality_suite", lambda rs: [dataclasses.replace(rs[0], holds=False), *rs[1:]]),
+                     "suite", id="suite-record-fails"),
+        pytest.param(_Z6, _raise("inequality_suite", CapabilityError("no suite")), "suite", id="suite-not-run"),
+        pytest.param(_Z6, _edit("verify_solution", lambda v: dataclasses.replace(v, passed=v.method != "dyadic")),
+                     "methods", id="method-fails"),
+        pytest.param(dataclasses.replace(_Z6, carrier="m3", methods=["mean"]), None, "methods", id="m3-mean-alone"),
+        # folner_k past int1's folner_max: mean is refused for capability on a carrier that has a mean.
+        pytest.param(ExperimentConfig(carrier="int1", base_linear=[1.0], methods=["mean", "dyadic"], folner_k=1024),
+                     None, "requested", id="mean-refused-past-folner-max"),
+        pytest.param(_Z6, _edit("method_agreement", lambda a: dataclasses.replace(a, holds=False)), "agreement",
+                     id="agreement-fails"),
+        pytest.param(_Z6, _edit("jensen_defect", lambda d: dataclasses.replace(d, delta=1.0)), "consistency",
+                     id="defect-above-4-eps"),
+        pytest.param(_Z6, _raise("method_agreement", NonConvergenceError("no agreement")), "errors",
+                     id="non-capability-error"),
+    ],
+)
+def test_each_verdict_clause_alone_fails_the_run(monkeypatch, cfg, patch, false_clause):
+    if patch is not None:
+        patch(monkeypatch)
+    report = run_experiment(cfg)
+    clauses = _verdict_clauses(report, cfg)
+    assert [name for name, ok in clauses.items() if not ok] == ([] if false_clause is None else [false_clause])
+    assert report["pass"] is (false_clause is None)
 
 
 def _digest(report: dict) -> str:

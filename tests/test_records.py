@@ -52,10 +52,10 @@ def _instances():
     f = perturb(q8.exact_solution(1 + 2j), "seeded_uniform", 0.1, seed=3)
     d = jensen_defect(f)
     phi, diag = phi_mean_construction(f)
-    out = [d, diag, *inequality_suite(f, phi=phi, delta=d.delta, mean_budget=diag.phi_error_budget)]
+    out = [d, diag, *inequality_suite(f, phi=(phi, diag), delta=d.delta)]
     results = {m: jensen_approximant(f, m, delta=d.delta, phi=(phi, diag)) for m in stabilize.METHODS}
     out += results.values()
-    rep = verify_solution(f, results["mean"], phi=phi, phi_budget=diag.phi_error_budget)
+    rep = verify_solution(f, results["mean"], phi=(phi, diag))
     out += [rep, rep.stability, *rep.identity_records]
     out.append(method_agreement(f, results["mean"], results["dyadic"]))
     z1 = bundled_carrier("int1")

@@ -7,6 +7,7 @@ import pytest
 
 from jensen_stab import (
     CapabilityError,
+    Carrier,
     FiniteCarrier,
     FiniteTableFn,
     InvalidElementError,
@@ -247,6 +248,39 @@ def test_phi_matches_the_per_translate_oracle_loop(name, k):
     if not c.size:
         for r in range(1, c.folner_max + 1):
             assert np.array_equal(c.box_points(r), c.folner_points(r))
+
+
+class _SigmaIdLattice(LatticeCarrier):
+    """Z^d with sigma = id, an involution of an abelian group other than the inverse."""
+
+    def involute_many(self, xs):
+        return xs
+
+
+@pytest.mark.parametrize(
+    "cls, dim, window, folner_max, k",
+    [
+        (LatticeCarrier, 1, 16, 64, 32),
+        (LatticeCarrier, 2, 3, 8, 5),
+        (_SigmaIdLattice, 1, 8, 16, 12),
+        (_SigmaIdLattice, 2, 3, 6, 4),
+    ],
+)
+def test_lattice_reach_fast_path_matches_the_generic_reach(monkeypatch, cls, dim, window, folner_max, k):
+    # Three window rows a block, so both reaches run several blocks.
+    monkeypatch.setattr(scan, "_CHUNK", 3 * (2 * k + 1) ** dim)
+    generic_cls = type("GenericReach", (cls,), {"reach": Carrier.reach})
+    built = []
+    for c in (cls(dim, window, folner_max), generic_cls(dim, window, folner_max)):
+        f = OracleFn(c, [1.5, -0.5 + 1j][:dim], 2j, SeededUniformNoise(0.2, 11))
+        domain, blocks = c.reach(c.mean_set(k)[0], k)
+        built.append((domain, [b for pair in blocks for b in pair], phi_mean_construction(f, k)))
+    (domain, blocks, (phi, diag)), (g_domain, g_blocks, (g_phi, g_diag)) = built
+    assert np.array_equal(domain, g_domain)
+    assert len(blocks) == len(g_blocks) > 2
+    assert all(np.array_equal(a, b) for a, b in zip(blocks, g_blocks))
+    assert phi.values.tobytes() == g_phi.values.tobytes()
+    assert diag.to_dict() == g_diag.to_dict()
 
 
 @pytest.mark.parametrize("name, k", PHI_CASES)

@@ -132,8 +132,7 @@ def test_verify_solution_full_pass_and_tamper_detection():
     f = OracleFn(z1, [2.0], 5.0, SeededUniformNoise(0.1, 4))
     delta = _jd(f).delta
     res = jensen_approximant(f, "mean", delta=delta, folner_k=512)
-    phi, diag = phi_mean_construction(f, 512)
-    report = verify_solution(f, res, phi=phi, phi_budget=diag.phi_error_budget)
+    report = verify_solution(f, res, phi=phi_mean_construction(f, 512))
     assert report.passed
     assert report.stability.holds
     assert report.jensen_residual_holds
