@@ -152,6 +152,19 @@ class Carrier:
                     return name
         return None
 
+    @property
+    def sigma_is_inverse(self) -> bool:
+        """True iff x sigma(x) = sigma(x) x = e for every element x, read once
+        off the window: all of G on a finite carrier, and on Z^d, whose
+        involutions are linear, a set that holds every unit vector."""
+
+        def build() -> bool:
+            w = self.window_points()
+            sw, e = self.involute_many(w), self.row(self.neutral)
+            return all(bool((self.compose_many(a, b) == e).all()) for a, b in ((w, sw), (sw, w)))
+
+        return self._once("sigma_is_inverse", build)
+
     def dyadic_levels(self, pts: np.ndarray) -> Callable[[int], np.ndarray]:
         """k -> pts^(2^k), level k squared from level k - 1 (see ``_levels``)."""
         return self._levels(pts, "powers", pts, lambda k, prev: self.square_many(prev))
@@ -159,7 +172,9 @@ class Carrier:
     def pair_levels(self, pts: np.ndarray) -> Callable[[int], np.ndarray]:
         """k -> the 2k Forti-Sikorska pair rows of level k, stacked: the rows
         of level k - 1 squared, then x^(2^(k-1)) sigma(x)^(2^(k-1)) and its
-        mirror sigma(x)^(2^(k-1)) x^(2^(k-1)) for x in pts (see ``_levels``)."""
+        mirror sigma(x)^(2^(k-1)) x^(2^(k-1)) for x in pts (see ``_levels``).
+        Where ``sigma_is_inverse`` every row is e, so the reconstruction
+        reads f at e instead and never asks for them."""
         power = self.dyadic_levels(pts)
 
         def step(k: int, prev: np.ndarray) -> np.ndarray:

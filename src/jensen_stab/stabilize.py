@@ -293,29 +293,38 @@ def _fs_iterate(
     Level n reads f at x^(2^n) and at 2n pair rows, for j < n the row
     (x^(2^j) sigma(x)^(2^j))^(2^(n-1-j)) and then its mirror
     (sigma(x)^(2^j) x^(2^j))^(2^(n-1-j)): the carrier's ``pair_levels`` and
-    ``dyadic_levels`` of pts. Levels run in blocks (see ``_iterate_levels``),
-    each evaluated in ``_fs_levels``.
+    ``dyadic_levels`` of pts. Where the carrier's ``sigma_is_inverse`` holds,
+    every pair row is e: no pair rows are built, f is read at e instead, and
+    a level stacks the 2m points of x^(2^n) and its involute. Levels run in
+    blocks (see ``_iterate_levels``), each evaluated in ``_fs_levels``.
     """
     c = f.carrier
     m = pts.shape[0]
-    pairs, power = c.pair_levels(pts), c.dyadic_levels(pts)
+    power = c.dyadic_levels(pts)
+    pairs = None if c.sigma_is_inverse else c.pair_levels(pts)
 
-    def run(n: int, size: int) -> np.ndarray:
-        ks = range(n + 1, n + size + 1)
-        return _fs_levels(f, [pairs(k) for k in ks], [power(k) for k in ks], n + 1)
+    def levels(ks: range) -> np.ndarray:
+        return _fs_levels(f, None if pairs is None else [pairs(k) for k in ks], [power(k) for k in ks], ks[0])
 
     # Levels past the one that converges are computed too, and values that
     # overflow make the result non-finite, which table_fn rejects; numpy's
     # warnings would only reach stderr ahead of that.
     with np.errstate(over="ignore", invalid="ignore"):
-        first = _fs_levels(f, [pairs(0)], [pts], 0)[0]
-        return _iterate_levels("reconstruction", first, run, lambda k: 2 * (2 * k + 1) * m, n_max, conv_tol)
+        return _iterate_levels(
+            "reconstruction",
+            levels(range(1))[0],
+            lambda n, size: levels(range(n + 1, n + size + 1)),
+            (lambda k: 2 * m) if pairs is None else (lambda k: 2 * (2 * k + 1) * m),
+            n_max,
+            conv_tol,
+        )
 
 
-def _fs_levels(f: BoundedFn, pair_rows: list[np.ndarray], xs: list[np.ndarray], k0: int) -> np.ndarray:
+def _fs_levels(f: BoundedFn, pair_rows: list[np.ndarray] | None, xs: list[np.ndarray], k0: int) -> np.ndarray:
     """Levels k0, k0 + 1, ... of the two-block expression, one row each.
 
-    ``pair_rows[i]`` and ``xs[i]`` are the points of level k0 + i. Every pair
+    ``pair_rows[i]`` and ``xs[i]`` are the points of level k0 + i; a
+    ``pair_rows`` of None stands for pair rows that are all e. Every pair
     row is sigma-fixed: sigma(x sigma(x)) = x sigma(x) and sigma(z^2) =
     sigma(z)^2, so f_even is f there and f is read there once. Where both
     parts of f are at most DBL_MAX / 2 in modulus this is the value of the
@@ -328,30 +337,39 @@ def _fs_levels(f: BoundedFn, pair_rows: list[np.ndarray], xs: list[np.ndarray], 
     right rows k-1-t, the odd sum the left minus right rows t. Each sum is
     added one term at a time from +0, as np.add.accumulate does along a term
     axis front-padded with zeros to the block's last level (np.add.reduce
-    may sum pairwise, which moves the last bits).
+    may sum pairwise, which moves the last bits). When every row is e, the
+    terms of level k are the first k of one sequence, so the sums of every
+    level are the prefix sums of that one sequence, with the same bits.
     """
     m = xs[0].shape[0]
     size = len(xs)
     top = k0 + size - 1
     ks = np.arange(k0, top + 1)[:, None]
-    # f is evaluated once at all pair rows and once at all x^(2^k) rows with
-    # their involutes. On lattices with sigma = -id every pair row is the
-    # neutral point, which the dense noise grid serves, while the orbit of x
-    # is sparse and goes to the sorted store.
-    pairs = f.eval_many(np.concatenate(pair_rows)).reshape(-1, m) if top else np.zeros((0, m), dtype=np.complex128)
-    left, right = pairs[0::2], pairs[1::2]
+    if pair_rows is None:
+        # One read of f at e per block; the row sums are shared by all points.
+        terms = np.zeros((2, top + 1), dtype=np.complex128)
+        if top:
+            c = f.carrier
+            (f_e,) = f.eval_many(c.row(c.neutral))
+            terms[0, 1:] = (f_e + f_e) * np.ldexp(1.0, np.arange(top))
+            terms[1, 1:] = f_e - f_e
+        even_sum, odd_sum = np.add.accumulate(terms, axis=1)[:, ks]
+    else:
+        pairs = f.eval_many(np.concatenate(pair_rows)).reshape(-1, m) if top else np.zeros((0, m), dtype=np.complex128)
+        left, right = pairs[0::2], pairs[1::2]
+        # Row j < k of level k goes to column top - j of its even sum and to
+        # column top - k + 1 + j of its odd one, so column 0 is always zero.
+        t = np.arange(top + 1)
+        terms = np.zeros((2, size, top + 1, m), dtype=np.complex128)
+        has = t < ks
+        terms[0, :, ::-1][has] = (left + right) * np.ldexp(1.0, ks - 1 - t)[has][:, None]
+        terms[1][t > top - ks] = left - right
+        even_sum, odd_sum = np.add.accumulate(terms, axis=2)[:, :, -1]
+    # f is evaluated once at all x^(2^k) rows with their involutes.
     x = np.concatenate(xs)
     x1, x2 = np.split(f.eval_many(np.concatenate([x, f.carrier.involute_many(x)])), 2)
     even_x = ((x1 + x2) / 2).reshape(size, m)
     odd_x = x1.reshape(size, m) - even_x
-    # Row j < k of level k goes to column top - j of its even sum and to
-    # column top - k + 1 + j of its odd one, so column 0 is always zero.
-    t = np.arange(top + 1)
-    terms = np.zeros((2, size, top + 1, m), dtype=np.complex128)
-    has = t < ks
-    terms[0, :, ::-1][has] = (left + right) * np.ldexp(1.0, ks - 1 - t)[has][:, None]
-    terms[1][t > top - ks] = left - right
-    even_sum, odd_sum = np.add.accumulate(terms, axis=2)[:, :, -1]
     even_block = (even_x + 0.5 * even_sum) * np.ldexp(1.0, -2 * ks)
     odd_block = (odd_x + 0.5 * odd_sum) * np.ldexp(1.0, -ks)
     return even_block + odd_block

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from jensen_stab import (
+    BUNDLED_CARRIERS,
     CapabilityError,
     Carrier,
     FiniteCarrier,
@@ -19,6 +20,7 @@ from jensen_stab import (
     ParityNoise,
     SeededUniformNoise,
     bundled_carrier,
+    carrier_from_dict,
     dyadic_limit,
     folner_mean,
     forti_sikorska_reconstruct,
@@ -623,6 +625,86 @@ class _PointCountingFn(_CountingFn):
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         self.points += pts.shape[0]
         return super().eval_many(pts)
+
+
+def _seeded(c, seed=5):
+    """A seeded perturbation of 1 - 2j on a finite carrier, of an affine oracle on a lattice."""
+    if c.size:
+        return perturb(c.exact_solution(1 - 2j), "seeded_uniform", 0.3, seed=seed)
+    return OracleFn(c, [1.5, -0.5 + 1j][: c.dim], 2j, SeededUniformNoise(0.2, seed))
+
+
+def test_sigma_is_inverse_is_read_off_the_window():
+    assert [bundled_carrier(n).sigma_is_inverse for n in BUNDLED_CARRIERS] == [True] * 4 + [False, True, True]
+    assert not _twisted_s3().sigma_is_inverse
+    # Z2 with a zero adjoined: sigma = id inverts e and g, but 0 has no inverse.
+    c = carrier_from_dict(
+        {"kind": "finite", "elements": ["e", "g", "0"], "neutral": "e",
+         "op": [[0, 1, 2], [1, 0, 2], [2, 2, 2]], "involution": [0, 1, 2]}
+    )
+    assert validate_carrier(c).ok
+    assert not c.sigma_is_inverse
+    # Z with sigma = id: x sigma(x) = 2x, so the reconstruction reads its pair rows.
+    z = _IdentityInvolutionLattice(1, 8, 64)
+    assert not z.sigma_is_inverse
+    _assert_fs_matches(_seeded(z), z.window_points())
+
+
+@pytest.mark.parametrize("name, held", [("q8", False), ("int2", False), ("m3", True)])
+def test_fs_holds_pair_rows_only_where_sigma_is_not_the_inverse(name, held):
+    c = bundled_carrier(name)
+    c.window_terms()
+    jensen_approximant(_seeded(c), "forti_sikorska")
+    assert ("powers", "w") in c._built
+    assert any(isinstance(key, tuple) and key[0] == "pair_rows" for key in c._built) == held
+
+
+class _RecordingFn(_CountingFn):
+    """Also keeps a copy of every point array that reaches the wrapped function."""
+
+    def __init__(self, base):
+        super().__init__(base)
+        self.reads = []
+
+    def eval_many(self, pts: np.ndarray) -> np.ndarray:
+        self.reads.append(pts.copy())
+        return super().eval_many(pts)
+
+
+@pytest.mark.parametrize("name", ["z2", "q8", "int1", "int2"])
+def test_fs_reads_f_only_at_e_and_the_orbit_where_sigma_is_the_inverse(name):
+    c = bundled_carrier(name)
+    pts = c.window_points()
+    m = pts.shape[0]
+    f = _RecordingFn(_seeded(c))
+    n_final = stabilize._fs_iterate(f, pts, stabilize.DEFAULT_N_MAX, stabilize.DEFAULT_CONV_TOL)[2]
+    power = c.dyadic_levels(pts)
+    # Level 0 reads the window and its involute; each later block reads f at
+    # e alone, then the x^(2^k) rows of its levels with their involutes.
+    assert np.array_equal(f.reads[0], np.concatenate([pts, c.involute_many(pts)]))
+    assert len(f.reads) % 2 == 1
+    k, sizes = 1, []
+    for at_e, orbit in zip(f.reads[1::2], f.reads[2::2]):
+        assert np.array_equal(at_e, c.row(c.neutral))
+        sizes.append(orbit.shape[0] // (2 * m))
+        xs = np.concatenate([power(j) for j in range(k, k + sizes[-1])])
+        assert np.array_equal(orbit, np.concatenate([xs, c.involute_many(xs)]))
+        k += sizes[-1]
+    assert k > n_final
+    # A level stacks 2m points, so blocks hold many levels even on int2's 289 points.
+    assert max(sizes) > 1
+
+
+@pytest.mark.parametrize("name", ["z6", "q8", "s3", "m3"])
+def test_fs_levels_past_weight_2_to_the_53_match_the_per_pair_reference_loop(name):
+    c = bundled_carrier(name)
+    pts = c.window_points()
+    with pytest.raises(NonConvergenceError) as ref:
+        _fs_per_pair(_seeded(c), pts, n_max=80, tol=1e-300)
+    with pytest.raises(NonConvergenceError) as got:
+        stabilize._fs_iterate(_seeded(c), pts, 80, 1e-300)
+    assert got.value.trace == ref.value.trace
+    assert len(got.value.trace) == 80
 
 
 class _OddRootFn(_RootFn):
