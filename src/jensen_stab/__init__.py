@@ -35,7 +35,6 @@ from .funcspace import (
     ParityNoise,
     SeededUniformNoise,
     function_from_dict,
-    function_to_dict,
 )
 from .harness import ExperimentConfig, build_function, perturb, run_experiment
 from .stabilize import (
@@ -94,7 +93,6 @@ __all__ = [
     "folner_mean",
     "forti_sikorska_reconstruct",
     "function_from_dict",
-    "function_to_dict",
     "identity_checks",
     "inequality_suite",
     "jensen_approximant",

@@ -17,10 +17,12 @@ runs the scalar ``compose``, ``involute`` and ``dyadic_power`` on one row.
 
 The window geometry (window points, pair arrays and the composed terms
 the scans read, ``window_terms``) is built once per carrier object and
-handed out read-only; a lattice also keeps the table radius, boxes and
-positions of those terms, and every carrier the dyadic orbit levels of the
-window (``dyadic_levels``, ``pair_levels``). Only arrays the carrier built and holds are looked
-up, by identity, so an array from anywhere else is always computed afresh.
+handed out read-only; so are a lattice's one table box for all of those
+terms, with each term's positions in it, and the dyadic orbit levels of the
+window (``dyadic_levels``, ``pair_levels``). All of it is held in one plain
+dict per carrier, grown in place. Only arrays the carrier built and holds
+are looked up, by identity, so an array from anywhere else is always
+computed afresh.
 
 Each carrier answers every question that depends on its kind: its window
 and file keys, its invariant mean's averaging set and budget, the domain
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -100,22 +103,20 @@ class Carrier:
     call obeys the same overflow rule and raises the same errors as a bulk one.
     """
 
-    # Values built once per carrier. Each build publishes a new dict in one
-    # assignment; no published dict is ever mutated.
-    _built: dict = {}
+    @cached_property
+    def _built(self) -> dict:
+        """The values built once per carrier, by key; entries are only added."""
+        return {}
 
     def _once(self, key: Any, build: Callable[[], Any]) -> Any:
-        """The value cached under key, built on first use."""
-        got = self._built.get(key)
-        return self._publish(key, build()) if got is None else got
-
-    def _publish(self, key: Any, got: Any) -> Any:
-        """Cache got under key, its arrays made read-only."""
-        for a in got if isinstance(got, tuple) else (got,):
-            if isinstance(a, np.ndarray):
-                a.flags.writeable = False
-        self._built = {**self._built, key: got}
-        return got
+        """The value held under key, built on first use, its arrays made read-only."""
+        if key not in self._built:
+            got = build()
+            for a in got if isinstance(got, tuple) else (got,):
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+            self._built[key] = got
+        return self._built[key]
 
     def window_terms(self) -> WindowTerms:
         """The window geometry the scans read, built on the first call."""
@@ -125,7 +126,8 @@ class Carrier:
             x, y = self.window_pair_arrays()
             sx, sy = self.involute_many(x), self.involute_many(y)
             xy, x_sy = self.compose_many(x, y), self.compose_many(x, sy)
-            # On an abelian carrier y x is x y and sigma(y) x is x sigma(y): one array each.
+            yx, sy_x = self.compose_many(y, x), self.compose_many(sy, x)
+            # Equal over the window (an abelian carrier): y x is the array x y, sigma(y) x is x sigma(y).
             return WindowTerms(
                 w=w,
                 x=x,
@@ -133,8 +135,8 @@ class Carrier:
                 sy=sy,
                 xy=xy,
                 x_sy=x_sy,
-                yx=xy if self.is_abelian else self.compose_many(y, x),
-                sy_x=x_sy if self.is_abelian else self.compose_many(sy, x),
+                yx=xy if np.array_equal(yx, xy) else yx,
+                sy_x=x_sy if np.array_equal(sy_x, x_sy) else sy_x,
                 y_sx=self.compose_many(y, sx),
                 sx_sy=self.compose_many(sx, sy),
                 sq=self.square_many(w),
@@ -145,12 +147,7 @@ class Carrier:
 
     def _term_name(self, a: np.ndarray) -> str | None:
         """The name of a if it is one of the window terms this carrier holds."""
-        terms = self._built.get("terms")
-        if terms is not None:
-            for name, t in zip(terms._fields, terms):
-                if t is a:
-                    return name
-        return None
+        return next((name for name, t in zip(WindowTerms._fields, self._built.get("terms", ())) if t is a), None)
 
     @property
     def sigma_is_inverse(self) -> bool:
@@ -186,21 +183,17 @@ class Carrier:
 
     def _levels(self, pts: np.ndarray, what: str, first: np.ndarray, step: Callable) -> Callable[[int], np.ndarray]:
         """k -> level k: level 0 is first, level k is step(k, level k - 1),
-        built on first use. For a window term this carrier holds, the levels
-        built so far are held on it as one read-only tuple, which each new
-        level replaces, for every later caller; for any other array they live
+        built on first use, read-only, and appended to one list of levels.
+        For a window term this carrier holds, the list is held on it under
+        (what, term name) for every later caller; for any other array it lives
         as long as the returned function. A level whose step raises is not kept."""
         name = self._term_name(pts)
-        key, own = (what, name), {}
+        got = [first] if name is None else self._once((what, name), lambda: [first])
 
         def level(k: int) -> np.ndarray:
-            got = (own if name is None else self._built).get(key, (first,))
             for i in range(len(got), k + 1):
-                got += (step(i, got[-1]),)
-                if name is None:
-                    own[key] = got
-                else:
-                    self._publish(key, got)
+                got.append(step(i, got[-1]))
+                got[-1].flags.writeable = False
             return got[k]
 
         return level
@@ -283,10 +276,6 @@ class FiniteCarrier(Carrier):
         """True iff every row and column of the op table is a permutation."""
         full = np.arange(self.size)
         return self._once("is_group", lambda: all((np.sort(t, axis=1) == full).all() for t in (self.op, self.op.T)))
-
-    @property
-    def is_abelian(self) -> bool:
-        return bool((self.op == self.op.T).all())
 
     @property
     def mean_capability(self) -> str:
@@ -489,12 +478,6 @@ class LatticeCarrier(Carrier):
     def size(self) -> None:
         return None
 
-    is_abelian = True
-
-    @property
-    def is_group(self) -> bool:
-        return True
-
     @property
     def mean_capability(self) -> str:
         return FOLNER
@@ -593,22 +576,21 @@ class LatticeCarrier(Carrier):
         return self.box_points(r), ((base + o[:, None], base + so[:, None]) for o, so in zip(*offsets))
 
     def table_domain(self, arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-        """The box of radius R = max |coordinate| over the arrays, which holds
-        every point, and each array's lexicographic flat positions in it.
+        """A centred box that holds every point of the arrays, and each
+        array's lexicographic flat positions in it.
 
-        For the window terms this carrier holds, the radius, the box and the
-        positions are computed once.
+        The window terms this carrier holds share one box, the box of all of
+        them (radius 2N under sigma = -id), built once with each term's
+        positions in it. Any other arrays get the box of radius R = max
+        |coordinate| over them, computed afresh.
         """
         names = [self._term_name(a) for a in arrays]
-        r = max(self._held(name, "radius", lambda a=a: int(np.abs(a).max())) for a, name in zip(arrays, names))
-        # A box is kept only at a radius the held terms alone reach.
-        box = self.box_points(r) if None in names else self._once(("box", r), lambda: self.box_points(r))
-        positions = [self._held(name, ("flat", r), lambda a=a: self._flat(a, r)) for a, name in zip(arrays, names)]
-        return box, positions
-
-    def _held(self, name: Any, what: Any, build: Callable[[], Any]) -> Any:
-        """build(), cached under (what, name) unless name is None."""
-        return build() if name is None else self._once((what, name), build)
+        if None in names:
+            r = max(int(np.abs(a).max()) for a in arrays)
+            return self.box_points(r), [self._flat(a, r) for a in arrays]
+        box = self._once("term_box", lambda: self.box_points(max(int(np.abs(t).max()) for t in self.window_terms())))
+        r = int(box[-1, 0])  # the last point of the box is (R, ..., R)
+        return box, [self._once(("flat", name), lambda a=a: self._flat(a, r)) for a, name in zip(arrays, names)]
 
     @staticmethod
     def _flat(pts: np.ndarray, r: int) -> np.ndarray:

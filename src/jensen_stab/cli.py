@@ -18,7 +18,7 @@ from pathlib import Path
 from .carrier import BUNDLED_CARRIERS, NO_MEAN, Carrier, carrier_from_dict, validate_carrier
 from .defect import drygas_defect, inequality_suite, jensen_defect
 from .errors import FormatError, JensenStabError
-from .funcspace import DEFAULT_TOL, BoundedFn, function_from_dict, function_to_dict
+from .funcspace import DEFAULT_TOL, BoundedFn, function_from_dict
 from .harness import ExperimentConfig, require_tolerance, resolve_carrier, run_experiment
 from .records import _number, _parse_cnum
 from .stabilize import (
@@ -134,7 +134,7 @@ def _cmd_stabilize(args: argparse.Namespace) -> int:
         n_max=args.dyadic_n,
         conv_tol=args.conv_tol,
     )
-    _write_json(args.out, function_to_dict(result.g))
+    _write_json(args.out, result.g.to_dict())
     sidecar = args.report or str(Path(args.out).with_suffix("")) + ".report.json"
     _write_json(sidecar, result.to_dict())
     print(

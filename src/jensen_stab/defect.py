@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .carrier import WindowTerms
 from .errors import FormatError
 from .funcspace import DEFAULT_TOL, BoundedFn, EvenPart, OddPart
 from .records import Record
@@ -100,11 +99,12 @@ def _combo_scan(
 def _pair_defect(
     fn: BoundedFn,
     equation: str,
-    terms: Callable[[WindowTerms], list[np.ndarray]],
+    terms: Sequence[np.ndarray],
     coeffs: Sequence[complex],
     analytic: float | None = None,
 ) -> DefectReport:
-    """Sup over window pairs (x, y) of |sum coeff_i * fn(terms_i(x, y))|.
+    """Sup over window pairs (x, y) of |sum coeff_i * fn(terms_i(x, y))|,
+    terms_i being window terms of fn's carrier.
 
     Raises ``FormatError`` when the supremum is not finite (the values of fn
     overflow float arithmetic), naming the first witnessing pair.
@@ -112,7 +112,7 @@ def _pair_defect(
     c = fn.carrier
     t = c.window_terms()
     X, Y = t.x, t.y
-    value, idx, scanned = _combo_scan(fn, terms(t), coeffs)
+    value, idx, scanned = _combo_scan(fn, terms, coeffs)
     witness = None if idx < 0 else (c.element_repr(X[idx]), c.element_repr(Y[idx]))
     if not math.isfinite(value):
         raise FormatError(
@@ -131,23 +131,17 @@ def _pair_defect(
     )
 
 
-def _jensen_terms(t: WindowTerms) -> list[np.ndarray]:
-    return [t.xy, t.x_sy, t.x]
-
-
-def _drygas_terms(t: WindowTerms) -> list[np.ndarray]:
-    return [t.yx, t.sy_x, t.x, t.y, t.sy]
-
-
 def jensen_defect(f: BoundedFn) -> DefectReport:
     """delta = sup over window pairs of |f(xy) + f(x sigma(y)) - 2 f(x)|."""
+    t = f.carrier.window_terms()
     analytic = None if f.noise is None else 4.0 * f.noise.bound()
-    return _pair_defect(f, "jensen", _jensen_terms, [1, 1, -2], analytic)
+    return _pair_defect(f, "jensen", [t.xy, t.x_sy, t.x], [1, 1, -2], analytic)
 
 
 def drygas_defect(g: BoundedFn) -> DefectReport:
     """sup over pairs of |g(yx) + g(sigma(y)x) - 2g(x) - g(y) - g(sigma(y))|."""
-    return _pair_defect(g, "drygas", _drygas_terms, [1, 1, -2, -1, -1])
+    t = g.carrier.window_terms()
+    return _pair_defect(g, "drygas", [t.yx, t.sy_x, t.x, t.y, t.sy], [1, 1, -2, -1, -1])
 
 
 def _one_var_scan(fn_terms: Sequence[tuple[BoundedFn, complex, np.ndarray]], const: complex = 0j) -> tuple[float, int, int]:

@@ -301,6 +301,10 @@ class BoundedFn:
         """This function plus the noise."""
         raise FormatError(f"cannot perturb function of type {type(self).__name__}")
 
+    def to_dict(self) -> dict:
+        """The canonical JSON dict form, which ``function_from_dict`` reads back."""
+        raise FormatError(f"cannot serialize function of type {type(self).__name__}")
+
     def __call__(self, x) -> complex:
         return self.eval(x)
 
@@ -326,6 +330,11 @@ class FiniteTableFn(BoundedFn):
         with np.errstate(over="ignore", invalid="ignore"):
             values = self.values + noise.values(np.arange(self.carrier.size)[:, None])
         return FiniteTableFn(self.carrier, values)
+
+    def to_dict(self) -> dict:
+        """The values keyed by the carrier's window keys."""
+        flat = self.eval_many(self.carrier.window_points())
+        return {"kind": "table", "values": {key: _cpair(v) for key, v in zip(self.carrier.window_keys(), flat)}}
 
 
 class LatticeTableFn(BoundedFn):
@@ -360,6 +369,8 @@ class LatticeTableFn(BoundedFn):
     def readable(self, pts: np.ndarray) -> np.ndarray | None:
         mask = (np.abs(pts) <= self.radius).all(axis=1)
         return None if mask.all() else mask
+
+    to_dict = FiniteTableFn.to_dict
 
 
 TableFn = FiniteTableFn | LatticeTableFn
@@ -401,6 +412,14 @@ class OracleFn(BoundedFn):
         if self.noise is not None:
             raise FormatError("oracle already carries noise; perturb the noise-free base")
         return OracleFn(self.carrier, self.linear, self.constant, noise)
+
+    def to_dict(self) -> dict:
+        return {
+            "kind": "oracle",
+            "linear": [_cpair(a) for a in self.linear],
+            "constant": _cpair(self.constant),
+            "noise": None if self.noise is None else self.noise.to_dict(),
+        }
 
 
 class EvenPart(BoundedFn):
@@ -494,18 +513,3 @@ def function_from_dict(data: dict, carrier: Carrier) -> BoundedFn:
             noise = noise_from_dict(data["noise"])
         return carrier.oracle(lin, constant, noise)
     raise FormatError(f"unknown function kind {kind!r}")
-
-
-def function_to_dict(f: BoundedFn) -> dict:
-    if isinstance(f, (FiniteTableFn, LatticeTableFn)):
-        flat = f.eval_many(f.carrier.window_points())
-        return {"kind": "table", "values": {key: _cpair(v) for key, v in zip(f.carrier.window_keys(), flat)}}
-    if isinstance(f, OracleFn):
-        out: dict = {
-            "kind": "oracle",
-            "linear": [_cpair(a) for a in f.linear],
-            "constant": _cpair(f.constant),
-            "noise": None if f.noise is None else f.noise.to_dict(),
-        }
-        return out
-    raise FormatError(f"cannot serialize function of type {type(f).__name__}")

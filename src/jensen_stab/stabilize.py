@@ -226,16 +226,10 @@ def folner_mean(h: BoundedFn, k: int | None = None) -> MeanValue:
     return MeanValue(complex(m0), k_used, pts.shape[0], float(abs(m1 - m0)), c.mean_capability)
 
 
-def phi_mean_construction(
-    f: BoundedFn,
-    k: int | None = None,
-    assume_odd: bool = False,
-) -> tuple[TableFn, PhiDiagnostics]:
+def phi_mean_construction(f: BoundedFn, k: int | None = None) -> tuple[TableFn, PhiDiagnostics]:
     """Tabulate phi(y) = mean over x of [f_odd(yx) - f_odd(x sigma(y))].
 
-    With ``assume_odd`` the function f is used directly as the odd part
-    (useful for checking the construction against analytic cases). The
-    returned diagnostics carry the Folner substitution budget: a bound on
+    The returned diagnostics carry the Folner substitution budget: a bound on
     sup_y |phi_k(y) - phi(y)| in terms of the boundary fraction of the box
     and the sup-norm of the bounded (non-additive) part of the integrand's
     source. On finite groups the average is a true invariant mean and the
@@ -243,7 +237,6 @@ def phi_mean_construction(
     """
     c = f.carrier
     pts, k_used, _ = c.mean_set(k)
-    fo = f if assume_odd else OddPart(f)
     f_e = f.eval(c.neutral)
     # Tabulate f_odd once over every point y x and x sigma(y) can reach (all
     # of G, or the box of radius k + N), so each block of window rows y below
@@ -252,12 +245,10 @@ def phi_mean_construction(
     # FormatError; numpy's warnings would only reach stderr ahead of it.
     reach, blocks = c.reach(pts, k_used)
     with np.errstate(over="ignore", invalid="ignore"):
-        table = fo.eval_many(reach)
+        table = OddPart(f).eval_many(reach)
         phi = c.table_fn(np.concatenate([(table[yx] - table[xsy]).mean(axis=1) for yx, xsy in blocks]))
 
-    m_bound = 0.0
-    if f.noise is not None:
-        m_bound = f.noise.bound() if assume_odd else f.noise.odd_part_bound()
+    m_bound = 0.0 if f.noise is None else f.noise.odd_part_bound()
     ratio_max = c.mean_translate_ratio(k_used)
     probe_res = folner_mean(_ProbeFn(f, f_e), k_used).invariance_residual
     diag = PhiDiagnostics(

@@ -18,6 +18,7 @@ from jensen_stab import (
     LatticeOverflowError,
     bundled_carrier,
     carrier_from_dict,
+    funcspace,
     validate_carrier,
 )
 from jensen_stab.errors import CapabilityError, FormatError
@@ -39,7 +40,9 @@ def test_expected_group_flags():
     assert bundled_carrier("m3").mean_capability == "none"
     assert bundled_carrier("s3").mean_capability == "exact_uniform"
     assert bundled_carrier("int1").mean_capability == "folner"
-    assert [bundled_carrier(n).is_abelian for n in BUNDLED_CARRIERS] == [True, True, False, False, True, True, True]
+    # Sharing is read off the window: y x is the array x y exactly on the abelian carriers.
+    terms = [bundled_carrier(n).window_terms() for n in BUNDLED_CARRIERS]
+    assert [t.yx is t.xy for t in terms] == [True, True, False, False, True, True, True]
 
 
 def test_compose_z2_from_table():
@@ -187,6 +190,16 @@ def test_validate_rejects_broken_involution():
     report = validate_carrier(bad)
     assert not report.ok
     assert report.violations[0].axiom in ("involutive", "anti_homomorphism")
+
+
+def test_validate_names_a_broken_anti_homomorphism():
+    # sigma = id on S3 is involutive, but sigma(xy) = xy and sigma(y) sigma(x) = yx differ.
+    s3 = bundled_carrier("s3")
+    report = validate_carrier(FiniteCarrier(s3.elements, s3.op, list(range(6)), s3.neutral))
+    assert not report.ok
+    [v] = report.violations
+    assert (v.axiom, v.witness) == ("anti_homomorphism", ("021", "102"))
+    assert s3.compose(1, 2) != s3.compose(2, 1)
 
 
 def test_folner_sets():
@@ -345,6 +358,8 @@ def test_modules_never_ask_which_kind_of_carrier_they_hold():
     src = Path(jensen_stab.__file__).parent
     carrier_classes = {"FiniteCarrier", "LatticeCarrier"}
     function_classes = {"FiniteTableFn", "LatticeTableFn", "OracleFn"}
+    # Every function class of funcspace, and the union of the two tables.
+    bounded = {name for name, v in vars(funcspace).items() if isinstance(v, type) and issubclass(v, funcspace.BoundedFn)}
     trees = {path.stem: ast.parse(path.read_text()) for path in src.glob("*.py")}
     for module, tree in trees.items():
         visitor = _RuntimeNames()
@@ -356,7 +371,7 @@ def test_modules_never_ask_which_kind_of_carrier_they_hold():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
                 named = {getattr(n, "id", None) for n in ast.walk(node.args[1])}
-                assert not named & (carrier_classes | {"Carrier"}), (module, node.lineno)
+                assert not named & (carrier_classes | {"Carrier"} | bounded | {"TableFn"}), (module, node.lineno)
     assert not [n for n in ast.walk(trees["cli"]) if isinstance(n, ast.Constant) and n.value == "none"]
 
 

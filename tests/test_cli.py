@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import jensen_stab
-from jensen_stab import bundled_carrier, function_to_dict, perturb
+from jensen_stab import bundled_carrier, perturb
 from jensen_stab.cli import main
 
 
@@ -26,7 +26,7 @@ def s3_files(tmp_path):
     _write(carrier_path, c.to_dict())
     f = perturb(c.exact_solution(3 + 2j), "seeded_uniform", 0.1, seed=5)
     fn_path = tmp_path / "f.json"
-    _write(fn_path, function_to_dict(f))
+    _write(fn_path, f.to_dict())
     return carrier_path, fn_path
 
 
@@ -112,7 +112,7 @@ def test_verify_fails_on_wrong_solution(s3_files, tmp_path):
     c = bundled_carrier("s3")
     bogus = c.exact_solution(40 + 0j)
     bogus_path = tmp_path / "bogus.json"
-    _write(bogus_path, function_to_dict(bogus))
+    _write(bogus_path, bogus.to_dict())
     code = main([
         "verify", "--carrier", str(carrier_path), "--function", str(fn_path),
         "--solution", str(bogus_path),
@@ -138,6 +138,28 @@ def test_experiment_command_and_determinism(tmp_path):
     d1.pop("timing")
     d2.pop("timing")
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
+
+
+def test_experiment_on_a_carrier_that_fails_its_axioms_exits_1(tmp_path, capsys):
+    # S3 with sigma = id: involutive, but not an anti-homomorphism.
+    carrier = {**bundled_carrier("s3").to_dict(), "involution": list(range(6))}
+    cfg_path, report_path = tmp_path / "cfg.json", tmp_path / "report.json"
+    _write(cfg_path, {"carrier": carrier, "methods": ["dyadic"]})
+    assert main(["experiment", "--config", str(cfg_path), "--report", str(report_path)]) == 1
+    report = json.loads(report_path.read_text())
+    assert report["pass"] is False
+    assert report["errors"] == [{"stage": "validation", "error": "carrier axioms violated"}]
+    assert "pass=False" in capsys.readouterr().out
+
+
+def test_inequalities_skips_eq_2_21_on_a_carrier_without_a_mean(tmp_path, capsys):
+    c = bundled_carrier("m3")
+    fn_path = tmp_path / "f.json"
+    _write(fn_path, perturb(c.exact_solution(1 + 1j), "seeded_uniform", 0.1, seed=3).to_dict())
+    assert main(["inequalities", "--carrier", "m3", "--function", str(fn_path)]) == 0
+    states = {line.split()[0]: line.split()[-1] for line in capsys.readouterr().out.splitlines()}
+    assert states.pop("eq_2_21") == "SKIP"
+    assert set(states.values()) == {"PASS"}
 
 
 def test_experiment_seed_override(tmp_path):
@@ -364,7 +386,7 @@ def test_negative_or_non_finite_delta_is_a_clean_error(s3_files, capsys, delta):
 def test_zero_tol_is_legal(tmp_path):
     # An exact solution: every dyadic step is 0, and every check holds with no tolerance.
     fn_path, out = tmp_path / "f.json", tmp_path / "g.json"
-    _write(fn_path, function_to_dict(bundled_carrier("s3").exact_solution(3 + 2j)))
+    _write(fn_path, bundled_carrier("s3").exact_solution(3 + 2j).to_dict())
     argv = ["--carrier", "s3", "--function", str(fn_path), "--tol", "0"]
     assert main(["stabilize", "--method", "dyadic", "--out", str(out), *argv]) == 0
     assert main(["inequalities", *argv]) == 0

@@ -22,7 +22,6 @@ from jensen_stab import (
     SeededUniformNoise,
     bundled_carrier,
     function_from_dict,
-    function_to_dict,
 )
 from jensen_stab.errors import FormatError
 from jensen_stab.funcspace import _ROUND_MIN, EvenPart, LeftTranslate, OddPart, RightTranslate
@@ -337,20 +336,28 @@ def test_lattice_table_bounds():
 def test_function_file_roundtrip():
     s3 = bundled_carrier("s3")
     f = FiniteTableFn(s3, np.arange(6) * (1 + 2j))
-    d = function_to_dict(f)
+    d = f.to_dict()
     f2 = function_from_dict(d, s3)
     assert np.array_equal(f.values, f2.values)
 
     z1 = bundled_carrier("int1")
     o = OracleFn(z1, [2.0], 5.0, SeededUniformNoise(0.1, 42))
-    d2 = function_to_dict(o)
+    d2 = o.to_dict()
     o2 = function_from_dict(d2, z1)
     pts = z1.window_points()
     assert np.array_equal(o.eval_many(pts), o2.eval_many(pts))
 
     t = LatticeTableFn(z1, np.arange(129, dtype=np.complex128))
-    t2 = function_from_dict(function_to_dict(t), z1)
+    t2 = function_from_dict(t.to_dict(), z1)
     assert np.array_equal(t.values, t2.values)
+
+
+def test_only_tables_and_oracles_serialize():
+    z1 = bundled_carrier("int1")
+    o = OracleFn(z1, [2.0], 5.0)
+    for view in (EvenPart(o), OddPart(o), LeftTranslate(3, o)):
+        with pytest.raises(FormatError, match="cannot serialize function of type"):
+            view.to_dict()
 
 
 def test_oracle_file_accepts_bare_reals():

@@ -484,3 +484,13 @@ def test_validation_runs_once_per_carrier_and_is_asked_once_per_experiment(monke
     reports = [run_experiment(cfg) for _ in range(3)]
     assert bodies == [c] and asked == [c] * 3
     assert all(r["validation"] == reports[0]["validation"] and r["pass"] for r in reports)
+
+
+def test_a_carrier_that_fails_its_axioms_stops_the_experiment_at_validation():
+    # S3 with sigma = id: involutive, but not an anti-homomorphism.
+    carrier = {**bundled_carrier("s3").to_dict(), "involution": list(range(6))}
+    report = run_experiment(ExperimentConfig(carrier=carrier, methods=["dyadic"]))
+    assert report["pass"] is False
+    assert report["validation"]["violations"][0]["axiom"] == "anti_homomorphism"
+    assert report["errors"] == [{"stage": "validation", "error": "carrier axioms violated"}]
+    assert "defect" not in report and "stabilization" not in report

@@ -188,10 +188,11 @@ class _IdentityInvolutionLattice(LatticeCarrier):
 
 
 def test_phi_reads_the_carriers_involution():
-    # With sigma = id the points y x and x sigma(y) coincide, so phi of an odd
-    # oracle is 0 at every y; with sigma = -id it would be 2 a y.
+    # With sigma = id the odd part of every function is 0 and the points y x
+    # and x sigma(y) coincide, so phi is 0 at every y; with sigma = -id it
+    # would be 2 a y.
     c = _IdentityInvolutionLattice(1, 8, 64)
-    phi, _ = phi_mean_construction(OracleFn(c, [1.5], 0.0), assume_odd=True)
+    phi, _ = phi_mean_construction(OracleFn(c, [1.5], 0.0))
     assert np.abs(phi.values).max() == 0.0
 
 
@@ -200,16 +201,20 @@ def test_phi_boundary_bound_vs_brute_force():
     a, eps, seed = 1.0, 0.3, 6
     q = OracleFn(z1, [a], 0.0, SeededUniformNoise(eps, seed))
     k = 32
-    phi, diag = phi_mean_construction(q, k, assume_odd=True)
-    # independent brute-force box sums of a x + noise(x)
+    phi, diag = phi_mean_construction(q, k)
+    # independent brute-force box sums of the odd part a x + (noise(x) - noise(-x)) / 2
     noise = SeededUniformNoise(eps, seed)
+
+    def odd(z):
+        return a * z + (noise.value((z,)) - noise.value((-z,))) / 2
+
     for y in (-16, -3, 0, 5, 16):
         total = 0j
         for x in range(-k, k + 1):
-            total += (a * (y + x) + noise.value((y + x,))) - (a * (x - y) + noise.value((x - y,)))
+            total += odd(y + x) - odd(x - y)
         brute = total / (2 * k + 1)
         assert abs(phi.eval(y) - brute) <= 1e-12
-        # boundary-term count of the box average
+        # boundary-term count of the box average; the odd part of the noise is bounded by eps
         assert abs(phi.eval(y) - 2 * a * y) <= 2 * eps * (2 * abs(y)) / (2 * k + 1) + 1e-12
     assert diag.phi_error_budget == 2 * eps * z1.mean_translate_ratio(k)
 
