@@ -33,7 +33,8 @@ DEFAULT_TOL = 1e-9
 # cache only when the grown box is dense in it: at most 4 cells per queried
 # point and at most this many cells overall. Any other query (a dyadic power
 # orbit, whose box doubles at every level) is served whole from the sorted
-# per-point store, grid cells included; both draw from the same pure hash.
+# per-point store, which takes the points it lacks inside the grid from the
+# grid and draws the rest; both come from the same pure hash.
 _DENSE_VOLUME = 1 << 17
 
 # Rows left after a rejection round below which drawing them one by one in
@@ -52,7 +53,15 @@ def _scaled(u, amp: float):
 
 
 def _in_disc(re, im, amp: float):
-    """Whether the draw (re, im) lies in the disc of radius amp."""
+    """Whether the draw (re, im) lies in the disc of radius amp.
+
+    Outside [2^-500, 2^500] the squares would overflow or underflow, so all
+    three are first scaled by the power of two that brings amp into [0.5, 1).
+    The scaling is exact, so the decision is that of the unscaled test
+    wherever that one neither overflows nor underflows."""
+    if not 2.0**-500 <= amp <= 2.0**500:
+        e = -math.frexp(amp)[1]
+        re, im, amp = np.ldexp(re, e), np.ldexp(im, e), math.ldexp(amp, e)
     return re * re + im * im <= amp * amp
 
 
@@ -175,9 +184,9 @@ class SeededUniformNoise:
         return out
 
     def value(self, pt: tuple[int, ...]) -> complex:
-        # The store alone, never the dense grid: a test can then check the
-        # grid against value().
-        return complex(self._stored(np.array([pt], dtype=np.int64))[0])
+        # A fresh draw, never a cache: a test can then check the grid and the
+        # store against value().
+        return complex(self._draw_many(np.array([pt], dtype=np.int64))[0])
 
     def _rebuild_grid(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # Copies the published grid when it lies inside [lo, hi] and draws only
@@ -208,7 +217,15 @@ class SeededUniformNoise:
             miss = np.ones(len(keys), dtype=bool)
         if miss.any():
             new, first = np.unique(keys[miss], return_index=True)
-            drawn = self._draw_many(pts[miss][first])
+            fresh = pts[miss][first]
+            drawn = np.empty(len(new), dtype=np.complex128)
+            # Points inside the dense grid are read from it, not drawn again.
+            inside = np.zeros(len(new), dtype=bool)
+            if self._dense is not None:
+                lo, hi, grid = self._dense
+                inside = np.logical_and.reduce([(col >= a) & (col <= b) for col, a, b in zip(fresh.T, lo, hi)])
+                drawn[inside] = grid[tuple(fresh[inside].T - lo[:, None])]
+            drawn[~inside] = self._draw_many(fresh[~inside])
             if len(store):
                 slots = np.searchsorted(store.keys, new)
                 new, drawn = np.insert(store.keys, slots, new), np.insert(store.values, slots, drawn)
@@ -401,12 +418,14 @@ class OracleFn(BoundedFn):
         self.noise = noise
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
+        noise = None if self.noise is None else self.noise.values(pts)
         # einsum sums each row alone, so one row gets the bits it has inside a
-        # bulk call; matmul sends a single row to another BLAS routine.
-        vals = np.einsum("ij,j->i", pts.astype(np.float64), self.linear) + self.constant
-        if self.noise is not None:
-            vals = vals + self.noise.values(pts)
-        return vals
+        # bulk call; matmul sends a single row to another BLAS routine. Values
+        # that overflow stay inf or NaN, which scans and tables refuse as
+        # non-finite; numpy's warnings would only reach stderr ahead of that.
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.einsum("ij,j->i", pts.astype(np.float64), self.linear) + self.constant
+            return vals if noise is None else vals + noise
 
     def perturbed(self, noise: Noise) -> OracleFn:
         if self.noise is not None:

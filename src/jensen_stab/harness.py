@@ -61,6 +61,8 @@ class ExperimentConfig:
         n = self.dyadic_n
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise FormatError(f"dyadic_n must be an integer >= 1, got {n!r}")
+        if not self.methods:
+            raise FormatError(f"methods must name at least one of {METHODS}")
         for m in self.methods:
             if m not in METHODS:
                 raise FormatError(f"unknown method {m!r}; expected one of {METHODS}")

@@ -101,39 +101,39 @@ _BLOCK_POINTS = 1 << 13
 
 def _iterate_levels(
     what: str,
-    first: np.ndarray,
     run: Callable[[int, int], np.ndarray],
     level_points: Callable[[int], int],
     n_max: int,
     conv_tol: float,
 ) -> tuple[np.ndarray, list[float], int, list[np.ndarray]]:
-    """Level 0 is ``first``; ``run(n, size)`` returns levels n + 1 ... n + size as rows.
+    """``run(n, size)`` returns levels n ... n + size - 1 as rows.
 
     Stops at the first level whose step from the one before is at most
     conv_tol, and returns it with the steps, its index and every level (row
-    views of the blocks, not copies). Levels run in blocks: up to the level
-    where the ratio of the last two steps predicts a step at most conv_tol,
-    within _BLOCK_LEVELS levels and, unless the block is one level,
-    _BLOCK_POINTS stacked points (``level_points(k)`` for level k). A block that raises is replayed one
-    level at a time, and so is every later level, so results and errors are
-    those of single levels. With conv_tol = 0 every level runs alone.
+    views of the blocks, not copies). Levels run in blocks: levels 0 to 2, for
+    the two steps the ratio predictor needs, then up to the level where the
+    ratio of the last two steps predicts a step at most conv_tol, within
+    _BLOCK_LEVELS levels and, unless the block is one level, _BLOCK_POINTS
+    stacked points (``level_points(k)`` for level k). A block that raises is
+    replayed one level at a time, and so is every later level, so results and
+    errors are those of single levels. With conv_tol = 0 or n_max < 2 every
+    level runs alone.
     """
-    prev = first
-    levels = [first]
+    levels: list[np.ndarray] = []
     diffs: list[float] = []
-    blocks = conv_tol > 0
-    n = 0
-    while n < n_max:
-        size = 1
+    blocks = conv_tol > 0 and n_max > 1
+    while len(levels) <= n_max:
+        n = len(levels)
+        size = 3 if blocks and not n else 1
         if blocks and len(diffs) > 1 and 0 < diffs[-1] / diffs[-2] < 1:
             ahead = (math.log(conv_tol) - math.log(diffs[-1])) / math.log(diffs[-1] / diffs[-2])
-            size = min(n_max - n, _BLOCK_LEVELS, math.ceil(ahead))
-            total = level_points(n + 1)
-            for k in range(n + 2, n + size + 1):
-                total += level_points(k)
-                if total > _BLOCK_POINTS:
-                    size = k - n - 1
-                    break
+            size = min(n_max + 1 - n, _BLOCK_LEVELS, math.ceil(ahead))
+        total = level_points(n)
+        for k in range(n + 1, n + size):
+            total += level_points(k)
+            if total > _BLOCK_POINTS:
+                size = k - n
+                break
         try:
             block = run(n, size)
         except JensenStabError:
@@ -141,14 +141,15 @@ def _iterate_levels(
                 raise
             blocks = False
             continue
-        steps = np.maximum.reduce(np.abs(block - np.concatenate([prev[None], block[:-1]])), axis=1).tolist()
-        for vals, step in zip(block, steps):
-            n += 1
+        rows = np.concatenate([levels[-1][None], block]) if levels else block
+        steps = np.maximum.reduce(np.abs(rows[1:] - rows[:-1]), axis=1).tolist()
+        if not levels:
+            levels.append(block[0])
+        for vals, step in zip(block[size - len(steps):], steps):
             levels.append(vals)
             diffs.append(step)
             if step <= conv_tol:
-                return vals, diffs, n, levels
-        prev = block[-1]
+                return vals, diffs, len(diffs), levels
     raise _not_converged(what, n_max, diffs)
 
 
@@ -189,7 +190,8 @@ def _dyadic_iterate(
 
     All points iterate to the same depth so that one a posteriori tail
     bound covers every point. Levels run in blocks (see ``_iterate_levels``),
-    each evaluated once at the carrier's ``dyadic_levels`` of pts.
+    level 0 among them, each evaluated in one call at the carrier's
+    ``dyadic_levels`` of pts.
     """
     c = target.carrier
     t_e = target.eval(c.neutral)
@@ -197,15 +199,16 @@ def _dyadic_iterate(
     power = c.dyadic_levels(pts)
 
     def run(n: int, size: int) -> np.ndarray:
-        powers = [power(k) for k in range(n + 1, n + size + 1)]
-        block = target.eval_many(np.concatenate(powers)).reshape(size, m)
-        return (block - t_e) * np.ldexp(1.0, -np.arange(n + 1, n + size + 1))[:, None]
+        block = target.eval_many(np.concatenate([power(k) for k in range(n, n + size)])).reshape(size, m) - t_e
+        # Level 0 is left unscaled: numpy multiplies a complex by 1.0 as by
+        # 1 + 0j, which changes the bits of -0.0 and inf.
+        block[int(not n) :] *= np.ldexp(1.0, -np.arange(n or 1, n + size))[:, None]
+        return block
 
     # Values that overflow make the steps inf or NaN, so the loop ends in
     # NonConvergenceError; numpy's warnings would only reach stderr ahead of that.
     with np.errstate(over="ignore", invalid="ignore"):
-        first = target.eval_many(pts) - t_e
-        return _iterate_levels("dyadic limit", first, run, lambda k: m, n_max, conv_tol)
+        return _iterate_levels("dyadic limit", run, lambda k: m, n_max, conv_tol)
 
 
 # ----------------------------------------------------------------------------
@@ -285,44 +288,52 @@ def _fs_iterate(
     (x^(2^j) sigma(x)^(2^j))^(2^(n-1-j)) and then its mirror
     (sigma(x)^(2^j) x^(2^j))^(2^(n-1-j)): the carrier's ``pair_levels`` and
     ``dyadic_levels`` of pts. Where the carrier's ``sigma_is_inverse`` holds,
-    every pair row is e: no pair rows are built, f is read at e instead, and
-    a level stacks the 2m points of x^(2^n) and its involute. Levels run in
-    blocks (see ``_iterate_levels``), each evaluated in ``_fs_levels``.
+    every pair row is e: no pair rows are built, f is read at e once per run,
+    and all pair sums are prefix sums of one sequence (see ``_fs_pair_sums``).
+    Levels run in blocks (see ``_iterate_levels``), evaluated in ``_fs_levels``.
     """
     c = f.carrier
     m = pts.shape[0]
     power = c.dyadic_levels(pts)
-    pairs = None if c.sigma_is_inverse else c.pair_levels(pts)
-
-    def levels(ks: range) -> np.ndarray:
-        return _fs_levels(f, None if pairs is None else [pairs(k) for k in ks], [power(k) for k in ks], ks[0])
-
+    points = (lambda k: 2 * m) if c.sigma_is_inverse else (lambda k: 2 * (2 * k + 1) * m)
     # Levels past the one that converges are computed too, and values that
     # overflow make the result non-finite, which table_fn rejects; numpy's
     # warnings would only reach stderr ahead of that.
     with np.errstate(over="ignore", invalid="ignore"):
-        return _iterate_levels(
-            "reconstruction",
-            levels(range(1))[0],
-            lambda n, size: levels(range(n + 1, n + size + 1)),
-            (lambda k: 2 * m) if pairs is None else (lambda k: 2 * (2 * k + 1) * m),
-            n_max,
-            conv_tol,
-        )
+        if c.sigma_is_inverse:
+            (f_e,) = f.eval_many(c.row(c.neutral))
+            held = np.zeros((2, 0, 1), dtype=np.complex128)
+
+            def sums(n: int, size: int) -> np.ndarray:
+                # Grown as blocks need (n_max may be huge); element k of an accumulate reads 0 ... k alone.
+                nonlocal held
+                if held.shape[1] < n + size:
+                    top = min(n_max, max(_BLOCK_LEVELS, 2 * (n + size)))
+                    terms = np.zeros((2, top + 1, 1), dtype=np.complex128)
+                    terms[0, 1:, 0] = (f_e + f_e) * np.ldexp(1.0, np.arange(top))
+                    terms[1, 1:, 0] = f_e - f_e
+                    held = np.add.accumulate(terms, axis=1)
+                return held[:, n : n + size]
+        else:
+            pairs = c.pair_levels(pts)
+            sums = lambda n, size: _fs_pair_sums(f, [pairs(k) for k in range(n, n + size)], n, m)
+
+        def run(n: int, size: int) -> np.ndarray:
+            return _fs_levels(f, sums(n, size), [power(k) for k in range(n, n + size)], n)
+
+        return _iterate_levels("reconstruction", run, points, n_max, conv_tol)
 
 
-def _fs_levels(f: BoundedFn, pair_rows: list[np.ndarray] | None, xs: list[np.ndarray], k0: int) -> np.ndarray:
-    """Levels k0, k0 + 1, ... of the two-block expression, one row each.
+def _fs_pair_sums(f: BoundedFn, pair_rows: list[np.ndarray], k0: int, m: int) -> np.ndarray:
+    """The even and odd pair sums of levels k0, k0 + 1, ..., shape (2, levels, m).
 
-    ``pair_rows[i]`` and ``xs[i]`` are the points of level k0 + i; a
-    ``pair_rows`` of None stands for pair rows that are all e. Every pair
-    row is sigma-fixed: sigma(x sigma(x)) = x sigma(x) and sigma(z^2) =
-    sigma(z)^2, so f_even is f there and f is read there once. Where both
-    parts of f are at most DBL_MAX / 2 in modulus this is the value of the
-    halved sum (f + f o sigma) / 2 (above that the sum overflowed to inf);
-    the bits can differ only in the sign of a zero part, as numpy divides a
-    complex by 2 as by 2 + 0j. At x^(2^k) the even and odd parts are formed
-    as ``EvenPart`` and ``OddPart`` form them.
+    ``pair_rows[i]`` holds the pair rows of level k0 + i, left and right
+    alternating. Every pair row is sigma-fixed: sigma(x sigma(x)) = x sigma(x)
+    and sigma(z^2) = sigma(z)^2, so f_even is f there and f is read there once.
+    Where both parts of f are at most DBL_MAX / 2 in modulus this is the value
+    of the halved sum (f + f o sigma) / 2 (above that the sum overflowed to
+    inf); the bits can differ only in the sign of a zero part, as numpy
+    divides a complex by 2 as by 2 + 0j.
 
     Level k sums k terms t = 0 ... k-1: the even sum 2^t times the left plus
     right rows k-1-t, the odd sum the left minus right rows t. Each sum is
@@ -332,37 +343,36 @@ def _fs_levels(f: BoundedFn, pair_rows: list[np.ndarray] | None, xs: list[np.nda
     terms of level k are the first k of one sequence, so the sums of every
     level are the prefix sums of that one sequence, with the same bits.
     """
-    m = xs[0].shape[0]
-    size = len(xs)
+    size = len(pair_rows)
     top = k0 + size - 1
     ks = np.arange(k0, top + 1)[:, None]
-    if pair_rows is None:
-        # One read of f at e per block; the row sums are shared by all points.
-        terms = np.zeros((2, top + 1), dtype=np.complex128)
-        if top:
-            c = f.carrier
-            (f_e,) = f.eval_many(c.row(c.neutral))
-            terms[0, 1:] = (f_e + f_e) * np.ldexp(1.0, np.arange(top))
-            terms[1, 1:] = f_e - f_e
-        even_sum, odd_sum = np.add.accumulate(terms, axis=1)[:, ks]
-    else:
-        pairs = f.eval_many(np.concatenate(pair_rows)).reshape(-1, m) if top else np.zeros((0, m), dtype=np.complex128)
-        left, right = pairs[0::2], pairs[1::2]
-        # Row j < k of level k goes to column top - j of its even sum and to
-        # column top - k + 1 + j of its odd one, so column 0 is always zero.
-        t = np.arange(top + 1)
-        terms = np.zeros((2, size, top + 1, m), dtype=np.complex128)
-        has = t < ks
-        terms[0, :, ::-1][has] = (left + right) * np.ldexp(1.0, ks - 1 - t)[has][:, None]
-        terms[1][t > top - ks] = left - right
-        even_sum, odd_sum = np.add.accumulate(terms, axis=2)[:, :, -1]
-    # f is evaluated once at all x^(2^k) rows with their involutes.
+    pairs = f.eval_many(np.concatenate(pair_rows)).reshape(-1, m) if top else np.zeros((0, m), dtype=np.complex128)
+    left, right = pairs[0::2], pairs[1::2]
+    # Row j < k of level k goes to column top - j of its even sum and to
+    # column top - k + 1 + j of its odd one, so column 0 is always zero.
+    t = np.arange(top + 1)
+    terms = np.zeros((2, size, top + 1, m), dtype=np.complex128)
+    has = t < ks
+    terms[0, :, ::-1][has] = (left + right) * np.ldexp(1.0, ks - 1 - t)[has][:, None]
+    terms[1][t > top - ks] = left - right
+    return np.add.accumulate(terms, axis=2)[:, :, -1]
+
+
+def _fs_levels(f: BoundedFn, sums: np.ndarray, xs: list[np.ndarray], k0: int) -> np.ndarray:
+    """Levels k0, k0 + 1, ... of the two-block expression, one row each, from
+    the points ``xs[i]`` and even and odd pair sums ``sums[:, i]`` of level k0
+    + i. f is read once, at every x^(2^k) row with its involute, and the even
+    and odd parts there are formed as ``EvenPart`` and ``OddPart`` form them."""
+    m = xs[0].shape[0]
+    size = len(xs)
+    ks = np.arange(k0, k0 + size)[:, None]
     x = np.concatenate(xs)
-    x1, x2 = np.split(f.eval_many(np.concatenate([x, f.carrier.involute_many(x)])), 2)
+    both = f.eval_many(np.concatenate([x, f.carrier.involute_many(x)]))
+    x1, x2 = both[: x.shape[0]], both[x.shape[0] :]
     even_x = ((x1 + x2) / 2).reshape(size, m)
     odd_x = x1.reshape(size, m) - even_x
-    even_block = (even_x + 0.5 * even_sum) * np.ldexp(1.0, -2 * ks)
-    odd_block = (odd_x + 0.5 * odd_sum) * np.ldexp(1.0, -ks)
+    even_block = (even_x + 0.5 * sums[0]) * np.ldexp(1.0, -2 * ks)
+    odd_block = (odd_x + 0.5 * sums[1]) * np.ldexp(1.0, -ks)
     return even_block + odd_block
 
 

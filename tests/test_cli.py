@@ -213,6 +213,7 @@ def _assert_clean_error(capsys, argv):
         {"carrier": {"kind": "lattice", "dim": 1}},
         {"carrier": "int2", "base": {"linear": [1.0]}},
         {"carrier": "s3", "base": {"linear": [1.0]}},
+        {"carrier": "s3", "methods": []},
     ],
 )
 def test_experiment_bad_config_is_a_clean_error(tmp_path, capsys, config):
@@ -315,6 +316,32 @@ def test_non_finite_defect_writes_only_the_error_line_to_stderr(tmp_path, comman
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: "), proc.stderr
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["defect", "inequalities", "experiment"])
+def test_an_oracle_that_overflows_with_its_noise_writes_no_warning(tmp_path, command):
+    # Linear part, constant and seeded noise amplitude 1e308: the oracle's sums
+    # overflow, which each command reports without numpy's warnings.
+    noise = {"type": "seeded_uniform", "amplitude": 1e308, "seed": 0}
+    path = tmp_path / "in.json"
+    if command == "experiment":
+        _write(path, {"carrier": "int1", "base": {"constant": 1e308, "linear": [1e308]}, "noise": noise})
+        argv = [command, "--config", str(path)]
+    else:
+        _write(path, {"kind": "oracle", "linear": [1e308], "constant": 1e308, "noise": noise})
+        argv = [command, "--carrier", "int1", "--function", str(path)]
+    env = {**os.environ, "PYTHONPATH": str(Path(jensen_stab.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "jensen_stab.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    if command == "experiment":
+        # The defect stage's error goes into the report, which fails.
+        assert (proc.returncode, proc.stderr) == (1, "")
+    else:
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: "), proc.stderr
+        assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -174,6 +175,41 @@ def test_seeded_noise_is_deterministic_and_bounded():
         assert abs(v1) <= 0.05
     other = SeededUniformNoise(0.05, 43)
     assert any(n1.value(pt) != other.value(pt) for pt in pts)
+
+
+@pytest.mark.parametrize("amp", [5e-324, 1e-300, 1e-200, 1e155, 1e300])
+def test_seeded_noise_stays_in_its_disc_at_extreme_amplitudes(amp):
+    # re^2 + im^2 <= amp^2 overflows above about 1.3e154 and underflows below
+    # about 1e-160, where it accepted every draw in the square.
+    pts = np.arange(-2000, 2001, dtype=np.int64)[:, None]
+    noise = SeededUniformNoise(amp, 3)
+    for got in (noise._draw_many(pts), noise._draw_many(pts[: _ROUND_MIN - 1]), [noise.value((7,))]):
+        assert all(abs(v) <= amp for v in got)
+    if 1e-250 < amp < 1e305:
+        # Scaling the amplitude by a power of two scales every draw by it
+        # while no coordinate leaves the normal range.
+        ref = SeededUniformNoise(math.ldexp(amp, -math.frexp(amp)[1]), 3)._draw_many(pts)
+        assert noise._draw_many(pts).tobytes() == np.ldexp(ref.view(np.float64), math.frexp(amp)[1]).tobytes()
+
+
+def test_the_sparse_store_reads_points_inside_the_grid_from_it(monkeypatch):
+    drawn = []
+    real_draw = SeededUniformNoise._draw_many
+
+    def counted(self, rows):
+        drawn.extend(map(tuple, rows.tolist()))
+        return real_draw(self, rows)
+
+    monkeypatch.setattr(SeededUniformNoise, "_draw_many", counted)
+    grid = np.arange(-20, 21, dtype=np.int64)[:, None]
+    orbit = np.concatenate([grid[::4], 2 ** np.arange(6, 40, dtype=np.int64)[:, None]])
+    noise = SeededUniformNoise(0.1, 9)
+    noise.values(grid)
+    drawn.clear()
+    got = noise.values(orbit)  # too sparse for the grid: served from the store
+    assert drawn == [(int(v),) for v in orbit[11:, 0]]
+    assert len(noise._memo) == len(orbit)
+    assert got.tobytes() == np.array([noise.value((int(v),)) for v in orbit[:, 0]]).tobytes()
 
 
 def test_seeded_noise_dense_and_sparse_paths_agree():

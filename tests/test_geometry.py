@@ -223,12 +223,11 @@ class _Root(BoundedFn):
 
 def test_a_held_level_that_meets_the_overflow_guard_raises_each_time_and_is_not_kept():
     # The window reaches 64 = 2^6: level 56 is 2^62, and squaring it trips the
-    # 2^61 guard. The dyadic loop evaluates f(e) and levels 0 to 56, the
-    # reconstruction level 0 once and levels 1 to 56 twice each.
+    # 2^61 guard. Each loop evaluates f(e) once and levels 0 to 56 one by one.
     c = bundled_carrier("int1")
     w = c.window_terms().w
     for _ in range(2):
-        for run, calls in ((_dyadic_iterate, 2 + 56), (_fs_iterate, 1 + 2 * 56)):
+        for run, calls in ((_dyadic_iterate, 1 + 57), (_fs_iterate, 1 + 57)):
             f = _Root(c)
             with pytest.raises(LatticeOverflowError):
                 run(f, w, 80, 0.0)

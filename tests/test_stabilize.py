@@ -506,13 +506,19 @@ def test_a_block_that_meets_the_overflow_guard_is_replayed_level_by_level():
     pts = np.array([[3]], dtype=np.int64)
     ref_calls, calls = [], []
     # Squaring 3 * 2^60 trips the 2^61 guard: the reference loop evaluates
-    # f(e) and levels 0 to 60, then raises; the predicted block runs past it.
+    # f(e) and levels 0 to 60, then raises. The blocked loop evaluates f(e),
+    # then levels 0 to 2 as one block; the block predicted after level 2 runs
+    # past the guard, evaluates nothing, and levels 3 to 61 are replayed one
+    # by one.
     with pytest.raises(LatticeOverflowError):
         _dyadic_per_level(_RootFn(z1, ref_calls), pts, n_max=80, tol=1e-300)
     with pytest.raises(LatticeOverflowError):
         stabilize._dyadic_iterate(_RootFn(z1, calls), pts, 80, 1e-300)
-    assert len(calls) == len(ref_calls) == 62
-    assert all(_same_bits(a, b) for a, b in zip(calls, ref_calls))
+    assert len(ref_calls) == 62
+    assert len(calls) == 60
+    assert _same_bits(calls[0], ref_calls[0])
+    assert _same_bits(calls[1], np.concatenate(ref_calls[1:4]))
+    assert all(_same_bits(a, b) for a, b in zip(calls[2:], ref_calls[4:]))
     # Converging at the last level below the guard gives the same levels.
     with pytest.raises(NonConvergenceError) as exc:
         _dyadic_per_level(_RootFn(z1, []), pts, n_max=60, tol=0.0)
@@ -602,18 +608,20 @@ def test_fs_blocks_stay_within_the_point_cap(monkeypatch):
     fs_levels = stabilize._fs_levels
     counted = _PointCountingFn(f)
 
-    def spy(fn, pair_rows, xs, k0):
-        before = counted.points
-        out = fs_levels(fn, pair_rows, xs, k0)
-        blocks.append((k0, len(xs), counted.points - before))
+    def spy(fn, sums, xs, k0):
+        # The block's pair rows are read before the call, its orbit within it.
+        out = fs_levels(fn, sums, xs, k0)
+        blocks.append((k0, len(xs), counted.points))
         return out
 
     monkeypatch.setattr(stabilize, "_fs_levels", spy)
     monkeypatch.setattr(stabilize, "_BLOCK_POINTS", cap)
     _assert_fs_matches(counted, c.window_points())
-    assert [k0 for k0, _, _ in blocks] == list(np.cumsum([0, 1] + [size for _, size, _ in blocks[1:-1]]))
+    assert blocks[0][:2] == (0, 3)
+    assert [k0 for k0, _, _ in blocks] == list(np.cumsum([0] + [size for _, size, _ in blocks[:-1]]))
     stacked = [sum(2 * (2 * k + 1) * m for k in range(k0, k0 + size)) for k0, size, _ in blocks]
-    for (k0, size, points), total in zip(blocks, stacked):
+    read = np.diff([0] + [points for _, _, points in blocks])
+    for (k0, size, _), points, total in zip(blocks, read, stacked):
         # f is read once at the 2k sigma-fixed pair rows of level k and once
         # at its x^(2^k) row with its involute: (2k + 2) m of the 2 (2k + 1) m.
         assert points == sum((2 * k + 2) * m for k in range(k0, k0 + size))
@@ -684,20 +692,19 @@ def test_fs_reads_f_only_at_e_and_the_orbit_where_sigma_is_the_inverse(name):
     f = _RecordingFn(_seeded(c))
     n_final = stabilize._fs_iterate(f, pts, stabilize.DEFAULT_N_MAX, stabilize.DEFAULT_CONV_TOL)[2]
     power = c.dyadic_levels(pts)
-    # Level 0 reads the window and its involute; each later block reads f at
-    # e alone, then the x^(2^k) rows of its levels with their involutes.
-    assert np.array_equal(f.reads[0], np.concatenate([pts, c.involute_many(pts)]))
-    assert len(f.reads) % 2 == 1
-    k, sizes = 1, []
-    for at_e, orbit in zip(f.reads[1::2], f.reads[2::2]):
-        assert np.array_equal(at_e, c.row(c.neutral))
+    # The run reads f at e alone once; then each block, levels 0 to 2 first,
+    # reads the x^(2^k) rows of its levels with their involutes.
+    assert np.array_equal(f.reads[0], c.row(c.neutral))
+    k, sizes = 0, []
+    for orbit in f.reads[1:]:
         sizes.append(orbit.shape[0] // (2 * m))
         xs = np.concatenate([power(j) for j in range(k, k + sizes[-1])])
         assert np.array_equal(orbit, np.concatenate([xs, c.involute_many(xs)]))
         k += sizes[-1]
+    assert sizes[0] == 3
     assert k > n_final
     # A level stacks 2m points, so blocks hold many levels even on int2's 289 points.
-    assert max(sizes) > 1
+    assert max(sizes[1:]) > 1
 
 
 @pytest.mark.parametrize("name", ["z6", "q8", "s3", "m3"])
@@ -726,8 +733,9 @@ def test_an_fs_block_that_meets_the_overflow_guard_is_replayed_level_by_level():
     pts = np.array([[3]], dtype=np.int64)
     ref_calls, calls = [], []
     # Squaring 3 * 2^60 trips the 2^61 guard: the reference loop evaluates
-    # levels 0 to 60, then raises; the block predicted after level 2 runs
-    # past it, evaluates nothing, and levels 3 to 61 are replayed one by one.
+    # levels 0 to 60, then raises. The blocked loop reads f(e) once, then
+    # levels 0 to 2 as one block; the block predicted after level 2 runs past
+    # the guard, evaluates nothing, and levels 3 to 61 are replayed one by one.
     with pytest.raises(LatticeOverflowError) as ref:
         _fs_per_pair(_OddRootFn(z1, ref_calls), pts, n_max=80, tol=1e-300)
     with pytest.raises(LatticeOverflowError) as got:
@@ -736,7 +744,10 @@ def test_an_fs_block_that_meets_the_overflow_guard_is_replayed_level_by_level():
     evaluated = np.unique(np.concatenate(calls))
     assert np.array_equal(evaluated, np.unique(np.concatenate(ref_calls)))
     assert evaluated.max() == 3 * 2**60
-    assert len(calls) == 1 + 2 * 60
+    orbit = [3 * 2**k for k in range(61)]
+    assert [a[:, 0].tolist() for a in calls] == (
+        [[0], [*orbit[:3], *(-x for x in orbit[:3])]] + [[x, -x] for x in orbit[3:]]
+    )
     # Converging at the last level below the guard gives the same levels.
     with pytest.raises(NonConvergenceError) as exc:
         _fs_per_pair(_OddRootFn(z1, []), pts, n_max=60, tol=0.0)
@@ -774,7 +785,65 @@ def test_fs_with_zero_tolerance_runs_single_levels(name):
     with pytest.raises(NonConvergenceError) as got:
         stabilize._fs_iterate(counted, pts, 12, 0.0)
     assert got.value.trace == ref.value.trace
-    assert counted.calls == 1 + 2 * 12
+    # Levels 0 to 12 one call each, and f(e) once per run or the pair rows once per level.
+    assert counted.calls == 13 + (1 if c.sigma_is_inverse else 12)
+
+
+def test_an_exact_solution_stops_at_level_1_after_the_first_block():
+    z1 = bundled_carrier("int1")
+    pts = z1.window_points()
+    # Level 1 repeats level 0, so one block (levels 0 to 2) ends the run
+    # with the level-by-level trace.
+    for target in (OracleFn(z1, [2.0], 5.0), OddPart(QuadraticFn(z1, 1.0, 1.0))):
+        f = _RecordingFn(target)
+        assert stabilize._dyadic_iterate(f, pts, stabilize.DEFAULT_N_MAX, stabilize.DEFAULT_CONV_TOL)[1:3] == ([0.0], 1)
+        assert len(f.reads) == 1
+        _assert_dyadic_matches(target, pts)
+    exact = QuadraticFn(z1, 1.0, 1.0)  # exact Drygas
+    f = _RecordingFn(exact)
+    assert stabilize._fs_iterate(f, pts, stabilize.DEFAULT_N_MAX, stabilize.DEFAULT_CONV_TOL)[1:3] == ([0.0], 1)
+    assert len(f.reads) == 2  # f(e), then levels 0 to 2
+    _assert_fs_matches(exact, pts)
+
+
+@pytest.mark.parametrize("n_max, tol", [(1, stabilize.DEFAULT_CONV_TOL), (12, 0.0)])
+def test_one_level_or_zero_tolerance_runs_single_levels(n_max, tol):
+    z1 = bundled_carrier("int1")
+    f = OracleFn(z1, [2.0], 5.0, SeededUniformNoise(0.5, 3))
+    pts = z1.window_points()
+    xs = [z1.dyadic_levels(pts)(k) for k in range(n_max + 1)]
+    for iterate, reference, reads in (
+        (stabilize._dyadic_iterate, _dyadic_per_level, xs),
+        (stabilize._fs_iterate, _fs_per_pair, [z1.row(z1.neutral)] + [np.concatenate([x, -x]) for x in xs]),
+    ):
+        with pytest.raises(NonConvergenceError) as ref:
+            reference(f, pts, n_max=n_max, tol=tol)
+        recorded = _RecordingFn(f)
+        with pytest.raises(NonConvergenceError) as got:
+            iterate(recorded, pts, n_max, tol)
+        assert got.value.trace == ref.value.trace
+        assert len(recorded.reads) == len(reads)
+        assert all(np.array_equal(a, b) for a, b in zip(recorded.reads, reads))
+
+
+def test_a_run_that_converges_in_the_predicted_block_makes_two_block_calls():
+    c = bundled_carrier("z6")
+    pts = c.window_points()
+    m = pts.shape[0]
+    # Besides f(e), read once per run, levels 0 to 2 and then the block the
+    # ratio of their steps predicts, which holds the level that converges.
+    for iterate, f, at_e, per_level in (
+        (stabilize._dyadic_iterate, _seeded(c), 0, m),
+        (stabilize._fs_iterate, c.exact_solution(1 - 2j), 1, 2 * m),
+    ):
+        recorded = _RecordingFn(f)
+        n_final = iterate(recorded, pts, stabilize.DEFAULT_N_MAX, stabilize.DEFAULT_CONV_TOL)[2]
+        blocks = recorded.reads[at_e:]
+        assert len(blocks) == 2
+        assert blocks[0].shape[0] == 3 * per_level
+        assert 3 < n_final < (blocks[0].shape[0] + blocks[1].shape[0]) // per_level
+    _assert_dyadic_matches(_seeded(c), pts)
+    _assert_fs_matches(c.exact_solution(1 - 2j), pts)
 
 
 def test_jensen_approximant_exact_fixed_points():
