@@ -46,7 +46,7 @@ import numpy as np
 from . import scan
 from .errors import CapabilityError, FormatError, InvalidElementError, LatticeOverflowError
 from .funcspace import FiniteTableFn, LatticeTableFn, Noise, OracleFn
-from .records import Record, _number
+from .records import Record, _number, require_count
 
 # Largest lattice coordinate a handle may carry; its negation fits in int64 too.
 INT64_MAX = 2**63 - 1
@@ -460,10 +460,8 @@ class LatticeCarrier(Carrier):
     exactness = "window_lower_bound"
 
     def __init__(self, dim: int, window_radius: int, folner_max: int, name: str | None = None) -> None:
-        if dim < 1:
-            raise FormatError("lattice dimension must be positive")
-        if window_radius < 1:
-            raise FormatError("window radius must be positive")
+        require_count(dim, "lattice dimension")
+        require_count(window_radius, "window radius")
         if folner_max < window_radius:
             raise FormatError("folner_max must be >= window_radius")
         self.dim = int(dim)
@@ -540,8 +538,7 @@ class LatticeCarrier(Carrier):
 
     def folner_points(self, k: int) -> np.ndarray:
         """The Folner box ``box_points(k)``, for 1 <= k <= folner_max."""
-        if k < 1:
-            raise FormatError(f"Folner radius must be an integer >= 1, got {k}")
+        require_count(k, "Folner radius")
         if k > self.folner_max:
             raise CapabilityError(f"Folner radius {k} exceeds folner_max {self.folner_max}")
         return self.box_points(k)

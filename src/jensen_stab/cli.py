@@ -19,11 +19,12 @@ from .carrier import BUNDLED_CARRIERS, NO_MEAN, Carrier, carrier_from_dict, vali
 from .defect import drygas_defect, inequality_suite, jensen_defect
 from .errors import FormatError, JensenStabError
 from .funcspace import DEFAULT_TOL, BoundedFn, function_from_dict
-from .harness import ExperimentConfig, require_tolerance, resolve_carrier, run_experiment
-from .records import _number, _parse_cnum
+from .harness import ExperimentConfig, resolve_carrier, run_experiment
+from .records import _number, _parse_cnum, require_count, require_tolerance
 from .stabilize import (
     DEFAULT_CONV_TOL,
     DEFAULT_N_MAX,
+    METHODS,
     StabilizationResult,
     jensen_approximant,
     phi_mean_construction,
@@ -68,11 +69,6 @@ def _load_function_arg(arg: str, carrier: Carrier) -> BoundedFn:
     return function_from_dict(_load_json(arg), carrier)
 
 
-def _require_positive(value: int | None, flag: str) -> None:
-    if value is not None and value < 1:
-        raise FormatError(f"{flag} must be an integer >= 1, got {value}")
-
-
 def _cmd_check_carrier(args: argparse.Namespace) -> int:
     c = _resolve_carrier_arg(args.carrier)
     report = validate_carrier(c)
@@ -100,7 +96,6 @@ def _cmd_defect(args: argparse.Namespace) -> int:
 
 
 def _cmd_inequalities(args: argparse.Namespace) -> int:
-    _require_positive(args.folner_k, "--folner-k")
     c = _resolve_carrier_arg(args.carrier)
     f = _load_function_arg(args.function, c)
     phi = None if c.mean_capability == NO_MEAN else phi_mean_construction(f, args.folner_k)
@@ -118,18 +113,12 @@ def _cmd_inequalities(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _method_from_cli(name: str) -> str:
-    return name.replace("-", "_")
-
-
 def _cmd_stabilize(args: argparse.Namespace) -> int:
-    _require_positive(args.dyadic_n, "--dyadic-n")
-    _require_positive(args.folner_k, "--folner-k")
     c = _resolve_carrier_arg(args.carrier)
     f = _load_function_arg(args.function, c)
     result = jensen_approximant(
         f,
-        _method_from_cli(args.method),
+        args.method.replace("-", "_"),
         folner_k=args.folner_k,
         n_max=args.dyadic_n,
         conv_tol=args.conv_tol,
@@ -221,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_inequalities)
 
     p = sub.add_parser("stabilize", help="Construct the nearby exact solution g.")
-    p.add_argument("--method", required=True, choices=["mean", "dyadic", "dyadic-full", "forti-sikorska"])
+    p.add_argument("--method", required=True, choices=[m.replace("_", "-") for m in METHODS])
     p.add_argument("--carrier", required=True)
     p.add_argument("--function", required=True)
     p.add_argument("--out", required=True)
@@ -254,9 +243,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for name in ("tol", "conv_tol", "delta"):
-            if getattr(args, name, None) is not None:
-                require_tolerance(getattr(args, name), "--" + name.replace("_", "-"))
+        for rule, names in ((require_tolerance, ("tol", "conv_tol", "delta")), (require_count, ("folner_k", "dyadic_n"))):
+            for name in names:
+                if getattr(args, name, None) is not None:
+                    rule(getattr(args, name), "--" + name.replace("_", "-"))
         return args.func(args)
     except JensenStabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import FormatError, InvalidElementError
-from .records import _cpair, _list, _number, _parse_cnum, _require_finite_complex
+from .records import _cpair, _list, _number, _parse_cnum, _require_finite_complex, require_tolerance
 
 if TYPE_CHECKING:
     from .carrier import Carrier, FiniteCarrier, LatticeCarrier
@@ -71,8 +71,7 @@ class ParityNoise:
     type = "parity"
 
     def __init__(self, amplitude: float, seed: int = 0) -> None:
-        if amplitude < 0 or not math.isfinite(amplitude):
-            raise FormatError("noise amplitude must be a finite nonnegative number")
+        require_tolerance(amplitude, "noise amplitude")
         self.amplitude = float(amplitude)
         self.seed = int(seed)  # unused; kept so files round-trip
 
@@ -91,7 +90,7 @@ class ParityNoise:
         return 0.0
 
     def to_dict(self) -> dict:
-        return {"type": "parity", "amplitude": self.amplitude, "seed": self.seed}
+        return {"type": self.type, "amplitude": self.amplitude, "seed": self.seed}
 
 
 def _point_keys(pts: np.ndarray) -> np.ndarray:
@@ -126,8 +125,7 @@ class SeededUniformNoise:
     type = "seeded_uniform"
 
     def __init__(self, amplitude: float, seed: int) -> None:
-        if amplitude < 0 or not math.isfinite(amplitude):
-            raise FormatError("noise amplitude must be a finite nonnegative number")
+        require_tolerance(amplitude, "noise amplitude")
         self.amplitude = float(amplitude)
         self.seed = int(seed)
         # Both caches are published whole, never mutated, so readers never mix two versions.
@@ -261,19 +259,21 @@ class SeededUniformNoise:
         return self.amplitude
 
     def to_dict(self) -> dict:
-        return {"type": "seeded_uniform", "amplitude": self.amplitude, "seed": self.seed}
+        return {"type": self.type, "amplitude": self.amplitude, "seed": self.seed}
 
 
 Noise = ParityNoise | SeededUniformNoise
+# The noise classes by the type name their files carry.
+NOISE_TYPES = {cls.type: cls for cls in (ParityNoise, SeededUniformNoise)}
 
 
 def noise_from_dict(data: dict) -> Noise:
     if not isinstance(data, dict) or "type" not in data:
         raise FormatError(f"malformed noise descriptor: {data!r}")
     kind = data["type"]
-    if kind not in ("parity", "seeded_uniform"):
+    noise = NOISE_TYPES.get(kind) if isinstance(kind, str) else None
+    if noise is None:
         raise FormatError(f"unknown noise type {kind!r}")
-    noise = ParityNoise if kind == "parity" else SeededUniformNoise
     return noise(_number(data, "amplitude", None, float), _number(data, "seed", 0, int))
 
 

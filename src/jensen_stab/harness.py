@@ -8,7 +8,6 @@ is still emitted.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from functools import cache
@@ -17,8 +16,8 @@ from typing import Any, Callable
 from .carrier import NO_MEAN, BUNDLED_CARRIERS, Carrier, bundled_carrier, carrier_from_dict, validate_carrier
 from .defect import inequality_suite, jensen_defect
 from .errors import FormatError, JensenStabError
-from .funcspace import DEFAULT_TOL, BoundedFn, noise_from_dict
-from .records import _cpair, _list, _number, _parse_cnum
+from .funcspace import DEFAULT_TOL, NOISE_TYPES, BoundedFn, noise_from_dict
+from .records import _cpair, _list, _number, _parse_cnum, require_count, require_tolerance
 from .stabilize import (
     DEFAULT_CONV_TOL,
     DEFAULT_N_MAX,
@@ -51,22 +50,20 @@ class ExperimentConfig:
     identity_powers: tuple[int, ...] = (1, 2, 3)
 
     def __post_init__(self) -> None:
-        if self.component_dim < 1:
-            raise FormatError("component_dim must be >= 1")
         for name in ("noise_amplitude", "tol", "conv_tol"):
             require_tolerance(getattr(self, name), name)
-        k = self.folner_k
-        if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 1):
-            raise FormatError(f"folner_k must be null or an integer >= 1, got {k!r}")
-        n = self.dyadic_n
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise FormatError(f"dyadic_n must be an integer >= 1, got {n!r}")
+        require_count(self.component_dim, "component_dim")
+        require_count(self.dyadic_n, "dyadic_n")
+        if self.folner_k is not None:
+            require_count(self.folner_k, "folner_k")
         if not self.methods:
             raise FormatError(f"methods must name at least one of {METHODS}")
         for m in self.methods:
             if m not in METHODS:
                 raise FormatError(f"unknown method {m!r}; expected one of {METHODS}")
-        if self.noise_type not in ("none", "parity", "seeded_uniform"):
+        if len(set(self.methods)) < len(self.methods):
+            raise FormatError(f"methods must name each method once, got {list(self.methods)!r}")
+        if self.noise_type not in ("none", *NOISE_TYPES):
             raise FormatError(f"unknown noise type {self.noise_type!r}")
         # 2.0**n, the weight of the power-2^n identity, is finite up to n = 1023.
         powers = self.identity_powers
@@ -120,12 +117,6 @@ class ExperimentConfig:
             "component_dim": self.component_dim,
             "identity_powers": list(self.identity_powers),
         }
-
-
-def require_tolerance(value: float, name: str) -> None:
-    """FormatError unless value is finite and >= 0 (a tolerance of 0 is exact comparison)."""
-    if not (math.isfinite(value) and value >= 0):
-        raise FormatError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 def resolve_carrier(spec: str | dict) -> Carrier:

@@ -1,4 +1,4 @@
-"""Report records, and the one JSON form of a complex number: [re, im].
+"""Report records, the one JSON form of a complex number ([re, im]), and the two input range rules.
 
 A report record is a dataclass that subclasses ``Record``. Its ``to_dict``
 writes every field under its own name: complex numbers as [re, im], tuples
@@ -57,6 +57,18 @@ def _number(section: dict, key: str, default: Any, kind: type) -> Any:
         return kind(v)
     except (TypeError, ValueError, OverflowError):
         raise FormatError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {v!r}") from None
+
+
+def require_tolerance(value: float, name: str) -> None:
+    """FormatError unless value is finite and >= 0 (a tolerance of 0 is exact comparison)."""
+    if not (math.isfinite(value) and value >= 0):
+        raise FormatError(f"{name} must be a finite number >= 0, got {value!r}")
+
+
+def require_count(value: int, name: str) -> None:
+    """FormatError unless value is an int >= 1; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise FormatError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _list(section: dict, key: str, default: Any) -> Any:

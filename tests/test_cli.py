@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import jensen_stab
-from jensen_stab import bundled_carrier, perturb
+from jensen_stab import ExperimentConfig, FormatError, bundled_carrier, carrier_from_dict, perturb
 from jensen_stab.cli import main
+from jensen_stab.funcspace import noise_from_dict
 
 
 def _write(path, data):
@@ -214,6 +215,7 @@ def _assert_clean_error(capsys, argv):
         {"carrier": "int2", "base": {"linear": [1.0]}},
         {"carrier": "s3", "base": {"linear": [1.0]}},
         {"carrier": "s3", "methods": []},
+        {"carrier": "s3", "methods": ["dyadic", "dyadic"]},
     ],
 )
 def test_experiment_bad_config_is_a_clean_error(tmp_path, capsys, config):
@@ -418,3 +420,58 @@ def test_zero_tol_is_legal(tmp_path):
     assert main(["stabilize", "--method", "dyadic", "--out", str(out), *argv]) == 0
     assert main(["inequalities", *argv]) == 0
     assert main(["verify", "--solution", str(out), *argv]) == 0
+
+
+# Every entry point that carries a count (an integer >= 1) or a tolerance
+# (finite and >= 0): (entry point, setting), and the values each rule refuses.
+COUNT_SITES = [
+    *(("config", n) for n in ("component_dim", "dyadic_n", "folner_k")),
+    *(("from_dict", n) for n in ("component_dim", "dyadic_n", "folner_k")),
+    ("cli", "--folner-k"), ("cli", "--dyadic-n"),
+    ("lattice", "dim"), ("lattice", "window"),
+]
+TOLERANCE_SITES = [
+    *(("config", n) for n in ("noise_amplitude", "tol", "conv_tol")),
+    *(("from_dict", n) for n in ("noise_amplitude", "tol", "conv_tol")),
+    ("cli", "--tol"), ("cli", "--conv-tol"), ("cli", "--delta"),
+    ("noise", "parity"), ("noise", "seeded_uniform"),
+]
+RULE_CASES = [
+    *((entry, name, v) for entry, name in COUNT_SITES for v in (True, 2.5, 0, -1)),
+    *((entry, name, v) for entry, name in TOLERANCE_SITES for v in (-1.0, float("nan"), float("inf"))),
+]
+
+
+@pytest.mark.parametrize("entry, name, value", RULE_CASES)
+def test_every_entry_point_applies_the_count_and_tolerance_rules(s3_files, tmp_path, capsys, entry, name, value):
+    if entry == "cli":
+        carrier_path, fn_path = s3_files
+        out = tmp_path / "g.json"
+        oracle_path = tmp_path / "oracle.json"
+        _write(oracle_path, {"kind": "oracle", "linear": [2.0]})
+        command = {
+            "--folner-k": ["inequalities", "--carrier", "int1", "--function", str(oracle_path)],
+            "--tol": ["inequalities", "--carrier", str(carrier_path), "--function", str(fn_path)],
+            "--delta": ["verify", "--carrier", str(carrier_path), "--function", str(fn_path), "--solution", str(fn_path)],
+        }.get(name, ["stabilize", "--method", "dyadic", "--carrier", str(carrier_path), "--function", str(fn_path),
+                     "--out", str(out)])
+        try:
+            code = main([*command, f"{name}={value}"])
+        except SystemExit as exc:  # argparse refuses a value that is not an int or a float
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+        return
+    with pytest.raises(FormatError):
+        if entry == "config":
+            ExperimentConfig(carrier="s3", **{name: value})
+        elif entry == "from_dict":
+            data = {"noise": {"type": "seeded_uniform", "amplitude": value}} if name == "noise_amplitude" else {name: value}
+            ExperimentConfig.from_dict({"carrier": "s3", **data})
+        elif entry == "lattice":
+            carrier_from_dict({"kind": "lattice", "dim": 1, "window": 2, "folner_max": 4, name: value})
+        else:
+            noise_from_dict({"type": name, "amplitude": value, "seed": 1})

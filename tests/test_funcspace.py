@@ -25,7 +25,15 @@ from jensen_stab import (
     function_from_dict,
 )
 from jensen_stab.errors import FormatError
-from jensen_stab.funcspace import _ROUND_MIN, EvenPart, LeftTranslate, OddPart, RightTranslate
+from jensen_stab.funcspace import (
+    _ROUND_MIN,
+    NOISE_TYPES,
+    EvenPart,
+    LeftTranslate,
+    OddPart,
+    RightTranslate,
+    noise_from_dict,
+)
 
 
 def test_evaluate_examples():
@@ -402,6 +410,20 @@ def test_oracle_file_accepts_bare_reals():
         {"kind": "oracle", "linear": [2.0], "constant": [5.0, 0.0], "noise": None}, z1
     )
     assert f.eval(3) == 11.0
+
+
+def test_each_noise_type_round_trips_through_its_file_form():
+    for name, cls in NOISE_TYPES.items():
+        noise = cls(0.25, 3)
+        back = noise_from_dict(noise.to_dict())
+        assert type(back) is cls and back.to_dict() == noise.to_dict() == {"type": name, "amplitude": 0.25, "seed": 3}
+
+
+@pytest.mark.parametrize("kind", ["bogus", "none", ["parity"], None])
+def test_unknown_noise_types_are_refused(kind):
+    # "none" is a config's word for no noise, not a noise a file can carry.
+    with pytest.raises(FormatError, match="unknown noise type"):
+        noise_from_dict({"type": kind, "amplitude": 0.1})
 
 
 def test_malformed_functions_rejected():

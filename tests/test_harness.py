@@ -151,6 +151,8 @@ def test_config_rejects_identity_powers_below_one(powers):
         {"noise": {"type": "seeded_uniform", "amplitude": float("nan")}},
         {"noise": {"type": "seeded_uniform", "amplitude": float("inf")}},
         {"noise": {"type": "parity", "amplitude": float("-inf")}},
+        {"methods": ["dyadic", "dyadic"]},
+        {"noise": {"type": ["parity"], "amplitude": 0.1}},
     ],
 )
 def test_config_rejects_malformed_values(data):

@@ -290,6 +290,40 @@ def test_lattice_reach_fast_path_matches_the_generic_reach(monkeypatch, cls, dim
     assert diag.to_dict() == g_diag.to_dict()
 
 
+@pytest.mark.parametrize("name", ["s3", "q8", "m3"])
+def test_reach_composes_y_on_the_left_of_x_and_sigma_y_on_the_right(name):
+    # On a non-abelian carrier y x differs from x y, which phi's integrand on
+    # a finite group (identically 0) cannot tell apart.
+    c = bundled_carrier(name)
+    w, xs = c.window_points(), c.window_points()
+    domain, blocks = c.reach(xs, c.size)
+    start = 0
+    for yx, xsy in blocks:
+        rows = w[start : start + yx.shape[0]]
+        start += yx.shape[0]
+        assert np.array_equal(domain[yx], c.op[rows[:, None], xs[None, :]])
+        assert np.array_equal(domain[xsy], c.op[xs[None, :], c.involution[rows][:, None]])
+    assert start == w.shape[0]
+
+
+@pytest.mark.parametrize("name, k", [("int1", 64), ("int2", 8)])
+def test_phi_probe_residual_matches_a_per_point_loop(name, k):
+    # |mean h(e1 + x) - mean h(x)| over the Folner box, h = f_even - f(e).
+    c = bundled_carrier(name)
+    f = OracleFn(c, [1.5, -0.5 + 1j][: c.dim], 2j, SeededUniformNoise(0.2, 11))
+    f_e = f.eval(c.neutral)
+
+    def h(x):
+        return (f.eval(x) + f.eval(tuple(-v for v in x))) / 2 - f_e
+
+    box = [tuple(x) for x in c.folner_points(k).tolist()]
+    e1 = (1,) + (0,) * (c.dim - 1)
+    m0 = np.mean(np.array([h(x) for x in box]))
+    m1 = np.mean(np.array([h(tuple(a + b for a, b in zip(e1, x))) for x in box]))
+    residual = phi_mean_construction(f, k)[1].probe_invariance_residual
+    assert residual == float(abs(m1 - m0)) > 0
+
+
 @pytest.mark.parametrize("name, k", PHI_CASES)
 def test_phi_in_small_blocks_matches_the_per_translate_oracle_loop(monkeypatch, name, k):
     c = bundled_carrier(name)
