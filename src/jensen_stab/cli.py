@@ -159,7 +159,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         error_budget=budget,
         delta_used=delta,
     )
-    report = verify_solution(f, result, tol=args.tol)
+    report = verify_solution(f, {method: result}, tol=args.tol)[method]
+    if isinstance(report, JensenStabError):
+        raise report
     if args.report:
         _write_json(args.report, report.to_dict())
     print(

@@ -17,7 +17,7 @@ from .carrier import NO_MEAN, BUNDLED_CARRIERS, Carrier, bundled_carrier, carrie
 from .defect import inequality_suite, jensen_defect
 from .errors import FormatError, JensenStabError
 from .funcspace import DEFAULT_TOL, NOISE_TYPES, BoundedFn, noise_from_dict
-from .records import _cpair, _list, _number, _parse_cnum, require_count, require_tolerance
+from .records import _cpair, _list, _number, _parse_cnum, _require_finite_complex, require_count, require_tolerance
 from .stabilize import (
     DEFAULT_CONV_TOL,
     DEFAULT_N_MAX,
@@ -52,6 +52,15 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for name in ("noise_amplitude", "tol", "conv_tol"):
             require_tolerance(getattr(self, name), name)
+        _require_finite_complex(self.base_constant, "base constant")
+        if self.base_linear is not None:
+            if not isinstance(self.base_linear, (list, tuple)):
+                raise FormatError(f"base_linear must be a list, got {self.base_linear!r}")
+            for a in self.base_linear:
+                _require_finite_complex(a, "base linear")
+        # Any integer is a seed, 0 and negative ones included; a bool is not.
+        if isinstance(self.noise_seed, bool) or not isinstance(self.noise_seed, int):
+            raise FormatError(f"noise_seed must be an integer, got {self.noise_seed!r}")
         require_count(self.component_dim, "component_dim")
         require_count(self.dyadic_n, "dyadic_n")
         if self.folner_k is not None:
@@ -153,6 +162,10 @@ def build_function(config: ExperimentConfig, c: Carrier, component: int = 0) -> 
     return perturb(base, config.noise_type, config.noise_amplitude, seed)
 
 
+def _error(stage: str, exc: JensenStabError) -> dict:
+    return {"stage": stage, "error": f"{type(exc).__name__}: {exc}"}
+
+
 def _scalar_run(config: ExperimentConfig, c: Carrier, component: int, timing: dict) -> dict:
     errors: list[dict] = []
     tol = config.tol
@@ -163,7 +176,7 @@ def _scalar_run(config: ExperimentConfig, c: Carrier, component: int, timing: di
         try:
             return fn()
         except JensenStabError as exc:
-            errors.append({"stage": name, "error": f"{type(exc).__name__}: {exc}"})
+            errors.append(_error(name, exc))
             return None
         finally:
             timing[f"{name}[{component}]"] = time.perf_counter() - t0
@@ -182,20 +195,26 @@ def _scalar_run(config: ExperimentConfig, c: Carrier, component: int, timing: di
         phi = stage("phi_construction", lambda: phi_mean_construction(f, config.folner_k))
     records = stage("inequalities", lambda: inequality_suite(f, phi=phi, delta=delta, tol=tol))
 
+    # Every method is stabilized, then all results are verified in one call.
+    # A method's error, from either stage, keeps its place in method order.
+    first = len(errors)
     results: dict[str, StabilizationResult] = {}
-    verified: dict[str, VerificationReport] = {}
     for method in config.methods:
         res = stage(f"stabilize:{method}", lambda: jensen_approximant(
             f, method, delta=delta, folner_k=config.folner_k, n_max=config.dyadic_n, conv_tol=config.conv_tol, phi=phi
         ))
-        if res is None:
-            continue
-        results[method] = res
-        ver = stage(f"verify:{method}", lambda: verify_solution(
-            f, res, phi=phi if method == "mean" else None, n_list=config.identity_powers, tol=tol
-        ))
-        if ver is not None:
-            verified[method] = ver
+        if res is not None:
+            results[method] = res
+    failed = dict(zip([m for m in config.methods if m not in results], errors[first:]))
+    del errors[first:]
+    checked = stage("verify", lambda: verify_solution(f, results, phi=phi, n_list=config.identity_powers, tol=tol))
+    verified: dict[str, VerificationReport] = {}
+    for method, got in checked.items():
+        if isinstance(got, JensenStabError):
+            failed[method] = _error(f"verify:{method}", got)
+        else:
+            verified[method] = got
+    errors[first:first] = [failed[m] for m in config.methods if m in failed]
 
     agreement = None
     if "mean" in results and "dyadic" in results:
@@ -235,7 +254,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     try:
         c = resolve_carrier(config.carrier)
     except JensenStabError as exc:
-        report["errors"] = [{"stage": "carrier", "error": f"{type(exc).__name__}: {exc}"}]
+        report["errors"] = [_error("carrier", exc)]
         report["pass"] = False
         return report
     report["carrier"] = {"name": c.name, "kind": c.kind, "size": c.size}

@@ -26,7 +26,13 @@ def _cpair(z: complex) -> list[float]:
 
 
 def _require_finite_complex(z: complex, what: str) -> complex:
-    z = complex(z)
+    """z as a complex number; FormatError unless it is a finite number (a string is not)."""
+    try:
+        if isinstance(z, (str, bytes)):
+            raise TypeError
+        z = complex(z)
+    except (TypeError, ValueError, OverflowError):
+        raise FormatError(f"{what} must be a number, got {z!r}") from None
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise FormatError(f"{what} must be finite, got {z!r}")
     return z

@@ -15,13 +15,16 @@ numeric tolerance. A failed check is attributable to exactly one layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .defect import InequalityRecord, drygas_defect, jensen_defect
-from .funcspace import DEFAULT_TOL, BoundedFn, EvenPart
+# No function here calls jensen_defect or jensen_approximant; perfbench's tracer patches these names.
+from .defect import _QUIET, DefectReport, InequalityRecord, _table_rows, drygas_defect, jensen_defect, jensen_defects  # noqa: F401
+from .errors import JensenStabError
+from .funcspace import DEFAULT_TOL, BoundedFn
 from .records import Record
-# No function here calls jensen_approximant; perfbench's tracer patches this name.
 from .stabilize import PhiDiagnostics, StabilizationResult, jensen_approximant  # noqa: F401
 
 
@@ -41,42 +44,43 @@ class StabilityCheck(Record):
 
 
 def stability_bound_check(
-    f: BoundedFn,
-    result: StabilizationResult,
+    f_w: np.ndarray,
+    g_w: np.ndarray,
+    results: Sequence[StabilizationResult],
     *,
     tol: float = DEFAULT_TOL,
-) -> StabilityCheck:
-    """Measure sup over the window of |f(x) - g(x) - offset| against 3 delta,
-    the ``delta_used`` of the result.
+) -> list[StabilityCheck]:
+    """One check per row: sup over the window of |f(x) - g(x) - offset|
+    against 3 delta, the ``delta_used`` of the row's result.
 
-    The bound is 3 delta + error_budget + tol, each layer itemized. When
-    the result is the dyadic construction applied to f itself, the sharper
-    bound 3 delta / 2 is checked as well and reported separately.
+    ``f_w`` is f on the carrier's window points, and row i of ``g_w`` is
+    ``results[i].g`` there. The bound is 3 delta + error_budget + tol, each
+    layer itemized. When a result is the dyadic construction applied to f
+    itself, the sharper bound 3 delta / 2 is checked as well and reported
+    separately.
     """
-    delta = result.delta_used
-    c = f.carrier
+    checks = []
+    c = results[0].g.carrier
     pts = c.window_points()
-    devs = np.abs(f.eval_many(pts) - result.g.eval_many(pts) - result.offset)
-    i = int(np.argmax(devs))
-    sup = float(devs[i])
-    witness = c.element_repr(pts[i])
-    bound = 3.0 * delta + result.error_budget + tol
-    sharper_bound = None
-    sharper_holds = None
-    if result.method == "dyadic_full":
-        sharper_bound = 1.5 * delta + tol
-        sharper_holds = sup <= sharper_bound
-    return StabilityCheck(
-        stability_sup=sup,
-        witness=witness,
-        delta=delta,
-        error_budget=result.error_budget,
-        tolerance=tol,
-        bound=bound,
-        holds=sup <= bound,
-        sharper_bound=sharper_bound,
-        sharper_holds=sharper_holds,
-    )
+    offsets = np.array([[r.offset] for r in results], dtype=np.complex128)
+    devs = np.abs(f_w - g_w - offsets)
+    for result, row, i in zip(results, devs, devs.argmax(axis=1).tolist()):
+        delta = result.delta_used
+        sup = float(row[i])
+        bound = 3.0 * delta + result.error_budget + tol
+        sharper_bound = 1.5 * delta + tol if result.method == "dyadic_full" else None
+        checks.append(StabilityCheck(
+            stability_sup=sup,
+            witness=c.element_repr(pts[i]),
+            delta=delta,
+            error_budget=result.error_budget,
+            tolerance=tol,
+            bound=bound,
+            holds=sup <= bound,
+            sharper_bound=sharper_bound,
+            sharper_holds=None if sharper_bound is None else sup <= sharper_bound,
+        ))
+    return checks
 
 
 @dataclass
@@ -90,49 +94,77 @@ class IdentityRecord(Record):
     points_checked: int
 
 
+def _sups(resid: np.ndarray) -> list[float]:
+    """Each row's max, 0.0 for rows of no points."""
+    return resid.max(axis=1).tolist() if resid.shape[1] else [0.0] * resid.shape[0]
+
+
 def identity_checks(
-    g: BoundedFn,
+    gs: Sequence[BoundedFn],
+    g_w: np.ndarray,
+    budgets: Sequence[float],
+    *,
     n_list: tuple[int, ...] = (1, 2, 3),
     tol: float = DEFAULT_TOL,
-    budget: float = 0.0,
-) -> list[IdentityRecord]:
-    """Check g(e) = g_even(x) = g(x sigma(x)) and the dyadic power identity.
+) -> list[list[IdentityRecord]]:
+    """One record list per row: check g(e) = g_even(x) = g(x sigma(x)) and
+    the dyadic power identity for each g of one carrier.
 
-    For each n in ``n_list`` measures |g(x^(2^n)) + (2^n - 1) g(e) - 2^n g(x)|
-    over the window points whose powers stay evaluable. ``budget`` widens
-    the acceptance bound for constructed (rather than exact) solutions; the
-    power-n record scales it by 2^n + 1 since g enters with weight 2^n.
+    Row i of ``g_w`` is ``gs[i]`` on the window points. For each n in
+    ``n_list`` measures |g(x^(2^n)) + (2^n - 1) g(e) - 2^n g(x)| over the
+    window points whose powers stay evaluable. ``budgets[i]`` widens the
+    acceptance bound of row i for constructed (rather than exact) solutions;
+    the power-n record scales it by 2^n + 1 since g enters with weight 2^n.
+
+    Each g is read once beyond ``g_w``, at every point its identities
+    read. A point is checked where every g can be read, which for the tables
+    of one carrier is where each alone can.
     """
-    c = g.carrier
+    c = gs[0].carrier
     t = c.window_terms()
     pts = t.w
-    g_e = g.eval(c.neutral)
-    records: list[IdentityRecord] = []
 
-    bound = budget + tol
-    for name, view, at in (("even_part_constant", EvenPart(g), pts), ("sigma_product", g, t.w_sw)):
-        keep = view.readable(at)
-        vals = view.eval_many(at if keep is None else at[keep])
-        sup = float(np.abs(vals - g_e).max()) if vals.size else 0.0
-        records.append(IdentityRecord(name, sup, bound, sup <= bound, int(vals.size)))
-
-    # Level n squares the points level n - 1 kept and keeps those g can read,
-    # so no orbit is squared on past g's table (nor into the overflow guard).
-    levels, base, cur = {}, pts, pts
+    # Level n squares the points level n - 1 kept and keeps those every g can
+    # read, so no orbit is squared on past a table (nor into the overflow guard).
+    levels, base, cur = {}, np.arange(pts.shape[0]), pts
     for n in range(1, max(n_list, default=0) + 1):
         cur = c.square_many(cur)
-        keep = g.readable(cur)
-        if keep is not None:
+        masks = [keep for g in gs if (keep := g.readable(cur)) is not None]
+        if masks:
+            keep = np.logical_and.reduce(masks)
             base, cur = base[keep], cur[keep]
         levels[n] = base, cur
-    for n in n_list:
-        base, top = levels[n]
-        resid = np.abs(g.eval_many(top) + (2.0**n - 1) * g_e - (2.0**n) * g.eval_many(base))
-        sup = float(resid.max()) if resid.size else 0.0
-        bound_n = budget * (2.0**n + 1) + tol
-        records.append(IdentityRecord(f"power_2^{n}", sup, bound_n, sup <= bound_n, int(base.shape[0])))
 
-    return records
+    # Each g is read once: at e, at sigma(x) and x sigma(x) for x in the
+    # window (g_even(x) also reads g(x)), and at the powers of each level checked.
+    sets = [c.row(c.neutral), c.involute_many(pts), t.w_sw, *(levels[n][1] for n in n_list)]
+    vals, ok = _table_rows(gs, np.concatenate(sets))
+    ends = list(accumulate(len(a) for a in sets))
+    parts = [(vals[:, a:b], None if ok is None else ok[a:b]) for a, b in zip([0, *ends], ends)]
+    g_e = parts[0][0]
+    g_sw, keep = parts[1]
+    even = (g_w + g_sw) / 2 if keep is None else (g_w[:, keep] + g_sw[:, keep]) / 2
+    g_prod, keep = parts[2]
+    prod = g_prod if keep is None else g_prod[:, keep]
+
+    names, sups, sizes = [], [], []
+    bounds = [[budget + tol for budget in budgets]] * 2
+    for name, got in (("even_part_constant", even), ("sigma_product", prod)):
+        names.append(name)
+        sups.append(_sups(np.abs(got - g_e)))
+        sizes.append(got.shape[1])
+    for n, (g_top, _) in zip(n_list, parts[3:]):
+        base = levels[n][0]
+        resid = np.abs(g_top + (2.0**n - 1) * g_e - (2.0**n) * g_w[:, base])
+        names.append(f"power_2^{n}")
+        sups.append(_sups(resid))
+        sizes.append(base.shape[0])
+        bounds.append([budget * (2.0**n + 1) + tol for budget in budgets])
+
+    return [
+        [IdentityRecord(name, sup[i], bound[i], sup[i] <= bound[i], size) for name, sup, bound, size in zip(names, sups, bounds, sizes)]
+        for i in range(len(gs))
+    ]
 
 
 @dataclass
@@ -189,48 +221,76 @@ class VerificationReport(Record):
 
 def verify_solution(
     f: BoundedFn,
-    result: StabilizationResult,
+    results: Mapping[str, StabilizationResult],
     *,
     phi: tuple[BoundedFn, PhiDiagnostics] | None = None,
     n_list: tuple[int, ...] = (1, 2, 3),
     tol: float = DEFAULT_TOL,
-) -> VerificationReport:
-    """Assemble the full verification verdict for one stabilization result,
-    against the result's ``delta_used``.
+) -> dict[str, VerificationReport | JensenStabError]:
+    """The full verification verdict of each stabilization result (method ->
+    result), each against its result's ``delta_used``.
+
+    Every check runs for all results at once, one result per row: f is read
+    once on the window, and each g once there, once at the points of its
+    identities and once on the pair window's table domain. A method whose
+    checks raise gets the ``JensenStabError`` in place of its report: a g
+    whose Jensen residual is not finite fails alone, and an error of the
+    shared reads fails every method.
 
     ``phi``, the ``(phi, diagnostics)`` pair of ``phi_mean_construction``,
-    enables the Drygas residual check against its ``phi_error_budget``.
-    The inequality chain is measured and reported apart from it
-    (``defect.inequality_suite``), so ``inequality_records`` stays empty.
+    enables the Drygas residual check of the ``"mean"`` result against its
+    ``phi_error_budget``. The inequality chain is measured and reported
+    apart from it (``defect.inequality_suite``), so ``inequality_records``
+    stays empty.
     """
-    stability = stability_bound_check(f, result, tol=tol)
-    jres = jensen_defect(result.g).delta
-    jres_bound = 4.0 * result.error_budget + tol
-    jres_holds = jres <= jres_bound
-    identities = identity_checks(result.g, n_list=n_list, tol=tol, budget=result.error_budget)
-    drygas_val = drygas_bound = None
-    drygas_holds = None
-    if phi is not None:
-        drygas_val = drygas_defect(phi[0]).delta
-        drygas_bound = 6.0 * phi[1].phi_error_budget + tol
-        drygas_holds = drygas_val <= drygas_bound
-    ok = (
-        stability.holds
-        and (stability.sharper_holds is not False)
-        and jres_holds
-        and all(r.holds for r in identities)
-        and (drygas_holds is not False)
-    )
-    return VerificationReport(
-        method=result.method,
-        delta=result.delta_used,
-        stability=stability,
-        jensen_residual_of_g=jres,
-        jensen_residual_bound=jres_bound,
-        jensen_residual_holds=jres_holds,
-        identity_records=identities,
-        drygas_residual_of_phi=drygas_val,
-        drygas_residual_bound=drygas_bound,
-        drygas_residual_holds=drygas_holds,
-        passed=ok,
-    )
+    res = list(results.values())
+    if not res:
+        return {}
+    gs = [r.g for r in res]
+    # Values that overflow make a sup inf or NaN, which fails its bound; numpy's
+    # warnings about them would only reach stderr ahead of that.
+    try:
+        with np.errstate(**_QUIET):
+            jensen = jensen_defects(gs)
+            pts = f.carrier.window_points()
+            g_w = np.array([g.eval_many(pts) for g in gs])
+            stability = stability_bound_check(f.eval_many(pts), g_w, res, tol=tol)
+            identities = identity_checks(gs, g_w, [r.error_budget for r in res], n_list=n_list, tol=tol)
+    except JensenStabError as exc:
+        return dict.fromkeys(results, exc)
+
+    out: dict[str, VerificationReport | JensenStabError] = {}
+    for method, result, jd, check, records in zip(results, res, jensen, stability, identities):
+        if not isinstance(jd, DefectReport):
+            out[method] = jd
+            continue
+        jres_bound = 4.0 * result.error_budget + tol
+        drygas_val = drygas_bound = drygas_holds = None
+        if phi is not None and method == "mean":
+            try:
+                drygas_val = drygas_defect(phi[0]).delta
+            except JensenStabError as exc:
+                out[method] = exc
+                continue
+            drygas_bound = 6.0 * phi[1].phi_error_budget + tol
+            drygas_holds = drygas_val <= drygas_bound
+        out[method] = VerificationReport(
+            method=result.method,
+            delta=result.delta_used,
+            stability=check,
+            jensen_residual_of_g=jd.delta,
+            jensen_residual_bound=jres_bound,
+            jensen_residual_holds=jd.delta <= jres_bound,
+            identity_records=records,
+            drygas_residual_of_phi=drygas_val,
+            drygas_residual_bound=drygas_bound,
+            drygas_residual_holds=drygas_holds,
+            passed=(
+                check.holds
+                and (check.sharper_holds is not False)
+                and jd.delta <= jres_bound
+                and all(r.holds for r in records)
+                and (drygas_holds is not False)
+            ),
+        )
+    return out

@@ -185,11 +185,29 @@ def test_translates_of_a_table_skip_pairs_whose_reads_leave_the_box(name, side):
     assert all(rec.status == "evaluated" and rec.holds for rec in records[:-1])
 
 
+@pytest.mark.parametrize("name", ["int1", "int2"])
+def test_a_masked_pair_scan_names_its_first_witnessing_pair(name):
+    c = bundled_carrier(name)
+    t, r = c.window_terms(), c.window_radius
+    rng = np.random.default_rng(3)
+    g, h = (LatticeTableFn(c, rng.normal(size=t.w.shape[0]) + 1j * rng.normal(size=t.w.shape[0])) for _ in range(2))
+    report = jensen_defect(g)
+    # Brute force over the pairs in window order whose three reads stay in the box.
+    keep = np.logical_and.reduce([(np.abs(a) <= r).all(axis=1) for a in (t.xy, t.x_sy, t.x)])
+    vals = np.abs(g.eval_many(t.xy[keep]) + g.eval_many(t.x_sy[keep]) - 2 * g.eval_many(t.x[keep]))
+    i = np.flatnonzero(keep)[np.argmax(vals)]
+    assert report.delta == vals.max()
+    assert report.witness == (c.element_repr(t.x[i]), c.element_repr(t.y[i]))
+    assert report.scanned_pairs == keep.sum()
+    # The stacked scan gives each table the report it gets alone.
+    assert defect.jensen_defects([g, h]) == [report, jensen_defect(h)]
+
+
 def test_identity_checks_skip_window_points_whose_involutes_leave_the_box():
     c = _ShearLattice(2, 3, 6)
     rng = np.random.default_rng(12)
     g = LatticeTableFn(c, rng.normal(size=49) + 1j * rng.normal(size=49))
-    records = {r.name: r for r in identity_checks(g, n_list=(1,))}
+    records = {r.name: r for r in identity_checks([g], np.stack([g.eval_many(c.window_points())]), [0.0], n_list=(1,))[0]}
     # Brute force: g_even(x) for the window points x whose involute stays in
     # the box, and g(x sigma(x)) for those whose product does.
     g_e = g.eval((0, 0))

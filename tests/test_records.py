@@ -55,7 +55,7 @@ def _instances():
     out = [d, diag, *inequality_suite(f, phi=(phi, diag), delta=d.delta)]
     results = {m: jensen_approximant(f, m, delta=d.delta, phi=(phi, diag)) for m in stabilize.METHODS}
     out += results.values()
-    rep = verify_solution(f, results["mean"], phi=(phi, diag))
+    rep = verify_solution(f, {"mean": results["mean"]}, phi=(phi, diag))["mean"]
     out += [rep, rep.stability, *rep.identity_records]
     out.append(method_agreement(f, results["mean"], results["dyadic"]))
     z1 = bundled_carrier("int1")

@@ -1,4 +1,4 @@
-"""The chunked supremum scan: spans, tie-breaking and the empty domain."""
+"""The chunked supremum scan: spans, tie-breaking, the empty domain and rows."""
 
 from __future__ import annotations
 
@@ -54,3 +54,28 @@ def test_first_nan_is_the_supremum_in_any_chunk():
     arr[3] = np.nan
     value, idx = _scan(arr)
     assert np.isnan(value) and idx == 3
+
+
+def test_rows_are_reduced_each_alone():
+    rows = np.zeros((4, 2 * _CHUNK + 5))
+    rows[0, _CHUNK + 2] = 1.0
+    rows[1, 3] = rows[1, _CHUNK + 9] = np.nan  # the first NaN is final, whatever comes after it
+    rows[1, 2 * _CHUNK] = 9.0
+    rows[2, 5] = rows[2, _CHUNK + 5] = 2.0
+    rows[3, _CHUNK + 4] = np.nan
+    spans = []
+
+    def chunk(start: int, stop: int) -> np.ndarray:
+        spans.append(start)
+        return rows[:, start:stop]
+
+    values, idxs = max_scan(rows.shape[1], chunk)
+    want = [_scan(row) for row in rows]
+    assert idxs == [i for _, i in want] == [_CHUNK + 2, 3, 5, _CHUNK + 4]
+    assert [v for v in values if v == v] == [v for v, _ in want if v == v] == [1.0, 2.0]
+    assert spans == [0, _CHUNK, 2 * _CHUNK]
+    # Once every row has met its NaN the scan stops.
+    rows[[0, 2], 1] = np.nan
+    spans.clear()
+    max_scan(rows.shape[1], chunk)
+    assert spans == [0, _CHUNK]
