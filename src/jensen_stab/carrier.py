@@ -222,8 +222,8 @@ class Carrier:
 
     def dyadic_power(self, x, n: int):
         """x^(2^n) by n repeated squarings; n = 0 returns x itself."""
-        if n < 0:
-            raise ValueError("dyadic power exponent must be nonnegative")
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+            raise FormatError(f"dyadic power exponent must be an integer >= 0, got {n!r}")
         return self.check_element(self.dyadic_levels(self.row(x))(n)[0])
 
     def oracle(self, linear: Sequence[complex] | None, constant: complex, noise: Noise | None) -> OracleFn:

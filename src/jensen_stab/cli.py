@@ -148,6 +148,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         budget = _number(side, "error_budget", None, float)
         require_tolerance(budget, "solution report error_budget")
         method = side.get("method", method)
+        if not isinstance(method, str):
+            raise FormatError(f"solution report method must be a string, got {method!r}")
     delta = args.delta if args.delta is not None else jensen_defect(f).delta
     result = StabilizationResult(
         g=g,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -76,89 +76,53 @@ class _MinusConst(BoundedFn):
         return self.base.eval_many(pts) - self.z
 
 
-def _table_values(fn: BoundedFn, domain: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """fn on the domain, with the mask of its evaluable points (None if all
-    are); NaN where it would read outside its table, which no kept position gathers."""
-    mask = fn.readable(domain)
-    if mask is None:
-        return fn.eval_many(domain), None
-    vals = np.full(domain.shape[0], np.nan, dtype=np.complex128)
-    vals[mask] = fn.eval_many(domain[mask])
-    return vals, mask
-
-
 def _table_rows(fns: Sequence[BoundedFn], domain: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """``_table_values`` of each fn as one row, with the mask of the points
-    every fn can read (None if all can)."""
-    got = [_table_values(fn, domain) for fn in fns]
-    masks = [ok for _, ok in got if ok is not None]
-    return np.array([vals for vals, _ in got]), (np.logical_and.reduce(masks) if masks else None)
+    """Each fn on the domain as one row of a (rows x domain) table, with the
+    mask of the points every fn can read (None if all can); NaN where a fn
+    would read outside its table, which no kept position gathers. One fn
+    gives a one-row view of its values, not a copy."""
+    rows, ok = [], None
+    for fn in fns:
+        mask = fn.readable(domain)
+        if mask is None:
+            rows.append(fn.eval_many(domain))
+            continue
+        vals = np.full(domain.shape[0], np.nan, dtype=np.complex128)
+        vals[mask] = fn.eval_many(domain[mask])
+        rows.append(vals)
+        ok = mask if ok is None else ok & mask
+    return (rows[0][None] if len(rows) == 1 else np.array(rows)), ok
 
 
-_Tables = dict[BoundedFn, tuple[np.ndarray, np.ndarray | None, dict[int, np.ndarray]]]
+_Rows = tuple[BoundedFn, ...]
+_Tables = dict[_Rows, tuple[np.ndarray, np.ndarray | None, dict[int, np.ndarray]]]
 
 
-def _tabulate(reads: dict[BoundedFn, list[np.ndarray]]) -> _Tables:
-    """Each fn of ``reads`` (fn -> the point arrays it is read at) evaluated
-    once, on its carrier's table domain of those arrays (all of G, or the
-    smallest centred box): fn -> (its table, the mask
-    ``_table_values`` returns, each array's positions in the domain by id).
-    The domain and positions are those of the full arrays, which the
-    carrier holds for its window terms."""
+def _tabulate(reads: dict[_Rows, list[np.ndarray]]) -> _Tables:
+    """Each row tuple of ``reads`` (fns -> the point arrays they are read at)
+    evaluated once, on its carrier's table domain of those arrays (all of G,
+    or the smallest centred box): fns -> (their ``_table_rows`` table and
+    mask, each array's positions in the domain by id). The domain and
+    positions are those of the full arrays, which the carrier holds for its
+    window terms."""
     tables: _Tables = {}
-    for fn, arrays in reads.items():
-        domain, positions = fn.carrier.table_domain(arrays)
-        table, ok = _table_values(fn, domain)
-        tables[fn] = table, ok, {id(a): pos for a, pos in zip(arrays, positions)}
+    for fns, arrays in reads.items():
+        domain, positions = fns[0].carrier.table_domain(arrays)
+        table, ok = _table_rows(fns, domain)
+        tables[fns] = table, ok, {id(a): pos for a, pos in zip(arrays, positions)}
     return tables
 
 
-def _scan(terms: Sequence[tuple[complex, np.ndarray, np.ndarray | None, np.ndarray]], const: complex = 0j) -> tuple[Any, Any, int]:
-    """Sup of |sum coeff * table[pos] + const| over the positions at which
-    every term's table is readable, for terms (coeff, table, the table's
-    readable mask or None, positions).
-
-    Returns (value, first argmax mapped back to all positions, number of
-    kept positions). Tables are 1-d, or (rows x domain) with one function
-    per row; then each row is reduced alone (see ``max_scan``) and value
-    and index are lists with one entry per row.
-    """
-    mask = None
-    for _, _, ok, pos in terms:
-        if ok is not None:
-            mask = ok[pos] if mask is None else mask & ok[pos]
-    keep = None if mask is None else np.flatnonzero(mask)
-    n = terms[0][3].shape[0] if keep is None else keep.shape[0]
-
-    def chunk(start: int, stop: int) -> np.ndarray:
-        at = slice(start, stop) if keep is None else keep[start:stop]
-        # (first + const) + ... has the bits of (const + first) + ...; a zero
-        # const would change only the sign of zero parts, which abs drops.
-        acc = first.take(first_pos[at], axis=-1)
-        if const:
-            acc += const
-        for table, pos in rest:
-            acc += table.take(pos[at], axis=-1)
-        return np.abs(acc)
-
-    with np.errstate(**_QUIET):
-        # coeff * table[pos] has the bits of (coeff * table)[pos].
-        (first, first_pos), *rest = [(coeff * table, pos) for coeff, table, _, pos in terms]
-        value, idx = max_scan(n, chunk)
-    if not n:
-        return ([value] * first.shape[0], [idx] * first.shape[0], 0) if first.ndim == 2 else (value, idx, 0)
-    return value, idx if keep is None else keep[idx].tolist(), n
-
-
 def _combo_scan(
-    fn: BoundedFn,
+    fns: _Rows,
     point_arrays: Sequence[np.ndarray],
     coeffs: Sequence[complex],
     const: complex = 0j,
     tables: _Tables | None = None,
-) -> tuple[float, int, int]:
-    """Sup of |sum coeff_i * fn(points_i) + const|: ``_one_var_scan`` with one fn."""
-    return _one_var_scan([(fn, coeff, pts) for pts, coeff in zip(point_arrays, coeffs)], const, tables)
+) -> tuple[list[float], list[int], int]:
+    """Sup of |sum coeff_i * fn(points_i) + const| for each fn of ``fns``:
+    ``_one_var_scan`` with one row tuple."""
+    return _one_var_scan([(fns, coeff, pts) for pts, coeff in zip(point_arrays, coeffs)], const, tables)
 
 
 def _defect_report(c: Carrier, equation: str, value: float, idx: int, scanned: int, analytic: float | None = None) -> DefectReport:
@@ -193,28 +157,18 @@ def _analytic(fn: BoundedFn) -> float | None:
     return None if fn.noise is None else 4.0 * fn.noise.bound()
 
 
-def jensen_defect(f: BoundedFn) -> DefectReport:
-    """delta = sup over window pairs of |f(xy) + f(x sigma(y)) - 2 f(x)|.
-
-    Raises ``FormatError`` when the supremum is not finite.
-    """
-    t = f.carrier.window_terms()
-    return _defect_report(f.carrier, "jensen", *_combo_scan(f, [t.xy, t.x_sy, t.x], [1, 1, -2]), _analytic(f))
-
-
 def jensen_defects(gs: Sequence[BoundedFn]) -> list[DefectReport | FormatError]:
-    """``jensen_defect`` of each g of one carrier, as the rows of one scan.
+    """delta = sup over window pairs of |g(xy) + g(x sigma(y)) - 2 g(x)| for
+    each g of one carrier, as the rows of one scan.
 
     Each g is evaluated once on the table domain of the pair window, and a
     pair is scanned where every g can be read (the tables of one carrier
-    share their box). A g whose supremum is not finite gets, in its place,
-    the ``FormatError`` that ``jensen_defect`` raises.
+    share their box). A g whose supremum is not finite gets, in place of its
+    report, the ``FormatError`` that names its first witnessing pair.
     """
     c = gs[0].carrier
     t = c.window_terms()
-    domain, positions = c.table_domain([t.xy, t.x_sy, t.x])
-    table, ok = _table_rows(gs, domain)
-    values, idxs, n = _scan([(coeff, table, ok, pos) for coeff, pos in zip([1, 1, -2], positions)])
+    values, idxs, n = _combo_scan(tuple(gs), [t.xy, t.x_sy, t.x], [1, 1, -2])
     out: list[DefectReport | FormatError] = []
     for g, value, idx in zip(gs, values, idxs):
         try:
@@ -224,40 +178,78 @@ def jensen_defects(gs: Sequence[BoundedFn]) -> list[DefectReport | FormatError]:
     return out
 
 
+def jensen_defect(f: BoundedFn) -> DefectReport:
+    """The Jensen defect of f alone: the one row of ``jensen_defects``.
+
+    Raises ``FormatError`` when the supremum is not finite.
+    """
+    (report,) = jensen_defects([f])
+    if isinstance(report, FormatError):
+        raise report
+    return report
+
+
 def drygas_defect(g: BoundedFn) -> DefectReport:
     """sup over pairs of |g(yx) + g(sigma(y)x) - 2g(x) - g(y) - g(sigma(y))|."""
     t = g.carrier.window_terms()
-    return _defect_report(g.carrier, "drygas", *_combo_scan(g, [t.yx, t.sy_x, t.x, t.y, t.sy], [1, 1, -2, -1, -1]))
+    values, idxs, n = _combo_scan((g,), [t.yx, t.sy_x, t.x, t.y, t.sy], [1, 1, -2, -1, -1])
+    return _defect_report(g.carrier, "drygas", values[0], idxs[0], n)
 
 
 def _one_var_scan(
-    fn_terms: Sequence[tuple[BoundedFn, complex, np.ndarray]],
+    fn_terms: Sequence[tuple[_Rows, complex, np.ndarray]],
     const: complex = 0j,
     tables: _Tables | None = None,
-) -> tuple[float, int, int]:
-    """Sup of |sum coeff_i * fn_i(points_i) + const| over a common index set.
+) -> tuple[list[float], list[int], int]:
+    """Sup of |sum coeff_i * fn_i(points_i) + const| over a common index set,
+    for each row: every term's fns are a tuple of as many functions, and row
+    r sums the r-th function of each.
 
-    Returns (value, first argmax mapped back to the full index set, number
-    of scanned positions); positions whose points leave a tabulated box are
-    skipped.
+    Returns (one value per row, each row's first argmax mapped back to the
+    full index set, number of scanned positions); see ``max_scan``.
+    Positions whose points leave a tabulated box are skipped.
 
     The fns are read from ``tables`` (see ``_tabulate``), which a caller
     that scans the same fns several times builds once; without it each
-    distinct fn is tabulated here. The chunks gather from the tables by
+    distinct tuple is tabulated here. The chunks gather from the tables by
     position. A position is kept when every term reads an evaluable domain
-    point (the mask ``_table_values`` returns), so no kept position gathers
-    the NaN it puts outside a table (see ``_scan``).
+    point (the mask ``_table_rows`` returns), so no kept position gathers
+    the NaN it puts outside a table.
     """
     if tables is None:
-        reads: dict[BoundedFn, list[np.ndarray]] = {}
-        for fn, _, pts in fn_terms:
-            reads.setdefault(fn, []).append(pts)
+        reads: dict[_Rows, list[np.ndarray]] = {}
+        for fns, _, pts in fn_terms:
+            reads.setdefault(fns, []).append(pts)
         tables = _tabulate(reads)
+    mask = None
     terms = []
-    for fn, coeff, pts in fn_terms:
-        table, ok, positions = tables[fn]
-        terms.append((coeff, table, ok, positions[id(pts)]))
-    return _scan(terms, const)
+    for fns, coeff, pts in fn_terms:
+        table, ok, positions = tables[fns]
+        pos = positions[id(pts)]
+        if ok is not None:
+            mask = ok[pos] if mask is None else mask & ok[pos]
+        terms.append((coeff, table, pos))
+    keep = None if mask is None else np.flatnonzero(mask)
+    n = terms[0][2].shape[0] if keep is None else keep.shape[0]
+
+    def chunk(start: int, stop: int) -> np.ndarray:
+        at = slice(start, stop) if keep is None else keep[start:stop]
+        # (first + const) + ... has the bits of (const + first) + ...; a zero
+        # const would change only the sign of zero parts, which abs drops.
+        acc = first.take(first_pos[at], axis=1)
+        if const:
+            acc += const
+        for table, pos in rest:
+            acc += table.take(pos[at], axis=1)
+        return np.abs(acc)
+
+    with np.errstate(**_QUIET):
+        # coeff * table[pos] has the bits of (coeff * table)[pos].
+        (first, first_pos), *rest = [(coeff * table, pos) for coeff, table, pos in terms]
+        values, idxs = max_scan(n, chunk, first.shape[0])
+    if keep is not None and n:
+        idxs = [int(keep[i]) for i in idxs]
+    return values, idxs, n
 
 
 def inequality_suite(
@@ -279,28 +271,29 @@ def inequality_suite(
         delta = jensen_defect(f).delta
     f_e = f.eval(c.neutral)
     h = _MinusConst(f, f_e)
-    h_even = EvenPart(h)
-    f_even = EvenPart(f)
-    f_odd = OddPart(f)
+    # Each function is a one-row table of the suite, read at row 0.
+    fr, hr, h_even, f_even, f_odd = (f,), (h,), (EvenPart(h),), (EvenPart(f),), (OddPart(f),)
 
     t = c.window_terms()
     W, X, Y, sY = t.w, t.x, t.y, t.sy
     # Each function evaluated once, on the table domain of every term the suite reads it at.
     reads = {
         h_even: [W],
-        h: [t.sq, t.w_sw, W],
+        hr: [t.sq, t.w_sw, W],
         f_even: [W],
-        f: [t.xy, t.yx, X, Y, t.sy_x, t.sx_sy, t.y_sx, t.x_sy, sY],
+        fr: [t.xy, t.yx, X, Y, t.sy_x, t.sx_sy, t.y_sx, t.x_sy, sY],
         f_odd: [t.yx, t.y_sx, Y, W],
     }
     if phi is not None:
-        reads[phi[0]] = [W]
+        reads[(phi[0],)] = [W]
     tables = _tabulate(reads)
 
     records: list[InequalityRecord] = []
 
-    def add(name: str, coeff: float, value: float | None, idx: int, pair_domain: bool, extra: float = 0.0) -> None:
-        """Record one inequality; a value of None was not evaluated, and holds."""
+    def add(name: str, coeff: float, scanned: tuple | None, pair_domain: bool, extra: float = 0.0) -> None:
+        """Record one inequality from row 0 of a scan; a scan of None was not
+        evaluated, and holds."""
+        value, idx = (None, -1) if scanned is None else (scanned[0][0], scanned[1][0])
         bound = coeff * delta + extra + tol
         if idx < 0:
             witness = None
@@ -313,41 +306,33 @@ def inequality_suite(
         records.append(InequalityRecord(name, value, coeff, delta, extra, bound, holds, status, witness))
 
     # eq 2.9: |h_even(y)| <= delta/2.
-    value, idx, _ = _one_var_scan([(h_even, 1, W)], tables=tables)
-    add("eq_2_9", 0.5, value, idx, False)
+    add("eq_2_9", 0.5, _one_var_scan([(h_even, 1, W)], tables=tables), False)
 
     # eq 2.10: |h(x^2) + h(x sigma(x)) - 2 h(x)| <= delta.
-    value, idx, _ = _one_var_scan([(h, 1, t.sq), (h, 1, t.w_sw), (h, -2, W)], tables=tables)
-    add("eq_2_10", 1.0, value, idx, False)
+    add("eq_2_10", 1.0, _one_var_scan([(hr, 1, t.sq), (hr, 1, t.w_sw), (hr, -2, W)], tables=tables), False)
 
     # eq 2.11: |h(x^2) - 2 h(x)| <= 3 delta / 2.
-    value, idx, _ = _one_var_scan([(h, 1, t.sq), (h, -2, W)], tables=tables)
-    add("eq_2_11", 1.5, value, idx, False)
+    add("eq_2_11", 1.5, _one_var_scan([(hr, 1, t.sq), (hr, -2, W)], tables=tables), False)
 
     # eq 2.12: |f_even(y) - f(e)| <= delta/2.
-    value, idx, _ = _one_var_scan([(f_even, 1, W)], -f_e, tables)
-    add("eq_2_12", 0.5, value, idx, False)
+    add("eq_2_12", 0.5, _one_var_scan([(f_even, 1, W)], -f_e, tables), False)
 
     # eq 2.13: |f(xy) + f(yx) - 2f(x) - 2f(y) + 2f(e)| <= 3 delta.
-    value, idx, _ = _combo_scan(f, [t.xy, t.yx, X, Y], [1, 1, -2, -2], const=2 * f_e, tables=tables)
-    add("eq_2_13", 3.0, value, idx, True)
+    add("eq_2_13", 3.0, _combo_scan(fr, [t.xy, t.yx, X, Y], [1, 1, -2, -2], const=2 * f_e, tables=tables), True)
 
     # eq 2.14: |f(yx) + f(sigma(y) x) - 2 f(x)| <= 9 delta.
-    value, idx, _ = _combo_scan(f, [t.yx, t.sy_x, X], [1, 1, -2], tables=tables)
-    add("eq_2_14", 9.0, value, idx, True)
+    add("eq_2_14", 9.0, _combo_scan(fr, [t.yx, t.sy_x, X], [1, 1, -2], tables=tables), True)
 
     # eq 2.15: |f(yx) - f(sigma(x) sigma(y)) + f(y sigma(x)) - f(x sigma(y))
     #           - 2 (f(y) - f(sigma(y)))| <= 10 delta.
-    value, idx, _ = _combo_scan(f, [t.yx, t.sx_sy, t.y_sx, t.x_sy, Y, sY], [1, -1, 1, -1, -2, 2], tables=tables)
-    add("eq_2_15", 10.0, value, idx, True)
+    add("eq_2_15", 10.0, _combo_scan(fr, [t.yx, t.sx_sy, t.y_sx, t.x_sy, Y, sY], [1, -1, 1, -1, -2, 2], tables=tables), True)
 
     # eq 2.16: |f_odd(yx) + f_odd(y sigma(x)) - 2 f_odd(y)| <= 5 delta.
-    value, idx, _ = _combo_scan(f_odd, [t.yx, t.y_sx, Y], [1, 1, -2], tables=tables)
-    add("eq_2_16", 5.0, value, idx, True)
+    add("eq_2_16", 5.0, _combo_scan(f_odd, [t.yx, t.y_sx, Y], [1, 1, -2], tables=tables), True)
 
     # eq 2.21: |phi(y)/2 - f_odd(y)| <= (5/2) delta, plus the budget of the
     # approximate mean that built phi.
-    value, idx = (None, -1) if phi is None else _one_var_scan([(phi[0], 0.5, W), (f_odd, -1, W)], tables=tables)[:2]
-    add("eq_2_21", 2.5, value, idx, False, extra=0.0 if phi is None else phi[1].phi_error_budget)
+    scanned = None if phi is None else _one_var_scan([((phi[0],), 0.5, W), (f_odd, -1, W)], tables=tables)
+    add("eq_2_21", 2.5, scanned, False, extra=0.0 if phi is None else phi[1].phi_error_budget)
 
     return records

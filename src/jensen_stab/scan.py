@@ -1,13 +1,12 @@
 """Deterministic supremum scans.
 
-The index domain is reduced in fixed-size chunks, each to (max, first
-argmax), and a later chunk replaces the running best only when its max is
-strictly greater. Ties therefore resolve to the smallest index. A NaN
-anywhere makes the first NaN the supremum, so a non-finite residual fails
-every bound it is compared against; the scan stops at the chunk holding it.
-A chunk may hold several residuals as rows over the same indices; each row
-is reduced alone under that rule, and the scan stops once every row has
-met its NaN.
+A scan reduces residuals held as rows over one index domain. The domain is
+reduced in fixed-size chunks of (rows x span), each row of a chunk to
+(max, first argmax), and a later chunk replaces a row's running best only
+when its max is strictly greater. Ties therefore resolve to the smallest
+index. A NaN anywhere in a row makes its first NaN that row's supremum, so
+a non-finite residual fails every bound it is compared against; the scan
+stops at the chunk where the last row meets its NaN.
 """
 
 from __future__ import annotations
@@ -19,22 +18,21 @@ import numpy as np
 _CHUNK = 8192
 
 
-def max_scan(n_items: int, chunk_fn: Callable[[int, int], np.ndarray]) -> tuple:
-    """Max over chunk_fn(start, stop) arrays; returns (value, global index).
+def max_scan(n_items: int, chunk_fn: Callable[[int, int], np.ndarray], n_rows: int) -> tuple[list[float], list[int]]:
+    """Max of each row over the (n_rows x span) arrays chunk_fn(start, stop).
 
-    Chunk arrays are 1-d, or 2-d with one row per residual, and then the
-    value and index are lists with one entry per row. Ties resolve to the
-    smallest index, and the first NaN, if any, is the supremum. Empty
-    domains return (0.0, -1).
+    Returns one value and one global index per row. Ties resolve to the
+    smallest index, and a row's first NaN, if any, is its supremum. An
+    empty domain gives each row (0.0, -1).
     """
+    if not n_items:
+        return [0.0] * n_rows, [-1] * n_rows
     vals: list[float] = []
     idxs: list[int] = []
-    arr = None
     for start in range(0, n_items, _CHUNK):
         arr = chunk_fn(start, min(start + _CHUNK, n_items))
-        for r, row in enumerate((arr,) if arr.ndim == 1 else arr):
-            i = int(row.argmax())  # the first NaN when the row has one
-            val = float(row[i])
+        for r, i in enumerate(arr.argmax(axis=1).tolist()):  # a row's first NaN when it has one
+            val = arr.item(r, i)
             if not start:
                 vals.append(val)
                 idxs.append(i)
@@ -42,6 +40,4 @@ def max_scan(n_items: int, chunk_fn: Callable[[int, int], np.ndarray]) -> tuple:
                 vals[r], idxs[r] = val, start + i
         if all(v != v for v in vals):
             break
-    if arr is None:
-        return 0.0, -1
-    return (vals[0], idxs[0]) if arr.ndim == 1 else (vals, idxs)
+    return vals, idxs

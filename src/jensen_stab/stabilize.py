@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .defect import _MinusConst, jensen_defect
-from .errors import JensenStabError, NonConvergenceError
+from .errors import FormatError, JensenStabError, NonConvergenceError
 from .funcspace import BoundedFn, EvenPart, OddPart, TableFn
 from .records import Record
 
@@ -414,7 +414,7 @@ def jensen_approximant(
     already built it; ``mean`` builds it when it is not given.
     """
     if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+        raise FormatError(f"unknown method {method!r}; expected one of {METHODS}")
     c = f.carrier
     if delta is None:
         delta = jensen_defect(f).delta

@@ -391,3 +391,40 @@ def test_scalar_operations_are_defined_once():
     assert owners["eval"] == {"BoundedFn"}
     for op in ("compose", "involute", "dyadic_power"):
         assert owners[op] == {"Carrier"}, op
+
+
+_TWO = [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: FiniteCarrier([], [], [], 0), "carrier needs at least one element"),
+        (lambda: FiniteCarrier(["e", "e"], _TWO, [0, 1], 0), "element labels must be distinct"),
+        (lambda: FiniteCarrier(["e", "a"], _TWO, [0, 1], 2), "neutral index out of range"),
+        (lambda: FiniteCarrier(["e", "a"], [[0, 1], [1, 0.5]], [0, 1], 0), "op table entries must be integers"),
+        (lambda: FiniteCarrier(["e", "a"], _TWO, [0, 2], 0), "involution table entry out of range"),
+        (lambda: LatticeCarrier(1, 8, 4), "folner_max must be >= window_radius"),
+        (
+            lambda: carrier_from_dict({"kind": "finite", "elements": "ea", "neutral": "e", "op": _TWO, "involution": [0, 1]}),
+            "elements must be a list of labels",
+        ),
+        (
+            lambda: carrier_from_dict({"kind": "finite", "elements": ["e", "a"], "neutral": "b", "op": _TWO, "involution": [0, 1]}),
+            "neutral label 'b' not among elements",
+        ),
+        (lambda: carrier_from_dict({"kind": "torus"}), "unknown carrier kind 'torus'"),
+        (lambda: bundled_carrier("z2").exact_solution(1.0, [0.0, 2.0]), "finite carriers admit only constant base solutions"),
+        (lambda: bundled_carrier("s3").oracle([1.0], 0.0, None), "oracle functions require a lattice carrier"),
+    ],
+)
+def test_malformed_carrier_input_is_a_format_error(build, match):
+    with pytest.raises(FormatError, match=match):
+        build()
+
+
+@pytest.mark.parametrize("name", ["z6", "int1"])
+@pytest.mark.parametrize("n", [-1, 1.5, True, "2"])
+def test_dyadic_power_exponent_must_be_a_nonnegative_integer(name, n):
+    with pytest.raises(FormatError, match="dyadic power exponent must be an integer >= 0"):
+        bundled_carrier(name).dyadic_power(1, n)

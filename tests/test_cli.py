@@ -354,6 +354,9 @@ def test_an_oracle_that_overflows_with_its_noise_writes_no_warning(tmp_path, com
         {"offset": [0, 0], "error_budget": "inf"},
         [],
         {"offset": [3, 2], "error_budget": -1},
+        {"offset": [0, 0], "error_budget": 0, "method": [1]},
+        {"offset": [0, 0], "error_budget": 0, "method": 7},
+        {"offset": [0, 0], "error_budget": 0, "method": None},
     ],
 )
 def test_malformed_solution_report_is_a_clean_error(s3_files, tmp_path, capsys, sidecar):
@@ -364,6 +367,18 @@ def test_malformed_solution_report_is_a_clean_error(s3_files, tmp_path, capsys, 
         "verify", "--carrier", str(carrier_path), "--function", str(fn_path),
         "--solution", str(fn_path), "--solution-report", str(side_path),
     ])
+
+
+def test_a_solution_report_without_a_method_reads_external(s3_files, tmp_path, capsys):
+    carrier_path, fn_path = s3_files
+    side_path, out = tmp_path / "side.json", tmp_path / "verify.json"
+    _write(side_path, {"offset": [0, 0], "error_budget": 0})
+    main([
+        "verify", "--carrier", str(carrier_path), "--function", str(fn_path),
+        "--solution", str(fn_path), "--solution-report", str(side_path), "--report", str(out),
+    ])
+    assert json.loads(out.read_text())["method"] == "external"
+    assert capsys.readouterr().out.startswith("verify[external]: ")
 
 
 def test_lattice_carrier_file_and_oracle(tmp_path):

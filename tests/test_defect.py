@@ -199,8 +199,21 @@ def test_a_masked_pair_scan_names_its_first_witnessing_pair(name):
     assert report.delta == vals.max()
     assert report.witness == (c.element_repr(t.x[i]), c.element_repr(t.y[i]))
     assert report.scanned_pairs == keep.sum()
-    # The stacked scan gives each table the report it gets alone.
+    # The stacked scan gives each table the report it gets alone, and one table is its one row.
     assert defect.jensen_defects([g, h]) == [report, jensen_defect(h)]
+    assert defect.jensen_defects([g]) == [report]
+
+
+def test_stacked_rows_scan_only_the_pairs_every_row_can_read():
+    c = _ShearLattice(2, 3, 6)
+    rng = np.random.default_rng(5)
+    g = LatticeTableFn(c, rng.normal(size=49) + 1j * rng.normal(size=49))
+    even = EvenPart(g)
+    alone = jensen_defect(even)
+    assert alone.scanned_pairs < jensen_defect(g).scanned_pairs  # the view reads less of the box
+    stacked = defect.jensen_defects([even, g])
+    assert stacked[0] == alone
+    assert stacked[1].scanned_pairs == alone.scanned_pairs
 
 
 def test_identity_checks_skip_window_points_whose_involutes_leave_the_box():
@@ -254,19 +267,19 @@ def test_scans_mask_their_table_domain_and_not_the_pair_terms(monkeypatch):
     c = bundled_carrier("int2")
     f = OracleFn(c, [0.5, -0.25j], 1.0, SeededUniformNoise(0.1, 4))
     domains, masked = [0], []
-    table_domain, table_values = LatticeCarrier.table_domain, defect._table_values
+    table_domain, table_rows = LatticeCarrier.table_domain, defect._table_rows
 
     def recorded_domain(self, arrays):
         got = table_domain(self, arrays)
         domains.append(got[0].shape[0])
         return got
 
-    def recorded_values(fn, pts):
+    def recorded_rows(fns, pts):
         masked.append((pts.shape[0], domains[-1]))
-        return table_values(fn, pts)
+        return table_rows(fns, pts)
 
     monkeypatch.setattr(LatticeCarrier, "table_domain", recorded_domain)
-    monkeypatch.setattr(defect, "_table_values", recorded_values)
+    monkeypatch.setattr(defect, "_table_rows", recorded_rows)
     inequality_suite(f, delta=jensen_defect(f).delta)
     assert len(masked) == len(domains) - 1 > 0
     assert all(n <= domain for n, domain in masked)

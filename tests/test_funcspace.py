@@ -463,3 +463,20 @@ def test_window_points_orders():
     assert pts[0, 0] == -64 and pts[-1, 0] == 64
     s3 = bundled_carrier("s3")
     assert s3.window_points().tolist() == [0, 1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda c: noise_from_dict([0.1]), "malformed noise descriptor"),
+        (lambda c: function_from_dict({"values": {}}, c), "function data must be a dict with a 'kind' field"),
+        (lambda c: function_from_dict({"kind": "table", "values": [1.0]}, c), "table function needs a 'values' mapping"),
+        (lambda c: function_from_dict({"kind": "table", "values": {}}, c), "table is not total on the window"),
+        (lambda c: function_from_dict({"kind": "spline"}, c), "unknown function kind 'spline'"),
+        (lambda c: OracleFn(c, [1.0, 2.0]), "linear coefficients must have length 1"),
+        (lambda c: OracleFn(c, [1.0], 0.0, ParityNoise(0.1)).perturbed(ParityNoise(0.1)), "oracle already carries noise"),
+    ],
+)
+def test_malformed_function_input_is_a_format_error(build, match):
+    with pytest.raises(FormatError, match=match):
+        build(bundled_carrier("int1"))

@@ -8,7 +8,9 @@ from jensen_stab.scan import _CHUNK, max_scan
 
 
 def _scan(arr: np.ndarray) -> tuple[float, int]:
-    return max_scan(arr.shape[0], lambda start, stop: arr[start:stop])
+    """The scan of arr as a one-row chunk, unwrapped to its one (value, index)."""
+    (value,), (idx,) = max_scan(arr.shape[0], lambda start, stop: arr[None, start:stop], 1)
+    return value, idx
 
 
 def test_tie_across_a_chunk_boundary_resolves_to_the_smaller_index():
@@ -32,9 +34,9 @@ def test_chunks_are_fixed_consecutive_spans():
 
     def chunk(start: int, stop: int) -> np.ndarray:
         spans.append((start, stop))
-        return np.zeros(stop - start)
+        return np.zeros((1, stop - start))
 
-    max_scan(2 * _CHUNK + 3, chunk)
+    max_scan(2 * _CHUNK + 3, chunk, 1)
     assert spans == [(0, _CHUNK), (_CHUNK, 2 * _CHUNK), (2 * _CHUNK, 2 * _CHUNK + 3)]
 
 
@@ -42,7 +44,8 @@ def test_empty_domain_returns_no_witness():
     def chunk(start: int, stop: int) -> np.ndarray:
         raise AssertionError("an empty domain has no chunks")
 
-    assert max_scan(0, chunk) == (0.0, -1)
+    assert max_scan(0, chunk, 1) == ([0.0], [-1])
+    assert max_scan(0, chunk, 3) == ([0.0] * 3, [-1] * 3)
 
 
 def test_first_nan_is_the_supremum_in_any_chunk():
@@ -69,7 +72,7 @@ def test_rows_are_reduced_each_alone():
         spans.append(start)
         return rows[:, start:stop]
 
-    values, idxs = max_scan(rows.shape[1], chunk)
+    values, idxs = max_scan(rows.shape[1], chunk, rows.shape[0])
     want = [_scan(row) for row in rows]
     assert idxs == [i for _, i in want] == [_CHUNK + 2, 3, 5, _CHUNK + 4]
     assert [v for v in values if v == v] == [v for v, _ in want if v == v] == [1.0, 2.0]
@@ -77,5 +80,5 @@ def test_rows_are_reduced_each_alone():
     # Once every row has met its NaN the scan stops.
     rows[[0, 2], 1] = np.nan
     spans.clear()
-    max_scan(rows.shape[1], chunk)
+    max_scan(rows.shape[1], chunk, rows.shape[0])
     assert spans == [0, _CHUNK]

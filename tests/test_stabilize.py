@@ -9,6 +9,7 @@ from jensen_stab import (
     BUNDLED_CARRIERS,
     CapabilityError,
     Carrier,
+    FormatError,
     FiniteCarrier,
     FiniteTableFn,
     InvalidElementError,
@@ -928,6 +929,12 @@ def test_dyadic_window_trace_bound():
         m = i + 1
         assert step <= 0.5**m * 1.5 * delta + 1e-12
     assert res.error_budget == 1.5 * delta * 0.5**res.iterations_or_k
+
+
+def test_an_unknown_method_is_a_format_error():
+    f = bundled_carrier("z2").exact_solution(1.0)
+    with pytest.raises(FormatError, match="unknown method 'fourier'"):
+        jensen_approximant(f, "fourier")
 
 
 def test_method_budgets_nonnegative_and_parity_mean_exact():

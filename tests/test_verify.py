@@ -28,7 +28,7 @@ from jensen_stab import (
     validate_carrier,
     verify_solution,
 )
-from jensen_stab import harness
+from jensen_stab import defect, harness
 from jensen_stab.carrier import NO_MEAN
 from jensen_stab.defect import jensen_defect as _jd
 from jensen_stab.errors import CapabilityError, FormatError, NonConvergenceError
@@ -339,3 +339,22 @@ def test_an_overflowing_solution_fails_only_its_method(monkeypatch):
         assert report["verification"][method] == clean["verification"][method]
     assert report["pass"] is False
     assert "verify[0]" in report["timing"] and not any(k.startswith("verify:") for k in report["timing"])
+
+
+def test_one_verification_scans_the_jensen_residual_of_all_its_solutions_at_once(monkeypatch):
+    c = bundled_carrier("s3")
+    f = perturb(c.exact_solution(1 - 2j), "seeded_uniform", 0.3, seed=5)
+    delta = _jd(f).delta
+    phi = phi_mean_construction(f)
+    results = {method: jensen_approximant(f, method, delta=delta, phi=phi) for method in METHODS}
+    calls = []
+    real = defect._combo_scan
+
+    def counted(fns, *args, **kwargs):
+        calls.append(fns)
+        return real(fns, *args, **kwargs)
+
+    monkeypatch.setattr(defect, "_combo_scan", counted)
+    assert all(rep.passed for rep in verify_solution(f, results).values())
+    assert calls == [tuple(result.g for result in results.values())]
+    assert len(calls[0]) == 4
