@@ -37,6 +37,7 @@ kind they hold. It also builds the functions of its kind: ``table_fn``
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
@@ -464,6 +465,15 @@ class LatticeCarrier(Carrier):
         require_count(window_radius, "window radius")
         if folner_max < window_radius:
             raise FormatError("folner_max must be >= window_radius")
+        # Before anything is allocated, and in logarithms, so a huge dim costs
+        # nothing: the pair window, (2N+1)^(2d) rows, and the reach box of
+        # radius folner_max + N must each fit numpy at d int64 values a row.
+        for what, side, power in (
+            ("pair window", 2 * window_radius + 1, 2 * dim),
+            ("reach box", 2 * (folner_max + window_radius) + 1, dim),
+        ):
+            if power * math.log(side) + math.log(8 * dim) > math.log(np.iinfo(np.intp).max):
+                raise FormatError(f"the {what} of Z^{dim} (window {window_radius}, folner_max {folner_max}) is too large for numpy")
         self.dim = int(dim)
         self.window_radius = int(window_radius)
         self.folner_max = int(folner_max)

@@ -95,22 +95,17 @@ def _table_rows(fns: Sequence[BoundedFn], domain: np.ndarray) -> tuple[np.ndarra
 
 
 _Rows = tuple[BoundedFn, ...]
-_Tables = dict[_Rows, tuple[np.ndarray, np.ndarray | None, dict[int, np.ndarray]]]
+_Tables = tuple[dict[_Rows, tuple[np.ndarray, np.ndarray | None]], dict[int, np.ndarray]]
 
 
-def _tabulate(reads: dict[_Rows, list[np.ndarray]]) -> _Tables:
-    """Each row tuple of ``reads`` (fns -> the point arrays they are read at)
-    evaluated once, on its carrier's table domain of those arrays (all of G,
-    or the smallest centred box): fns -> (their ``_table_rows`` table and
-    mask, each array's positions in the domain by id). The domain and
-    positions are those of the full arrays, which the carrier holds for its
-    window terms."""
-    tables: _Tables = {}
-    for fns, arrays in reads.items():
-        domain, positions = fns[0].carrier.table_domain(arrays)
-        table, ok = _table_rows(fns, domain)
-        tables[fns] = table, ok, {id(a): pos for a, pos in zip(arrays, positions)}
-    return tables
+def _tabulate(rows: Sequence[_Rows], arrays: Sequence[np.ndarray]) -> _Tables:
+    """Each fn tuple of ``rows`` evaluated once, all on one table domain: the
+    carrier's domain of the point arrays (all of G, or the smallest centred
+    box). Returns (fns -> their ``_table_rows`` table and mask, each array's
+    positions in the domain by id). Window terms the carrier holds share
+    one box, so passing all of them costs no larger domain."""
+    domain, positions = rows[0][0].carrier.table_domain(arrays)
+    return {fns: _table_rows(fns, domain) for fns in rows}, {id(a): pos for a, pos in zip(arrays, positions)}
 
 
 def _combo_scan(
@@ -210,21 +205,20 @@ def _one_var_scan(
     Positions whose points leave a tabulated box are skipped.
 
     The fns are read from ``tables`` (see ``_tabulate``), which a caller
-    that scans the same fns several times builds once; without it each
-    distinct tuple is tabulated here. The chunks gather from the tables by
-    position. A position is kept when every term reads an evaluable domain
-    point (the mask ``_table_rows`` returns), so no kept position gathers
-    the NaN it puts outside a table.
+    that scans the same fns several times builds once; without it the
+    terms' distinct tuples are tabulated here, on the one domain of their
+    point arrays. The chunks gather from the tables by position. A position
+    is kept when every term reads an evaluable domain point (the mask
+    ``_table_rows`` returns), so no kept position gathers the NaN it puts
+    outside a table.
     """
     if tables is None:
-        reads: dict[_Rows, list[np.ndarray]] = {}
-        for fns, _, pts in fn_terms:
-            reads.setdefault(fns, []).append(pts)
-        tables = _tabulate(reads)
+        tables = _tabulate(list(dict.fromkeys(fns for fns, _, _ in fn_terms)), [pts for _, _, pts in fn_terms])
+    rows, positions = tables
     mask = None
     terms = []
     for fns, coeff, pts in fn_terms:
-        table, ok, positions = tables[fns]
+        table, ok = rows[fns]
         pos = positions[id(pts)]
         if ok is not None:
             mask = ok[pos] if mask is None else mask & ok[pos]
@@ -276,17 +270,8 @@ def inequality_suite(
 
     t = c.window_terms()
     W, X, Y, sY = t.w, t.x, t.y, t.sy
-    # Each function evaluated once, on the table domain of every term the suite reads it at.
-    reads = {
-        h_even: [W],
-        hr: [t.sq, t.w_sw, W],
-        f_even: [W],
-        fr: [t.xy, t.yx, X, Y, t.sy_x, t.sx_sy, t.y_sx, t.x_sy, sY],
-        f_odd: [t.yx, t.y_sx, Y, W],
-    }
-    if phi is not None:
-        reads[(phi[0],)] = [W]
-    tables = _tabulate(reads)
+    # Each function evaluated once, all on the table domain of the window terms.
+    tables = _tabulate([h_even, hr, f_even, fr, f_odd] + ([] if phi is None else [(phi[0],)]), list(t))
 
     records: list[InequalityRecord] = []
 

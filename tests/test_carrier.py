@@ -264,6 +264,17 @@ def test_invalid_elements_rejected():
     z1 = bundled_carrier("int1")
     with pytest.raises(InvalidElementError):
         z1.compose((1, 2), 0)
+    for x in (True, 1.0):
+        with pytest.raises(InvalidElementError, match=f"{x!r} is not an element index of Z6"):
+            z6.check_element(x)
+    with pytest.raises(InvalidElementError, match="label 'x' not in carrier Z6"):
+        z6.index_of("x")
+    with pytest.raises(InvalidElementError, match=r"5 is not a point of Z\^2"):
+        bundled_carrier("int2").check_element(5)
+    with pytest.raises(LatticeOverflowError, match=f"coordinate {2**63} exceeds the fixed-width integer range"):
+        z1.check_element((2**63,))
+    with pytest.raises(InvalidElementError, match="points outside the Folner box of radius 8"):
+        z1.reach(np.array([[9]]), 8)
 
 
 def test_carrier_roundtrip_through_dict():
@@ -405,6 +416,13 @@ _TWO = [[0, 1], [1, 0]]
         (lambda: FiniteCarrier(["e", "a"], [[0, 1], [1, 0.5]], [0, 1], 0), "op table entries must be integers"),
         (lambda: FiniteCarrier(["e", "a"], _TWO, [0, 2], 0), "involution table entry out of range"),
         (lambda: LatticeCarrier(1, 8, 4), "folner_max must be >= window_radius"),
+        # Lattices numpy cannot build: more than 64 axes, and arrays past its byte limit.
+        (lambda: LatticeCarrier(70, 1, 1), r"the pair window of Z\^70 .* is too large for numpy"),
+        (
+            lambda: carrier_from_dict({"kind": "lattice", "dim": 1, "window": 1, "folner_max": 1e18}),
+            r"the reach box of Z\^1 .* is too large for numpy",
+        ),
+        (lambda: LatticeCarrier(10**11, 1, 1), r"the pair window of Z\^100000000000 .* is too large for numpy"),
         (
             lambda: carrier_from_dict({"kind": "finite", "elements": "ea", "neutral": "e", "op": _TWO, "involution": [0, 1]}),
             "elements must be a list of labels",
@@ -414,6 +432,11 @@ _TWO = [[0, 1], [1, 0]]
             "neutral label 'b' not among elements",
         ),
         (lambda: carrier_from_dict({"kind": "torus"}), "unknown carrier kind 'torus'"),
+        (
+            lambda: carrier_from_dict({"kind": "finite", "elements": ["e"], "neutral": "e", "op": [[0]]}),
+            "finite carrier file missing field 'involution'",
+        ),
+        (lambda: bundled_carrier("z7"), "unknown bundled carrier 'z7'"),
         (lambda: bundled_carrier("z2").exact_solution(1.0, [0.0, 2.0]), "finite carriers admit only constant base solutions"),
         (lambda: bundled_carrier("s3").oracle([1.0], 0.0, None), "oracle functions require a lattice carrier"),
     ],

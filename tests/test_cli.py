@@ -216,6 +216,7 @@ def _assert_clean_error(capsys, argv):
         {"carrier": "s3", "base": {"linear": [1.0]}},
         {"carrier": "s3", "methods": []},
         {"carrier": "s3", "methods": ["dyadic", "dyadic"]},
+        {"carrier": {"kind": "lattice", "dim": 70, "window": 1, "folner_max": 1}},
     ],
 )
 def test_experiment_bad_config_is_a_clean_error(tmp_path, capsys, config):

@@ -475,6 +475,10 @@ def test_window_points_orders():
         (lambda c: function_from_dict({"kind": "spline"}, c), "unknown function kind 'spline'"),
         (lambda c: OracleFn(c, [1.0, 2.0]), "linear coefficients must have length 1"),
         (lambda c: OracleFn(c, [1.0], 0.0, ParityNoise(0.1)).perturbed(ParityNoise(0.1)), "oracle already carries noise"),
+        (lambda c: EvenPart(OracleFn(c, [1.0])).perturbed(ParityNoise(0.1)), "cannot perturb function of type EvenPart"),
+        (lambda c: FiniteTableFn(bundled_carrier("s3"), [1.0] * 5), r"table must have 6 values, got \(5,\)"),
+        (lambda c: LatticeTableFn(c, np.zeros(5)), r"lattice table must have shape \(129,\), got \(5,\)"),
+        (lambda c: LatticeTableFn(c, np.full(129, np.nan)), "table values must be finite"),
     ],
 )
 def test_malformed_function_input_is_a_format_error(build, match):

@@ -16,6 +16,7 @@ from jensen_stab import (
     OracleFn,
     ParityNoise,
     SeededUniformNoise,
+    StabilizationResult,
     bundled_carrier,
     drygas_defect,
     identity_checks,
@@ -31,10 +32,10 @@ from jensen_stab import (
 from jensen_stab import defect, harness
 from jensen_stab.carrier import NO_MEAN
 from jensen_stab.defect import jensen_defect as _jd
-from jensen_stab.errors import CapabilityError, FormatError, NonConvergenceError
+from jensen_stab.errors import CapabilityError, FormatError, LatticeOverflowError, NonConvergenceError
 from jensen_stab.funcspace import EvenPart
 from jensen_stab.harness import ExperimentConfig, run_experiment
-from jensen_stab.stabilize import METHODS
+from jensen_stab.stabilize import METHODS, PhiDiagnostics
 from jensen_stab.verify import IdentityRecord, StabilityCheck, VerificationReport
 
 
@@ -167,8 +168,6 @@ def test_verify_solution_full_pass_and_tamper_detection():
     bad_vals[10] += 10.0
     bad = res
     bad_g = LatticeTableFn(z1, bad_vals)
-    from jensen_stab import StabilizationResult
-
     tampered = StabilizationResult(
         g=bad_g,
         offset=res.offset,
@@ -358,3 +357,28 @@ def test_one_verification_scans_the_jensen_residual_of_all_its_solutions_at_once
     assert all(rep.passed for rep in verify_solution(f, results).values())
     assert calls == [tuple(result.g for result in results.values())]
     assert len(calls[0]) == 4
+
+
+def _exact_results(g):
+    """Results "mean" and "dyadic" that both hold the exact solution g."""
+    return {m: StabilizationResult(g, 0j, m, m, 0, [], 0.0, 0.0) for m in ("mean", "dyadic")}
+
+
+def test_an_error_of_the_shared_reads_fails_every_method():
+    # Level 57 of the identities squares the window's points past the lattice's safe range.
+    g = OracleFn(bundled_carrier("int1"), [2.0], 0.0)
+    got = verify_solution(g, _exact_results(g), n_list=(57,))
+    assert list(got) == ["mean", "dyadic"]
+    assert isinstance(got["mean"], LatticeOverflowError)
+    assert got["dyadic"] is got["mean"]
+
+
+def test_a_phi_whose_drygas_residual_overflows_fails_only_mean():
+    c = bundled_carrier("int1")
+    g = OracleFn(c, [2.0], 0.0)
+    diag = PhiDiagnostics("folner", 1, 3, 0.0, 0.0, 0.0, 0.0)
+    got = verify_solution(g, _exact_results(g), phi=(c.table_fn(np.full(129, 1.5e308)), diag))
+    assert isinstance(got["mean"], FormatError)
+    assert str(got["mean"]).startswith("drygas defect is not finite")
+    assert got["dyadic"] == verify_solution(g, {"dyadic": _exact_results(g)["dyadic"]})["dyadic"]
+    assert got["dyadic"].passed
