@@ -30,8 +30,9 @@ that phi's integrand reaches, how exact its suprema are and how its axioms
 are checked, so the scans, constructions, checks and CLI never ask which
 kind they hold. It also builds the functions of its kind: ``table_fn``
 (a ``FiniteTableFn`` over G, a ``LatticeTableFn`` over the window box),
-``exact_solution`` (a constant table, an affine oracle) and ``oracle``
-(an ``OracleFn``, on a lattice only).
+``exact_solution`` (a constant table, an affine oracle), ``oracle``
+(an ``OracleFn``, on a lattice only) and ``tabulated`` (f itself, or on a
+lattice a ``TabulatedFn``: f read from one table of its values on a box).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 
 from . import scan
 from .errors import CapabilityError, FormatError, InvalidElementError, LatticeOverflowError
-from .funcspace import FiniteTableFn, LatticeTableFn, Noise, OracleFn
+from .funcspace import BoundedFn, FiniteTableFn, LatticeTableFn, Noise, OracleFn, TabulatedFn
 from .records import Record, _number, require_count
 
 # Largest lattice coordinate a handle may carry; its negation fits in int64 too.
@@ -94,6 +95,10 @@ class WindowTerms(NamedTuple):
     sx_sy: np.ndarray
     sq: np.ndarray
     w_sw: np.ndarray
+
+
+# reach's reader: a table over its domain -> the (y x, x sigma(y)) value blocks.
+Rows = Callable[[np.ndarray], Iterator[tuple[np.ndarray, np.ndarray]]]
 
 
 class Carrier:
@@ -199,17 +204,23 @@ class Carrier:
 
         return level
 
-    def reach(self, xs: np.ndarray, k_used: int) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    def reach(self, xs: np.ndarray, k_used: int) -> tuple[np.ndarray, Rows]:
         """The table domain of every y x and x sigma(y) that phi's integrand
-        reaches, for y in the window and x in the mean set xs, and their
-        positions in it in blocks of window rows y (see ``_row_blocks``):
-        row y holds the positions of y x, and of x sigma(y), for x in xs."""
+        reaches, for y in the window and x in the mean set xs, and
+        rows(table), which reads a table over that domain in blocks of window
+        rows y (see ``_row_blocks``): row y holds the values at y x, and at
+        x sigma(y), for x in xs. Here each block gathers by position."""
         w = self.window_points()
         n, m = w.shape[0], xs.shape[0]
         y, x = np.repeat(w, m, axis=0), np.concatenate([xs] * n)
         domain, positions = self.table_domain([self.compose_many(y, x), self.compose_many(x, self.involute_many(y))])
-        yx, x_sy = (_row_blocks(p.reshape(n, m), m) for p in positions)
-        return domain, zip(yx, x_sy)
+        yx, x_sy = (list(_row_blocks(p.reshape(n, m), m)) for p in positions)
+        return domain, lambda table: ((table[a], table[b]) for a, b in zip(yx, x_sy))
+
+    def tabulated(self, f: BoundedFn, k: int | None = None, mean: bool = False) -> BoundedFn:
+        """f, read from one table wherever an experiment reads it off the
+        dyadic orbits; a finite carrier's f is already a table of G."""
+        return f
 
     def row(self, x) -> np.ndarray:
         """The one-row point array holding the element x."""
@@ -561,26 +572,69 @@ class LatticeCarrier(Carrier):
         probe[0] = 1
         return self.folner_points(k_used), k_used, probe
 
-    def reach(self, xs: np.ndarray, k_used: int) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    def reach(self, xs: np.ndarray, k_used: int) -> tuple[np.ndarray, Rows]:
         """``Carrier.reach`` with y x written as a translate: the box of radius
-        k_used + max |coordinate| of W and sigma(W) that y x and x sigma(y)
-        reach for x in the Folner box xs, and their flat positions in it in
-        blocks of window rows y: row y holds the positions of xs shifted by
-        the offset of y, and of sigma(y).
+        ``_reach_radius(k_used)`` that y x and x sigma(y) reach for x in the
+        Folner box xs (all of it, in lexicographic order), and rows(table),
+        which reads row y as the window of the table over the box at y, and
+        at sigma(y), in blocks of window rows.
 
         The generic body would compose |W| |xs| points up front (4.8 M on
-        int2's default Folner box); this one adds one offset per window row
-        to the positions of xs, block by block, with the same result.
+        int2's default Folner box) and gather by them; this one reads each
+        row off ``sliding_window_view`` of the table with the same values in
+        the same order. On Z^1 a block's windows start one apart, in one
+        direction, so the block is a basic slice of the view and nothing is
+        copied; in higher dimensions it is a copy of its rows.
         """
         if np.abs(xs).max() > k_used:
             raise InvalidElementError(f"points outside the Folner box of radius {k_used}")
+        side, m = 2 * k_used + 1, xs.shape[0]
+        if m != side**self.dim:
+            raise InvalidElementError(f"the mean set is not the whole Folner box of radius {k_used}")
+        box, blocks = self._once(("reach", k_used), lambda: self._reach_blocks(k_used))
+        r = int(box[-1, 0])  # the last point of the box is (r, ..., r)
+
+        def rows(table: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+            win = np.lib.stride_tricks.sliding_window_view(table.reshape((2 * r + 1,) * self.dim), (side,) * self.dim)
+            return ((win[a].reshape(-1, m), win[b].reshape(-1, m)) for a, b in blocks)
+
+        return box, rows
+
+    def _reach_blocks(self, k: int) -> tuple[np.ndarray, list[tuple[Any, Any]]]:
+        """The box of radius ``_reach_radius(k)`` and, for each block of window
+        rows (see ``_row_blocks``), the index of their windows at y and at
+        sigma(y) in a sliding-window view of a table over the box (see
+        ``_window_index``)."""
         w = self.window_points()
-        sw = self.involute_many(w)
-        r = k_used + int(max(np.abs(w).max(), np.abs(sw).max()))
-        base = self._flat(xs, r)
-        zero = self._flat(self.row(self.neutral), r)
-        offsets = (_row_blocks(self._flat(a, r) - zero, base.shape[0]) for a in (w, sw))
-        return self.box_points(r), ((base + o[:, None], base + so[:, None]) for o, so in zip(*offsets))
+        r = self._reach_radius(k)
+        # Row y's window covers y - k ... y + k: table index y - k + r on.
+        starts = [_row_blocks(a + (r - k), (2 * k + 1) ** self.dim) for a in (w, self.involute_many(w))]
+        return self.box_points(r), [(_window_index(a), _window_index(b)) for a, b in zip(*starts)]
+
+    def _reach_radius(self, k: int) -> int:
+        """k + max |coordinate| of W and sigma(W): the radius of the box that
+        phi's integrand reaches from the Folner box of radius k."""
+        w = self.window_points()
+        return k + int(max(np.abs(w).max(), np.abs(self.involute_many(w)).max()))
+
+    def _term_box(self) -> np.ndarray:
+        """The one box of all the window terms (radius 2N under sigma = -id), built once."""
+        return self._once("term_box", lambda: self.box_points(max(int(np.abs(t).max()) for t in self.window_terms())))
+
+    def tabulated(self, f: BoundedFn, k: int | None = None, mean: bool = False) -> BoundedFn:
+        """f read from one table (a ``TabulatedFn``) on a centred box that
+        holds every point an experiment reads off the dyadic orbits: the box
+        of the window terms, which the scans read, or, when the experiment
+        builds phi (``mean``) with a Folner radius k within folner_max (None
+        for folner_max), the larger of that and phi's reach box. Any other k
+        tabulates the term box alone, so phi still raises its own error.
+        An f that cannot be read on all of the box is returned as it is."""
+        r = int(self._term_box()[-1, 0])  # the last point of the box is (R, ..., R)
+        k_used = self.folner_max if k is None else k
+        if mean and isinstance(k_used, int) and 1 <= k_used <= self.folner_max:
+            r = max(r, self._reach_radius(k_used))
+        box = self.box_points(r)
+        return f if f.readable(box) is not None else TabulatedFn(f, box)
 
     def table_domain(self, arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
         """A centred box that holds every point of the arrays, and each
@@ -595,7 +649,7 @@ class LatticeCarrier(Carrier):
         if None in names:
             r = max(int(np.abs(a).max()) for a in arrays)
             return self.box_points(r), [self._flat(a, r) for a in arrays]
-        box = self._once("term_box", lambda: self.box_points(max(int(np.abs(t).max()) for t in self.window_terms())))
+        box = self._term_box()
         r = int(box[-1, 0])  # the last point of the box is (R, ..., R)
         return box, [self._once(("flat", name), lambda a=a: self._flat(a, r)) for a, name in zip(arrays, names)]
 
@@ -640,6 +694,22 @@ class LatticeCarrier(Carrier):
             "window": self.window_radius,
             "folner_max": self.folner_max,
         }
+
+
+def _window_index(starts: np.ndarray) -> slice | tuple[np.ndarray, ...]:
+    """The index, in a sliding-window view, of the windows that start at the
+    rows of starts: a basic slice when they step by +1 or by -1 along its one
+    axis, so that reading them copies nothing, and their read-only start
+    coordinates otherwise."""
+    if starts.shape[1] == 1:
+        s = starts[:, 0].tolist()
+        steps = {b - a for a, b in zip(s, s[1:])} or {1}
+        if steps == {1}:
+            return slice(s[0], s[-1] + 1)
+        if steps == {-1}:
+            return slice(s[0], s[-1] - 1 if s[-1] else None, -1)
+    starts.flags.writeable = False
+    return tuple(starts.T)
 
 
 def _row_blocks(rows: np.ndarray, width: int) -> Iterator[np.ndarray]:

@@ -251,18 +251,23 @@ def inequality_suite(
     phi: tuple[BoundedFn, PhiDiagnostics] | None = None,
     delta: float | None = None,
     tol: float = DEFAULT_TOL,
+    defect: DefectReport | None = None,
 ) -> list[InequalityRecord]:
     """Measure the chain of intermediate inequalities for f.
 
-    ``delta`` defaults to the measured Jensen defect of f. ``phi`` is the
-    ``(phi, diagnostics)`` pair of ``phi_mean_construction``; the final
-    record compares |phi/2 - f_odd| against (5/2) delta plus its
-    ``phi_error_budget``, the error budget of the approximate mean that
-    built phi, and is skipped when phi is not supplied.
+    ``defect`` is the ``jensen_defect(f)`` report, for a caller that holds
+    it; without it and without ``delta`` the suite measures it. ``delta``
+    defaults to its delta. ``phi`` is the ``(phi, diagnostics)`` pair of
+    ``phi_mean_construction``; the final record compares |phi/2 - f_odd|
+    against (5/2) delta plus its ``phi_error_budget``, the error budget of
+    the approximate mean that built phi, and is skipped when phi is not
+    supplied.
     """
     c = f.carrier
+    if defect is None and delta is None:
+        defect = jensen_defect(f)
     if delta is None:
-        delta = jensen_defect(f).delta
+        delta = defect.delta
     f_e = f.eval(c.neutral)
     h = _MinusConst(f, f_e)
     # Each function is a one-row table of the suite, read at row 0.
@@ -275,20 +280,23 @@ def inequality_suite(
 
     records: list[InequalityRecord] = []
 
-    def add(name: str, coeff: float, scanned: tuple | None, pair_domain: bool, extra: float = 0.0) -> None:
-        """Record one inequality from row 0 of a scan; a scan of None was not
-        evaluated, and holds."""
-        value, idx = (None, -1) if scanned is None else (scanned[0][0], scanned[1][0])
+    def record(name: str, coeff: float, value: float | None, witness: tuple | None, extra: float = 0.0) -> None:
+        """Record one inequality; a value of None was not evaluated, and holds."""
         bound = coeff * delta + extra + tol
+        status = "not_evaluated" if value is None else "evaluated"
+        holds = value is None or value <= bound
+        records.append(InequalityRecord(name, value, coeff, delta, extra, bound, holds, status, witness))
+
+    def add(name: str, coeff: float, scanned: tuple | None, pair_domain: bool, extra: float = 0.0) -> None:
+        """Record one inequality from row 0 of a scan, or of None."""
+        value, idx = (None, -1) if scanned is None else (scanned[0][0], scanned[1][0])
         if idx < 0:
             witness = None
         elif pair_domain:
             witness = (c.element_repr(X[idx]), c.element_repr(Y[idx]))
         else:
             witness = (c.element_repr(W[idx]),)
-        status = "not_evaluated" if value is None else "evaluated"
-        holds = value is None or value <= bound
-        records.append(InequalityRecord(name, value, coeff, delta, extra, bound, holds, status, witness))
+        record(name, coeff, value, witness, extra)
 
     # eq 2.9: |h_even(y)| <= delta/2.
     add("eq_2_9", 0.5, _one_var_scan([(h_even, 1, W)], tables=tables), False)
@@ -305,8 +313,13 @@ def inequality_suite(
     # eq 2.13: |f(xy) + f(yx) - 2f(x) - 2f(y) + 2f(e)| <= 3 delta.
     add("eq_2_13", 3.0, _combo_scan(fr, [t.xy, t.yx, X, Y], [1, 1, -2, -2], const=2 * f_e, tables=tables), True)
 
-    # eq 2.14: |f(yx) + f(sigma(y) x) - 2 f(x)| <= 9 delta.
-    add("eq_2_14", 9.0, _combo_scan(fr, [t.yx, t.sy_x, X], [1, 1, -2], tables=tables), True)
+    # eq 2.14: |f(yx) + f(sigma(y) x) - 2 f(x)| <= 9 delta. Where y x is the
+    # array x y and sigma(y) x is x sigma(y) (an abelian carrier), this is the
+    # Jensen scan of f, term for term, so its sup and witness are the defect's.
+    if defect is not None and t.yx is t.xy and t.sy_x is t.x_sy:
+        record("eq_2_14", 9.0, defect.delta, defect.witness)
+    else:
+        add("eq_2_14", 9.0, _combo_scan(fr, [t.yx, t.sy_x, X], [1, 1, -2], tables=tables), True)
 
     # eq 2.15: |f(yx) - f(sigma(x) sigma(y)) + f(y sigma(x)) - f(x sigma(y))
     #           - 2 (f(y) - f(sigma(y)))| <= 10 delta.

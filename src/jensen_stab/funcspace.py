@@ -42,7 +42,17 @@ _DENSE_VOLUME = 1 << 17
 _ROUND_MIN = 16
 
 _blake16 = partial(hashlib.blake2b, digest_size=16)
-_digest = hashlib.blake2b.digest
+
+
+def _digests(prefix: hashlib.blake2b, msgs: list[bytes]) -> bytes:
+    """The 16-byte digests of prefix's input followed by each message, joined
+    in order: each message continues its own copy of the state prefix."""
+    out = []
+    for msg in msgs:
+        state = prefix.copy()
+        state.update(msg)
+        out.append(state.digest())
+    return b"".join(out)
 
 
 def _scaled(u, amp: float):
@@ -139,7 +149,9 @@ class SeededUniformNoise:
         little-endian uint64 / 2^64, and rows that fall outside the disc go to
         the next counter.
 
-        The first round's messages, counter 0 included, come from one string
+        BLAKE2 is a streaming hash, so the call hashes "seed|" once and each
+        message "coordinates|counter" continues a copy of that state. The
+        first round's messages, counter 0 included, come from one string
         built column by column, with no Python frame per point. A later round
         swaps only the counter suffix of the rows still rejected, and the last
         few (under ``_ROUND_MIN``) are drawn one row at a time."""
@@ -148,15 +160,15 @@ class SeededUniformNoise:
         if amp == 0.0 or not pts.shape[0]:
             return out
         parts = out.view(np.float64).reshape(-1, 2)
-        seed = f"{self.seed}|"
+        # Built per call, never kept: a hash state cannot be pickled or copied with its owner.
+        prefix = _blake16(f"{self.seed}|".encode())
         cols = [map(str, col) for col in pts.T.tolist()]
         coords = cols[0] if len(cols) == 1 else map(",".join, zip(*cols))
-        msgs = (seed + ("|0\n" + seed).join(coords) + "|0").encode().split(b"\n")
+        msgs = ("|0\n".join(coords) + "|0").encode().split(b"\n")
         todo = np.arange(pts.shape[0])
         ctr = 0
         while len(msgs) >= _ROUND_MIN:
-            digests = b"".join(map(_digest, map(_blake16, msgs)))
-            words = np.frombuffer(digests, dtype="<u8").reshape(-1, 2)
+            words = np.frombuffer(_digests(prefix, msgs), dtype="<u8").reshape(-1, 2)
             # hi * 2^32 + lo adds two exact doubles once, so it rounds the uint64
             # to nearest even as float(int) does.
             draw = _scaled((words >> 32) * 2.0**32 + (words & 0xFFFFFFFF), amp)
@@ -172,7 +184,7 @@ class SeededUniformNoise:
         for i, msg in zip(todo.tolist(), msgs):
             head, c = msg[: -len(str(ctr))], ctr
             while True:
-                digest = _digest(_blake16(head + str(c).encode()))
+                digest = _digests(prefix, [head + str(c).encode()])
                 re = _scaled(float(int.from_bytes(digest[:8], "little")), amp)
                 im = _scaled(float(int.from_bytes(digest[8:], "little")), amp)
                 if _in_disc(re, im, amp):
@@ -378,16 +390,50 @@ class LatticeTableFn(BoundedFn):
         self.values.setflags(write=False)
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        shifted = pts + self.radius
-        if shifted.size and (shifted.min() < 0 or shifted.max() > 2 * self.radius):
+        at = _box_index(pts, self.radius, self.carrier.dim)
+        if at is None:
             raise InvalidElementError(f"points outside the tabulated box of radius {self.radius}")
-        return self.values[tuple(shifted[:, j] for j in range(self.carrier.dim))]
+        return self.values[at]
 
     def readable(self, pts: np.ndarray) -> np.ndarray | None:
         mask = (np.abs(pts) <= self.radius).all(axis=1)
         return None if mask.all() else mask
 
     to_dict = FiniteTableFn.to_dict
+
+
+def _box_index(pts: np.ndarray, r: int, dim: int) -> tuple[np.ndarray, ...] | None:
+    """The index of the points pts, shape (N, dim), into a (2r + 1)^dim array
+    over the centred box of radius r; None when a point lies outside the box."""
+    if pts.size and (pts.min() < -r or pts.max() > r):
+        return None
+    return tuple(pts[:, j] + r for j in range(dim))
+
+
+class TabulatedFn(BoundedFn):
+    """A function read from one table of its values on the centred box of
+    radius r of a lattice (see ``LatticeCarrier.tabulated``).
+
+    A call whose points all lie in the box gathers from the table; any other
+    call evaluates the base on all of its points. A value at a point does not
+    depend on the call it is read in (an oracle's sum runs row by row, and
+    its noise is a function of the point), so both give the base's bits. The
+    table holds the values as the base gives them, inf and NaN included, and
+    the view carries the base's noise and is readable where the base is.
+    """
+
+    def __init__(self, base: BoundedFn, box: np.ndarray) -> None:
+        """box: the centred box of radius r in lexicographic order (``LatticeCarrier.box_points``)."""
+        self.base = base
+        self.carrier = base.carrier
+        self.noise = base.noise
+        self.radius = int(box[-1, 0])
+        self.values = base.eval_many(box).reshape((2 * self.radius + 1,) * self.carrier.dim)
+        self.values.setflags(write=False)
+
+    def eval_many(self, pts: np.ndarray) -> np.ndarray:
+        at = _box_index(pts, self.radius, self.carrier.dim)
+        return self.base.eval_many(pts) if at is None else self.values[at]
 
 
 TableFn = FiniteTableFn | LatticeTableFn

@@ -181,19 +181,21 @@ def _scalar_run(config: ExperimentConfig, c: Carrier, component: int, timing: di
         finally:
             timing[f"{name}[{component}]"] = time.perf_counter() - t0
 
-    f = stage("generate", lambda: build_function(config, c, component))
+    mean_capable = c.mean_capability != NO_MEAN
+    builds_phi = "mean" in config.methods and mean_capable
+    # Every stage reads f off one table, except along the dyadic orbits.
+    f = stage("generate", lambda: c.tabulated(build_function(config, c, component), config.folner_k, mean=builds_phi))
     defect_report = None if f is None else stage("defect", lambda: jensen_defect(f))
     if defect_report is None:
         return {"errors": errors, "pass": False}
     delta = defect_report.delta
     analytic = None if config.noise_type == "none" else 4.0 * config.noise_amplitude
     consistent = True if analytic is None else bool(delta <= analytic + tol)
-    mean_capable = c.mean_capability != NO_MEAN
 
     phi = None
-    if "mean" in config.methods and mean_capable:
+    if builds_phi:
         phi = stage("phi_construction", lambda: phi_mean_construction(f, config.folner_k))
-    records = stage("inequalities", lambda: inequality_suite(f, phi=phi, delta=delta, tol=tol))
+    records = stage("inequalities", lambda: inequality_suite(f, phi=phi, tol=tol, defect=defect_report))
 
     # Every method is stabilized, then all results are verified in one call.
     # A method's error, from either stage, keeps its place in method order.
@@ -218,7 +220,7 @@ def _scalar_run(config: ExperimentConfig, c: Carrier, component: int, timing: di
 
     agreement = None
     if "mean" in results and "dyadic" in results:
-        agreement = stage("agreement", lambda: method_agreement(f, results["mean"], results["dyadic"], tol=tol))
+        agreement = stage("agreement", lambda: method_agreement(results["mean"], results["dyadic"], tol=tol))
     elif "mean" in config.methods and not mean_capable:
         agreement = AgreementReport(status="skipped_no_mean")
 

@@ -243,13 +243,15 @@ def phi_mean_construction(f: BoundedFn, k: int | None = None) -> tuple[TableFn, 
     f_e = f.eval(c.neutral)
     # Tabulate f_odd once over every point y x and x sigma(y) can reach (all
     # of G, or the box of radius k + N), so each block of window rows y below
-    # only gathers; the mean of a row has the bits of a 1-d mean.
+    # only reads that table (see the carrier's ``reach``). The difference is
+    # laid out in C order, as it is from two gathers, also when a block is a
+    # strided window of the table, so the mean of a row has the bits of a 1-d mean.
     # Values that overflow make phi non-finite, which c.table_fn rejects with a
     # FormatError; numpy's warnings would only reach stderr ahead of it.
-    reach, blocks = c.reach(pts, k_used)
+    reach, rows = c.reach(pts, k_used)
     with np.errstate(over="ignore", invalid="ignore"):
         table = OddPart(f).eval_many(reach)
-        phi = c.table_fn(np.concatenate([(table[yx] - table[xsy]).mean(axis=1) for yx, xsy in blocks]))
+        phi = c.table_fn(np.concatenate([np.subtract(yx, xsy, order="C").mean(axis=1) for yx, xsy in rows(table)]))
 
     m_bound = 0.0 if f.noise is None else f.noise.odd_part_bound()
     ratio_max = c.mean_translate_ratio(k_used)

@@ -180,15 +180,14 @@ class AgreementReport(Record):
 
 
 def method_agreement(
-    f: BoundedFn,
     result_a: StabilizationResult,
     result_b: StabilizationResult,
     tol: float = DEFAULT_TOL,
 ) -> AgreementReport:
-    """sup over the window of |g_a - g_b| for two constructed solutions of f
-    (the harness passes mean and dyadic) against their summed budgets."""
-    pts = f.carrier.window_points()
-    sup = float(np.abs(result_a.g.eval_many(pts) - result_b.g.eval_many(pts)).max())
+    """sup over the window of |g_a - g_b| for two constructed solutions of
+    one f (the harness passes mean and dyadic) against their summed budgets.
+    Each g is a table over the window, so its values are read as they are held."""
+    sup = float(np.abs(result_a.g.values - result_b.g.values).max())
     budget_sum = result_a.error_budget + result_b.error_budget
     bound = budget_sum + tol
     return AgreementReport(

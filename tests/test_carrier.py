@@ -275,6 +275,8 @@ def test_invalid_elements_rejected():
         z1.check_element((2**63,))
     with pytest.raises(InvalidElementError, match="points outside the Folner box of radius 8"):
         z1.reach(np.array([[9]]), 8)
+    with pytest.raises(InvalidElementError, match="the mean set is not the whole Folner box of radius 8"):
+        z1.reach(z1.box_points(8)[1:], 8)
 
 
 def test_carrier_roundtrip_through_dict():
@@ -451,3 +453,22 @@ def test_malformed_carrier_input_is_a_format_error(build, match):
 def test_dyadic_power_exponent_must_be_a_nonnegative_integer(name, n):
     with pytest.raises(FormatError, match="dyadic power exponent must be an integer >= 0"):
         bundled_carrier(name).dyadic_power(1, n)
+
+
+@pytest.mark.parametrize(
+    "name, k, mean, radius",
+    [
+        ("int1", None, True, 576),  # phi's reach box: folner_max 512 + window 64
+        ("int1", 100, True, 164),
+        ("int1", 16, True, 128),  # a reach box inside the term box
+        ("int1", None, False, 128),  # no phi: the box of the window terms, 2N
+        ("int1", 1024, True, 128),  # past folner_max: phi raises its own error
+        ("int1", 0, True, 128),
+        ("int2", None, False, 16),
+        ("int2", 64, True, 72),
+    ],
+)
+def test_the_tabulated_box_holds_the_window_terms_and_a_valid_reach(name, k, mean, radius):
+    c = bundled_carrier(name)
+    f = c.oracle([1.0] * c.dim, 0j, None)
+    assert c.tabulated(f, k, mean=mean).radius == radius

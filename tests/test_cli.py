@@ -491,3 +491,39 @@ def test_every_entry_point_applies_the_count_and_tolerance_rules(s3_files, tmp_p
             carrier_from_dict({"kind": "lattice", "dim": 1, "window": 2, "folner_max": 4, name: value})
         else:
             noise_from_dict({"type": name, "amplitude": value, "seed": 1})
+
+
+def _run_cli(argv):
+    """The CLI in a child process, so stderr holds exactly what it writes."""
+    env = {**os.environ, "PYTHONPATH": str(Path(jensen_stab.__file__).resolve().parents[1])}
+    return subprocess.run(
+        [sys.executable, "-W", "default", "-m", "jensen_stab.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_a_report_with_a_non_finite_number_is_refused_before_its_file_is_written(tmp_path):
+    # Noise of amplitude 1e307 gives a finite delta near 4e307, and eq 2.15's
+    # bound 10 delta overflows to inf, which JSON cannot hold.
+    config, report = tmp_path / "c.json", tmp_path / "r.json"
+    _write(config, {"carrier": "z2", "noise": {"type": "seeded_uniform", "amplitude": 1e307, "seed": 1},
+                    "methods": ["dyadic"]})
+    proc = _run_cli(["experiment", "--config", str(config), "--report", str(report)])
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write {report}: the report holds a non-finite number " \
+        "(Out of range float values are not JSON compliant: inf)\n"
+    assert not report.exists()
+
+
+def test_verify_raises_the_error_its_one_method_gets(tmp_path):
+    # g(e) + g(e) overflows, so g's Jensen residual is NaN and verify_solution
+    # returns the FormatError of jensen_defect(g) in place of a report.
+    c = bundled_carrier("z2")
+    f, g, report = tmp_path / "f.json", tmp_path / "g.json", tmp_path / "r.json"
+    _write(f, c.exact_solution(1.0).to_dict())
+    _write(g, c.table_fn([1e308, -1e308]).to_dict())
+    proc = _run_cli(["verify", "--carrier", "z2", "--function", str(f), "--solution", str(g), "--report", str(report)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: jensen defect is not finite (nan) at the pair (x, y) = ('e', 'e')")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not report.exists()

@@ -351,3 +351,29 @@ def test_suite_holds_for_seeded_runs():
         f = OracleFn(z1, [2.0], 5.0, SeededUniformNoise(0.1, seed))
         for r in inequality_suite(f):
             assert r.holds, (seed, r.name, r.measured_sup, r.bound)
+
+
+@pytest.mark.parametrize("name, shared", [("z6", True), ("int1", True), ("s3", False), ("q8", False)])
+def test_eq_2_14_is_read_off_the_jensen_scan_where_the_two_scans_are_one(monkeypatch, name, shared):
+    # On an abelian carrier y x is the array x y and sigma(y) x is x sigma(y),
+    # so eq 2.14's scan is the Jensen scan term for term.
+    c = bundled_carrier(name)
+    if c.size:
+        f = FiniteTableFn(c, np.full(c.size, 1 - 2j)).perturbed(SeededUniformNoise(0.3, 5))
+    else:
+        f = OracleFn(c, [1.5], 2j, SeededUniformNoise(0.2, 3))
+    d = jensen_defect(f)
+    t = c.window_terms()
+    scans = []
+    combo = defect._combo_scan
+
+    def spy(fns, point_arrays, *args, **kwargs):
+        scans.append([id(a) for a in point_arrays])
+        return combo(fns, point_arrays, *args, **kwargs)
+
+    monkeypatch.setattr(defect, "_combo_scan", spy)
+    got = {r.name: r for r in inequality_suite(f, delta=d.delta, defect=d)}["eq_2_14"]
+    assert ([id(t.yx), id(t.sy_x), id(t.x)] in scans) != shared
+    scanned = {r.name: r for r in inequality_suite(f, delta=d.delta)}["eq_2_14"]
+    assert got.to_dict() == scanned.to_dict()
+    assert (got.measured_sup, got.witness) == (d.delta, d.witness)

@@ -484,3 +484,48 @@ def test_window_points_orders():
 def test_malformed_function_input_is_a_format_error(build, match):
     with pytest.raises(FormatError, match=match):
         build(bundled_carrier("int1"))
+
+
+_TABULATED_NOISE = {
+    "seeded": lambda: SeededUniformNoise(0.2, 7),
+    "parity": lambda: ParityNoise(0.3),
+    # With a linear part of 1e306, values overflow to inf and NaN inside the box and out of it.
+    "overflowing": lambda: SeededUniformNoise(1.5e308, 7),
+}
+
+
+@pytest.mark.parametrize("noise", sorted(_TABULATED_NOISE))
+@pytest.mark.parametrize("name", ["int1", "int2"])
+def test_a_tabulated_oracle_reads_the_oracle_bits_in_and_out_of_its_box(name, noise):
+    c = bundled_carrier(name)
+    linear = [1e306, -1e306][: c.dim] if noise == "overflowing" else [1.5, -0.5 + 1j][: c.dim]
+
+    def make():
+        # A fresh oracle each time, so no noise cache is shared with the view.
+        return OracleFn(c, linear, 2j, _TABULATED_NOISE[noise]())
+
+    view = c.tabulated(make(), mean=True)
+    r = view.radius
+    assert r == c.folner_max + c.window_radius
+    assert view.noise is view.base.noise
+    assert view.readable(c.box_points(r + 5)) is None
+    inside = c.box_points(r)[::5]
+    outside = c.box_points(2) + (r + 3)
+    mixed = np.concatenate([inside[:4], outside[:3], inside[-4:], c.row(c.neutral)])
+    ref = make()
+    for pts in (inside, outside, mixed, c.row(c.neutral), inside[:0]):
+        assert view.eval_many(pts).tobytes() == ref.eval_many(pts).tobytes()
+    assert view.eval(c.neutral) == ref.eval(c.neutral)
+    # The table keeps inf and NaN as the oracle gives them; it is read-only.
+    assert np.isfinite(view.values).all() == (noise != "overflowing")
+    assert not view.values.flags.writeable
+
+
+def test_tabulated_is_f_itself_where_f_is_already_a_table():
+    s3 = bundled_carrier("s3")
+    f = FiniteTableFn(s3, np.arange(6) + 1j)
+    assert s3.tabulated(f, mean=True) is f
+    z1 = bundled_carrier("int1")
+    g = LatticeTableFn(z1, np.ones(129))
+    # A window table cannot be read on the box of the window terms.
+    assert z1.tabulated(g) is g

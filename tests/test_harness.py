@@ -26,6 +26,7 @@ from jensen_stab import (
 from jensen_stab import harness, stabilize
 from jensen_stab.carrier import NO_MEAN
 from jensen_stab.errors import FormatError
+from jensen_stab.funcspace import SeededUniformNoise
 from jensen_stab.harness import build_function
 
 
@@ -524,3 +525,46 @@ def test_a_carrier_that_fails_its_axioms_stops_the_experiment_at_validation():
     assert report["validation"]["violations"][0]["axiom"] == "anti_homomorphism"
     assert report["errors"] == [{"stage": "validation", "error": "carrier axioms violated"}]
     assert "defect" not in report and "stabilization" not in report
+
+
+def _count_noise(monkeypatch, attr):
+    """The point counts of every call of SeededUniformNoise's draw or grid method attr."""
+    got = []
+    real = getattr(SeededUniformNoise, attr)
+
+    def counted(self, *args):
+        got.append(len(args[0]) if attr == "_draw_many" else int(np.prod(args[1] - args[0] + 1)))
+        return real(self, *args)
+
+    monkeypatch.setattr(SeededUniformNoise, attr, counted)
+    return got
+
+
+def test_a_run_without_mean_tabulates_only_the_box_of_the_window_terms(monkeypatch):
+    # int2's term box has radius 2N = 16; phi's reach box, 145^2 points, is drawn only when phi is built.
+    draws = _count_noise(monkeypatch, "_draw_many")
+    cfg = ExperimentConfig(carrier="int2", base_linear=[1.0, -0.5], noise_type="seeded_uniform",
+                           noise_amplitude=0.1, noise_seed=4, methods=["dyadic"])
+    assert run_experiment(cfg)["pass"]
+    # The draws of the same run before f was read from one table.
+    assert draws[0] == 33**2
+    assert sum(draws) == 7537
+
+
+def test_a_seeded_lattice_experiment_builds_the_noise_grid_once(monkeypatch):
+    grids = _count_noise(monkeypatch, "_rebuild_grid")
+    cfg = ExperimentConfig(carrier="int1", base_linear=[1.5], noise_type="seeded_uniform",
+                           noise_amplitude=0.1, noise_seed=4, methods=["mean", "dyadic", "dyadic_full"])
+    assert run_experiment(cfg)["pass"]
+    # One grid, over phi's reach box (512 + 64): f's table, which every later box read gathers from.
+    assert grids == [1153]
+
+
+@pytest.mark.parametrize("carrier, linear", [("int1", [1e306]), ("int2", [1e306, 1e306])])
+def test_a_phi_that_overflows_is_a_phi_stage_error_after_a_finite_defect(carrier, linear):
+    # a . x is finite on the term box (radius 2N) and overflows on phi's reach box,
+    # which f's table holds as inf without a check of its own.
+    report = run_experiment(ExperimentConfig(carrier=carrier, base_linear=linear, methods=["mean", "dyadic"]))
+    assert "defect" in report
+    assert [e["stage"] for e in report["errors"]] == ["phi_construction", "stabilize:mean"]
+    assert all(e["error"] == "FormatError: table values must be finite" for e in report["errors"])

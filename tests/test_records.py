@@ -57,7 +57,7 @@ def _instances():
     out += results.values()
     rep = verify_solution(f, {"mean": results["mean"]}, phi=(phi, diag))["mean"]
     out += [rep, rep.stability, *rep.identity_records]
-    out.append(method_agreement(f, results["mean"], results["dyadic"]))
+    out.append(method_agreement(results["mean"], results["dyadic"]))
     z1 = bundled_carrier("int1")
     g = OracleFn(z1, [1.5 - 0.5j], 2j, SeededUniformNoise(0.1, 4))
     out += [dyadic_limit(g, 3)[1], folner_mean(g, 8), jensen_defect(g), validate_carrier(z1)]

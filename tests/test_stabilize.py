@@ -281,12 +281,16 @@ def test_lattice_reach_fast_path_matches_the_generic_reach(monkeypatch, cls, dim
     built = []
     for c in (cls(dim, window, folner_max), generic_cls(dim, window, folner_max)):
         f = OracleFn(c, [1.5, -0.5 + 1j][:dim], 2j, SeededUniformNoise(0.2, 11))
-        domain, blocks = c.reach(c.mean_set(k)[0], k)
-        built.append((domain, [b for pair in blocks for b in pair], phi_mean_construction(f, k)))
-    (domain, blocks, (phi, diag)), (g_domain, g_blocks, (g_phi, g_diag)) = built
+        domain, read = c.reach(c.mean_set(k)[0], k)
+        # Read off a table of positions, each block holds the positions of y x and x sigma(y).
+        table = np.arange(len(domain))
+        built.append((domain, table, [b for pair in read(table) for b in pair], phi_mean_construction(f, k)))
+    (domain, table, blocks, (phi, diag)), (g_domain, _, g_blocks, (g_phi, g_diag)) = built
     assert np.array_equal(domain, g_domain)
     assert len(blocks) == len(g_blocks) > 2
     assert all(np.array_equal(a, b) for a, b in zip(blocks, g_blocks))
+    # On Z^1 a block is a window of the table itself, not a copy.
+    assert all(np.shares_memory(b, table) == (dim == 1) for b in blocks)
     assert phi.values.tobytes() == g_phi.values.tobytes()
     assert diag.to_dict() == g_diag.to_dict()
 
@@ -297,9 +301,10 @@ def test_reach_composes_y_on_the_left_of_x_and_sigma_y_on_the_right(name):
     # a finite group (identically 0) cannot tell apart.
     c = bundled_carrier(name)
     w, xs = c.window_points(), c.window_points()
-    domain, blocks = c.reach(xs, c.size)
+    domain, read = c.reach(xs, c.size)
     start = 0
-    for yx, xsy in blocks:
+    # Read off a table of positions, each block holds the positions of y x and x sigma(y).
+    for yx, xsy in read(np.arange(len(domain))):
         rows = w[start : start + yx.shape[0]]
         start += yx.shape[0]
         assert np.array_equal(domain[yx], c.op[rows[:, None], xs[None, :]])
@@ -331,7 +336,8 @@ def test_phi_in_small_blocks_matches_the_per_translate_oracle_loop(monkeypatch, 
     # Two window rows a block, so a lattice window (odd in size) ends on a one-row block.
     width = c.size or (2 * k + 1) ** c.dim
     monkeypatch.setattr(scan, "_CHUNK", 2 * width + 1)
-    rows = [yx.shape[0] for yx, _ in c.reach(c.mean_set(k)[0], k)[1]]
+    domain, read = c.reach(c.mean_set(k)[0], k)
+    rows = [yx.shape[0] for yx, _ in read(np.arange(len(domain)))]
     assert sum(rows) == c.window_points().shape[0]
     assert set(rows) == ({2} if c.size else {1, 2}) and rows[-1] == (2 if c.size else 1)
     _assert_phi_matches_the_per_translate_loop(c, k)

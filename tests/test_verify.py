@@ -134,14 +134,24 @@ def test_identity_checks_constructed_mean_solution():
 def test_method_agreement():
     z1 = bundled_carrier("int1")
     exact = OracleFn(z1, [2.0], 5.0)
-    rep = method_agreement(exact, *(jensen_approximant(exact, m, folner_k=64) for m in ("mean", "dyadic")))
+    rep = method_agreement(*(jensen_approximant(exact, m, folner_k=64) for m in ("mean", "dyadic")))
     assert rep.status == "ok"
     assert rep.agreement_sup <= 1e-9
     assert rep.holds
 
     noisy = OracleFn(z1, [2.0], 5.0, SeededUniformNoise(0.1, 8))
-    rep2 = method_agreement(noisy, *(jensen_approximant(noisy, m, folner_k=512) for m in ("mean", "dyadic")))
+    rep2 = method_agreement(*(jensen_approximant(noisy, m, folner_k=512) for m in ("mean", "dyadic")))
     assert rep2.holds
+
+
+@pytest.mark.parametrize("name", ["s3", "int2"])
+def test_method_agreement_reads_the_held_tables_as_each_g_on_the_window(name):
+    c = bundled_carrier(name)
+    f = perturb(c.exact_solution(1 - 2j, None if c.size else [0.5, 1j]), "seeded_uniform", 0.2, seed=6)
+    a, b = (jensen_approximant(f, m, folner_k=16) for m in ("mean", "dyadic"))
+    pts = c.window_points()
+    sup = float(np.abs(a.g.eval_many(pts) - b.g.eval_many(pts)).max())
+    assert method_agreement(a, b).agreement_sup == sup > 0
 
 
 def test_drygas_residual_of_phi_finite_group():
