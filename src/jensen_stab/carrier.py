@@ -58,6 +58,11 @@ FOLNER = "folner"
 NO_MEAN = "none"
 
 
+def _is_integer(x) -> bool:
+    """The one rule for an element handle or exponent: a Python or numpy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class AxiomViolation(Record):
     """First failing axiom of a carrier, with a concrete witness."""
@@ -234,7 +239,7 @@ class Carrier:
 
     def dyadic_power(self, x, n: int):
         """x^(2^n) by n repeated squarings; n = 0 returns x itself."""
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        if not _is_integer(n) or n < 0:
             raise FormatError(f"dyadic power exponent must be an integer >= 0, got {n!r}")
         return self.check_element(self.dyadic_levels(self.row(x))(n)[0])
 
@@ -296,12 +301,9 @@ class FiniteCarrier(Carrier):
         return EXACT_UNIFORM if self.is_group else NO_MEAN
 
     def check_element(self, x) -> int:
-        if isinstance(x, (bool, float)):
+        if not _is_integer(x):
             raise InvalidElementError(f"{x!r} is not an element index of {self.name}")
-        try:
-            xi = int(x)
-        except (TypeError, ValueError):
-            raise InvalidElementError(f"{x!r} is not an element index of {self.name}") from None
+        xi = int(x)
         if not 0 <= xi < self.size:
             raise InvalidElementError(f"index {xi} out of range for {self.name} of size {self.size}")
         return xi
@@ -474,6 +476,7 @@ class LatticeCarrier(Carrier):
     def __init__(self, dim: int, window_radius: int, folner_max: int, name: str | None = None) -> None:
         require_count(dim, "lattice dimension")
         require_count(window_radius, "window radius")
+        require_count(folner_max, "folner_max")
         if folner_max < window_radius:
             raise FormatError("folner_max must be >= window_radius")
         # Before anything is allocated, and in logarithms, so a huge dim costs
@@ -502,13 +505,13 @@ class LatticeCarrier(Carrier):
         return FOLNER
 
     def check_element(self, x) -> tuple[int, ...]:
-        if isinstance(x, (int, np.integer)) and self.dim == 1:
-            pt: tuple[int, ...] = (int(x),)
-        else:
-            try:
-                pt = tuple(int(c) for c in x)
-            except TypeError:
-                raise InvalidElementError(f"{x!r} is not a point of {self.name}") from None
+        try:
+            coords = (x,) if self.dim == 1 and _is_integer(x) else tuple(x)
+            if not all(map(_is_integer, coords)):
+                raise TypeError
+        except TypeError:
+            raise InvalidElementError(f"{x!r} is not a point of {self.name}") from None
+        pt = tuple(map(int, coords))
         if len(pt) != self.dim:
             raise InvalidElementError(f"point {x!r} has wrong dimension for {self.name}")
         for c in pt:

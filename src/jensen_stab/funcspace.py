@@ -29,14 +29,6 @@ if TYPE_CHECKING:
 # Absolute tolerance used by default in every numeric comparison.
 DEFAULT_TOL = 1e-9
 
-# Largest bounding-box volume kept as a dense noise cache. A query grows the
-# cache only when the grown box is dense in it: at most 4 cells per queried
-# point and at most this many cells overall. Any other query (a dyadic power
-# orbit, whose box doubles at every level) is served whole from the sorted
-# per-point store, which takes the points it lacks inside the grid from the
-# grid and draws the rest; both come from the same pure hash.
-_DENSE_VOLUME = 1 << 17
-
 # Rows left after a rejection round below which drawing them one by one in
 # Python costs less than the fixed numpy cost of another round.
 _ROUND_MIN = 16
@@ -130,6 +122,13 @@ class SeededUniformNoise:
     Each point draws (re, im) from [-amplitude, amplitude]^2 via blake2b of
     (seed, coordinates, counter) and rejects draws outside the disc, so the
     modulus bound |noise| <= amplitude holds exactly.
+
+    A query is dense when its bounding box has at most 4 cells per point.
+    The first dense query draws the one grid, its box, which never grows.
+    Any query the grid does not hold (a dyadic power orbit, whose box
+    doubles at every level) goes whole to a sorted per-point store, which
+    draws the points it lacks. A draw is a function of the point alone, so
+    both give the same bits.
     """
 
     type = "seeded_uniform"
@@ -140,7 +139,7 @@ class SeededUniformNoise:
         self.seed = int(seed)
         # Both caches are published whole, never mutated, so readers never mix two versions.
         self._memo = _SortedDraws(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.complex128))
-        # Dense cache (lo, hi, grid).
+        # The one dense grid (lo, hi, grid), drawn once and never grown.
         self._dense: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def _draw_many(self, pts: np.ndarray) -> np.ndarray:
@@ -199,19 +198,11 @@ class SeededUniformNoise:
         return complex(self._draw_many(np.array([pt], dtype=np.int64))[0])
 
     def _rebuild_grid(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # Copies the published grid when it lies inside [lo, hi] and draws only
-        # the cells around it; values() calls this only for dense queries, so
-        # the draws stay within 4x the points queried.
+        # Draws every cell of the box [lo, hi]; values() calls this once, for
+        # its first dense query, so the draws stay within 4x the points queried.
         shape = tuple(int(b) - int(a) + 1 for a, b in zip(lo, hi))
-        vals = np.empty(shape, dtype=np.complex128)
-        fresh = np.ones(shape, dtype=bool)
-        old = self._dense
-        if old is not None and (old[0] >= lo).all() and (old[1] <= hi).all():
-            block = tuple(slice(int(a - b), int(a - b) + n) for a, b, n in zip(old[0], lo, old[2].shape))
-            vals[block] = old[2]
-            fresh[block] = False
-        vals[fresh] = self._draw_many(np.argwhere(fresh) + lo)
-        snapshot = (lo.copy(), hi.copy(), vals)
+        cells = np.indices(shape).reshape(len(shape), -1).T + lo
+        snapshot = (lo.copy(), hi.copy(), self._draw_many(cells).reshape(shape))
         self._dense = snapshot
         return snapshot
 
@@ -219,23 +210,13 @@ class SeededUniformNoise:
         """The draws at pts from the sorted store, after drawing its misses."""
         keys = _point_keys(pts)
         store = self._memo
+        miss = np.ones(len(keys), dtype=bool)
         if len(store):
             at = np.searchsorted(store.keys, keys)
             miss = store.keys[np.minimum(at, len(store) - 1)] != keys
-        else:
-            at = np.zeros(len(keys), dtype=np.intp)
-            miss = np.ones(len(keys), dtype=bool)
         if miss.any():
             new, first = np.unique(keys[miss], return_index=True)
-            fresh = pts[miss][first]
-            drawn = np.empty(len(new), dtype=np.complex128)
-            # Points inside the dense grid are read from it, not drawn again.
-            inside = np.zeros(len(new), dtype=bool)
-            if self._dense is not None:
-                lo, hi, grid = self._dense
-                inside = np.logical_and.reduce([(col >= a) & (col <= b) for col, a, b in zip(fresh.T, lo, hi)])
-                drawn[inside] = grid[tuple(fresh[inside].T - lo[:, None])]
-            drawn[~inside] = self._draw_many(fresh[~inside])
+            drawn = self._draw_many(pts[miss][first])
             if len(store):
                 slots = np.searchsorted(store.keys, new)
                 new, drawn = np.insert(store.keys, slots, new), np.insert(store.values, slots, drawn)
@@ -252,15 +233,13 @@ class SeededUniformNoise:
         lo = np.array([col.min() for col in pts.T])
         hi = np.array([col.max() for col in pts.T])
         dense = self._dense
-        if dense is None or not ((lo >= dense[0]).all() and (hi <= dense[1]).all()):
-            if dense is not None:
-                lo = np.minimum(lo, dense[0])
-                hi = np.maximum(hi, dense[1])
+        if dense is None:
             # In floats: hi - lo overflows int64 once an orbit passes 2^62.
-            volume = float(np.prod(hi.astype(np.float64) - lo + 1))
-            if volume > min(_DENSE_VOLUME, 4 * pts.shape[0]):
+            if float(np.prod(hi.astype(np.float64) - lo + 1)) > 4 * pts.shape[0]:
                 return self._stored(pts)
             dense = self._rebuild_grid(lo, hi)
+        elif not ((lo >= dense[0]).all() and (hi <= dense[1]).all()):
+            return self._stored(pts)
         grid_lo, _, grid = dense
         return grid[tuple(pts[:, j] - grid_lo[j] for j in range(pts.shape[1]))]
 
@@ -414,12 +393,12 @@ class TabulatedFn(BoundedFn):
     """A function read from one table of its values on the centred box of
     radius r of a lattice (see ``LatticeCarrier.tabulated``).
 
-    A call whose points all lie in the box gathers from the table; any other
-    call evaluates the base on all of its points. A value at a point does not
-    depend on the call it is read in (an oracle's sum runs row by row, and
-    its noise is a function of the point), so both give the base's bits. The
-    table holds the values as the base gives them, inf and NaN included, and
-    the view carries the base's noise and is readable where the base is.
+    A call's points in the box are gathered from the table; only the others
+    are read from the base. A value at a point does not depend on the call
+    it is read in (an oracle's sum runs row by row, and its noise is a
+    function of the point), so both give the base's bits. The table holds
+    the values as the base gives them, inf and NaN included, and the view
+    carries the base's noise and is readable where the base is.
     """
 
     def __init__(self, base: BoundedFn, box: np.ndarray) -> None:
@@ -432,8 +411,15 @@ class TabulatedFn(BoundedFn):
         self.values.setflags(write=False)
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        at = _box_index(pts, self.radius, self.carrier.dim)
-        return self.base.eval_many(pts) if at is None else self.values[at]
+        r, dim = self.radius, self.carrier.dim
+        at = _box_index(pts, r, dim)
+        if at is not None:
+            return self.values[at]
+        inside = ((pts >= -r) & (pts <= r)).all(axis=1)
+        out = np.empty(pts.shape[0], dtype=np.complex128)
+        out[inside] = self.values[_box_index(pts[inside], r, dim)]
+        out[~inside] = self.base.eval_many(pts[~inside])
+        return out
 
 
 TableFn = FiniteTableFn | LatticeTableFn

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import itertools
+import re
 from pathlib import Path
 
 import numpy as np
@@ -264,9 +265,16 @@ def test_invalid_elements_rejected():
     z1 = bundled_carrier("int1")
     with pytest.raises(InvalidElementError):
         z1.compose((1, 2), 0)
-    for x in (True, 1.0):
-        with pytest.raises(InvalidElementError, match=f"{x!r} is not an element index of Z6"):
+    # An element handle is a Python or numpy integer that is not a bool.
+    for x in (True, 1.0, np.float32(1.5), np.True_, "2"):
+        with pytest.raises(InvalidElementError, match=re.escape(f"{x!r} is not an element index of Z6")):
             z6.check_element(x)
+    for c, x in ((z1, (1.5,)), (z1, True), (bundled_carrier("int2"), ("3", 1))):
+        with pytest.raises(InvalidElementError, match=re.escape(f"{x!r} is not a point of {c.name}")):
+            c.check_element(x)
+    # Rows of int64 point arrays and numpy integers still pass.
+    assert z6.check_element(np.int64(5)) == 5
+    assert z1.check_element(np.array([3], dtype=np.int64)) == (3,) == z1.check_element(np.int32(3))
     with pytest.raises(InvalidElementError, match="label 'x' not in carrier Z6"):
         z6.index_of("x")
     with pytest.raises(InvalidElementError, match=r"5 is not a point of Z\^2"):
@@ -418,6 +426,9 @@ _TWO = [[0, 1], [1, 0]]
         (lambda: FiniteCarrier(["e", "a"], [[0, 1], [1, 0.5]], [0, 1], 0), "op table entries must be integers"),
         (lambda: FiniteCarrier(["e", "a"], _TWO, [0, 2], 0), "involution table entry out of range"),
         (lambda: LatticeCarrier(1, 8, 4), "folner_max must be >= window_radius"),
+        (lambda: LatticeCarrier(1, 1, 512.5), "folner_max must be an integer >= 1, got 512.5"),
+        (lambda: LatticeCarrier(1, 1, True), "folner_max must be an integer >= 1, got True"),
+        (lambda: LatticeCarrier(1, 1, "600"), "folner_max must be an integer >= 1, got '600'"),
         # Lattices numpy cannot build: more than 64 axes, and arrays past its byte limit.
         (lambda: LatticeCarrier(70, 1, 1), r"the pair window of Z\^70 .* is too large for numpy"),
         (

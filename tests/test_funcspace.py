@@ -200,7 +200,7 @@ def test_seeded_noise_stays_in_its_disc_at_extreme_amplitudes(amp):
         assert noise._draw_many(pts).tobytes() == np.ldexp(ref.view(np.float64), math.frexp(amp)[1]).tobytes()
 
 
-def test_the_sparse_store_reads_points_inside_the_grid_from_it(monkeypatch):
+def test_the_sparse_store_draws_its_misses_inside_the_grid_itself(monkeypatch):
     drawn = []
     real_draw = SeededUniformNoise._draw_many
 
@@ -213,10 +213,13 @@ def test_the_sparse_store_reads_points_inside_the_grid_from_it(monkeypatch):
     orbit = np.concatenate([grid[::4], 2 ** np.arange(6, 40, dtype=np.int64)[:, None]])
     noise = SeededUniformNoise(0.1, 9)
     noise.values(grid)
+    dense = noise._dense
     drawn.clear()
     got = noise.values(orbit)  # too sparse for the grid: served from the store
-    assert drawn == [(int(v),) for v in orbit[11:, 0]]
+    # The store draws all of its misses, the 11 points inside the grid too.
+    assert drawn == [(int(v),) for v in orbit[:, 0]]
     assert len(noise._memo) == len(orbit)
+    assert noise._dense is dense
     assert got.tobytes() == np.array([noise.value((int(v),)) for v in orbit[:, 0]]).tobytes()
 
 
@@ -337,33 +340,30 @@ def test_sparse_store_matches_per_point_draws_in_any_call_order(dim):
         assert noise.value(tuple(far[3])) == complex(per_point(far[3:4])[0])
 
 
-def test_grid_growth_draws_each_cell_once(monkeypatch):
+def test_a_dense_query_outside_the_grid_leaves_it_and_is_served_from_the_store(monkeypatch):
     draws = []
     real_draw = SeededUniformNoise._draw_many
 
     def counted(self, rows):
-        draws.extend(map(tuple, rows))
+        draws.append(len(rows))
         return real_draw(self, rows)
 
     monkeypatch.setattr(SeededUniformNoise, "_draw_many", counted)
-    z1 = bundled_carrier("int1")
+    z1, z2 = bundled_carrier("int1"), bundled_carrier("int2")
     x, y = z1.window_pair_arrays()
-    box = np.arange(-576, 577, dtype=np.int64)[:, None]
-    noise = SeededUniformNoise(0.1, 9)
-    noise.values(x + y)
-    got = noise.values(box)
-    assert len(draws) == box.shape[0] == 1153
-    assert len(set(draws)) == len(draws)
-    assert got.tobytes() == np.array([noise.value((int(v),)) for v in box[:, 0]]).tobytes()
-    # 2-d: the old block sits off-centre in the grown box
-    z2 = bundled_carrier("int2")
-    draws.clear()
-    noise2 = SeededUniformNoise(0.1, 9)
-    noise2.values(z2.box_points(3))
-    shifted = z2.box_points(7) + np.array([1, -2])
-    got2 = noise2.values(shifted)
-    assert len(draws) == len(set(draws)) == 15 * 15
-    assert got2.tobytes() == np.array([noise2.value((int(a), int(b))) for a, b in shifted]).tobytes()
+    # 1-d: the box holds the grid; 2-d: it lies off-centre around it.
+    cases = [(x + y, np.arange(-576, 577, dtype=np.int64)[:, None]), (z2.box_points(3), z2.box_points(7) + np.array([1, -2]))]
+    for first, box in cases:
+        draws.clear()
+        noise = SeededUniformNoise(0.1, 9)
+        noise.values(first)
+        dense = noise._dense
+        cells = dense[2].size
+        got = noise.values(box)  # dense, but the grid is drawn once and never grows
+        assert noise._dense is dense
+        assert len(noise._memo) == len(box)
+        assert draws == [cells, len(box)]
+        assert got.tobytes() == np.array([noise.value(tuple(int(c) for c in pt)) for pt in box]).tobytes()
 
 
 def test_lattice_table_bounds():

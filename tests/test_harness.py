@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import copy
 import dataclasses
 import hashlib
@@ -26,7 +27,7 @@ from jensen_stab import (
 from jensen_stab import harness, stabilize
 from jensen_stab.carrier import NO_MEAN
 from jensen_stab.errors import FormatError
-from jensen_stab.funcspace import SeededUniformNoise
+from jensen_stab.funcspace import BoundedFn, SeededUniformNoise, TabulatedFn
 from jensen_stab.harness import build_function
 
 
@@ -558,6 +559,49 @@ def test_a_seeded_lattice_experiment_builds_the_noise_grid_once(monkeypatch):
     assert run_experiment(cfg)["pass"]
     # One grid, over phi's reach box (512 + 64): f's table, which every later box read gathers from.
     assert grids == [1153]
+
+
+class _BaseReads(BoundedFn):
+    """base itself, recording the point arrays it is read at."""
+
+    def __init__(self, base, seen):
+        self.base, self.carrier, self.noise, self.seen = base, base.carrier, base.noise, seen
+
+    def eval_many(self, pts):
+        self.seen.append(pts)
+        return self.base.eval_many(pts)
+
+
+@pytest.mark.parametrize("carrier, linear", [("int1", [2.0]), ("int2", [1.0, -2.0])])
+def test_f_s_table_is_the_one_dense_copy_of_a_seeded_experiment(monkeypatch, carrier, linear):
+    views, reads, draws = [], [], collections.Counter()
+    real_init, real_draw = TabulatedFn.__init__, SeededUniformNoise._draw_many
+
+    def init(self, base, box):
+        real_init(self, base, box)
+        self.base = _BaseReads(base, reads)  # every read after the table's own
+        views.append(self)
+
+    def draw(self, rows):
+        draws[self] += len(rows)
+        return real_draw(self, rows)
+
+    monkeypatch.setattr(TabulatedFn, "__init__", init)
+    monkeypatch.setattr(SeededUniformNoise, "_draw_many", draw)
+    cfg = ExperimentConfig(carrier=carrier, base_constant=1.0, base_linear=linear, noise_type="seeded_uniform",
+                           noise_amplitude=0.1, noise_seed=5, methods=["mean", "dyadic", "dyadic_full", "forti_sikorska"])
+    assert run_experiment(cfg)["pass"]
+    [view] = views
+    r = view.radius
+    # The dyadic orbits leave the box, but no point inside it is read from the oracle.
+    assert reads
+    assert not any(((pts >= -r) & (pts <= r)).all(axis=1).any() for pts in reads)
+    [(noise, drawn)] = draws.items()
+    lo, hi, grid = noise._dense
+    stored = np.frombuffer(noise._memo.keys.tobytes(), dtype=np.int64).reshape(len(noise._memo), -1)
+    assert len(stored) and not ((stored >= lo) & (stored <= hi)).all(axis=1).any()
+    # Each cache draws each of its points once.
+    assert drawn == grid.size + len(noise._memo)
 
 
 @pytest.mark.parametrize("carrier, linear", [("int1", [1e306]), ("int2", [1e306, 1e306])])
